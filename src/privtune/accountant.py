@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Callable
 
 import numpy as np
 from scipy import optimize, special
@@ -31,6 +32,7 @@ __all__ = [
     "log_ratio_max",
     "select_epsilon_fdp",
     "rdp_gaussian_curve",
+    "subsampled_rdp_curve",
     "rdp_to_eps",
     "select_epsilon_rdp",
     "select_epsilon_rdp_pure",
@@ -58,6 +60,10 @@ _CERTIFY_BUDGET = 10**5
 # integer orders up to 512.
 SPEC_ALPHAS = np.concatenate([np.arange(1.1, 2.05, 0.1), np.arange(3.0, 513.0)])
 _INT_ALPHAS = np.arange(2.0, 513.0)
+# Orders per (order x j) array of the subsampled bound; an array spans
+# j = 0..max order of its chunk, so all 511 integer orders at once would
+# need 511 x 513 floats per temporary.
+_ORDER_CHUNK = 64
 
 # Dense order grid for noise calibration, where the minimum over orders
 # must track the budget smoothly.
@@ -327,12 +333,67 @@ def select_epsilon_fdp(
     )
 
 
+def subsampled_rdp_curve(
+    tau: float, orders: np.ndarray
+) -> Callable[[float, int], np.ndarray]:
+    """Renyi bound of the subsampled Gaussian at integer orders, per sigma.
+
+    The bound at order a is the binomial expansion of Mironov, Talwar and
+    Zhang (2019), composed N times:
+    N / (a - 1) * log sum_{j=0}^{a} C(a, j) (1 - tau)^(a - j) tau^j
+    e^(j (j - 1) / (2 sigma^2)). The sigma-independent log terms are built
+    here once, as (order x j) arrays of _ORDER_CHUNK orders each with -inf
+    where j > a; the returned function adds j (j - 1) / (2 sigma^2) and
+    reduces each row with logsumexp.
+
+    Args:
+      tau: sampling ratio in (0, 1).
+      orders: integer Renyi orders, each at least 2.
+
+    Returns:
+      A function of (sigma, n_iters) giving the bound at every order.
+
+    Raises:
+      ValueError: if tau is outside (0, 1) or an order is not an integer
+        of at least 2.
+    """
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    orders = np.asarray(orders, dtype=float)
+    if np.any(orders < 2.0) or np.any(orders != np.floor(orders)):
+        raise ValueError(f"orders must be integers >= 2, got {orders!r}")
+    chunks = []
+    for start in range(0, orders.size, _ORDER_CHUNK):
+        a = orders[start : start + _ORDER_CHUNK, None]
+        js = np.arange(int(a.max()) + 1)
+        terms = (
+            special.gammaln(a + 1.0)
+            - special.gammaln(js + 1.0)
+            - special.gammaln(a - js + 1.0)
+            + (a - js) * math.log1p(-tau)
+            + js * math.log(tau)
+        )
+        chunks.append(np.where(js <= a, terms, -np.inf))
+    pairs = np.arange(orders.max() + 1.0)
+    pairs *= pairs - 1.0
+
+    def curve(sigma: float, n_iters: int) -> np.ndarray:
+        scale = 2.0 * sigma**2
+        rows = [
+            special.logsumexp(terms + pairs[: terms.shape[1]] / scale, axis=1)
+            for terms in chunks
+        ]
+        return n_iters * np.concatenate(rows) / (orders - 1.0)
+
+    return curve
+
+
 def rdp_gaussian_curve(config: DpSgdConfig, alpha: float) -> float:
     """Renyi divergence bound gamma(alpha) of iterated noisy training.
 
     For tau = 1 this is the exact composed Gaussian value
     N * alpha / (2 sigma^2). For tau < 1 it is the integer-order
-    subsampled bound composed N times.
+    subsampled bound composed N times (see subsampled_rdp_curve).
 
     Args:
       config: training parameters (sigma, tau, n_iters).
@@ -353,17 +414,8 @@ def rdp_gaussian_curve(config: DpSgdConfig, alpha: float) -> float:
             f"tau={config.tau} < 1 supports integer orders only, got "
             f"alpha={alpha}"
         )
-    a = int(alpha)
-    js = np.arange(a + 1)
-    log_terms = (
-        special.gammaln(a + 1.0)
-        - special.gammaln(js + 1.0)
-        - special.gammaln(a - js + 1.0)
-        + (a - js) * math.log1p(-config.tau)
-        + js * math.log(config.tau)
-        + js * (js - 1.0) / (2.0 * config.sigma**2)
-    )
-    return config.n_iters * float(special.logsumexp(log_terms)) / (a - 1.0)
+    curve = subsampled_rdp_curve(config.tau, np.array([alpha]))
+    return float(curve(config.sigma, config.n_iters)[0])
 
 
 def rdp_to_eps(
@@ -463,8 +515,13 @@ def select_epsilon_rdp(
         )
     if not 0.0 < delta_h < 1.0:
         raise ValueError(f"delta_h must lie in (0, 1), got {delta_h}")
-    alphas = SPEC_ALPHAS if config.tau == 1.0 else _INT_ALPHAS
-    gammas = np.array([rdp_gaussian_curve(config, a) for a in alphas])
+    if config.tau == 1.0:
+        alphas = SPEC_ALPHAS
+        gammas = config.n_iters * alphas / (2.0 * config.sigma**2)
+    else:
+        alphas = _INT_ALPHAS
+        curve = subsampled_rdp_curve(config.tau, alphas)
+        gammas = curve(config.sigma, config.n_iters)
     eps_h, _, _ = _tnb_hat_epsilon(
         gammas, alphas, dist.eta, dist.nu, dist.mean, delta_h, rule
     )
@@ -531,15 +588,22 @@ def calibrate_sigma_rdp(
       eps_b: target base epsilon, positive.
       delta: target delta in (0, 1).
       tau: sampling ratio in (0, 1].
-      n_iters: number of training iterations.
+      n_iters: number of training iterations, at least 1.
 
     Returns:
       The calibrated noise multiplier sigma.
+
+    Raises:
+      ValueError: if an argument is outside its range, naming it.
     """
     if eps_b <= 0.0:
         raise ValueError(f"eps_b must be > 0, got {eps_b}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must lie in (0, 1], got {tau}")
+    if n_iters < 1:
+        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
     if tau == 1.0:
         def budget_gap(rho: float) -> float:
             eps = np.min(rdp_to_eps(rho * _ALPHA_DENSE, _ALPHA_DENSE, delta))
@@ -548,9 +612,10 @@ def calibrate_sigma_rdp(
         rho = optimize.brentq(budget_gap, 1e-8, 50.0, xtol=1e-14)
         return math.sqrt(n_iters / (2.0 * rho))
 
+    curve = subsampled_rdp_curve(tau, _INT_ALPHAS)
+
     def budget_gap_sigma(sigma: float) -> float:
-        config = DpSgdConfig(sigma, tau, n_iters)
-        gammas = np.array([rdp_gaussian_curve(config, a) for a in _INT_ALPHAS])
+        gammas = curve(sigma, n_iters)
         return float(np.min(rdp_to_eps(gammas, _INT_ALPHAS, delta))) - eps_b
 
     return float(optimize.brentq(budget_gap_sigma, 0.3, 1e4, xtol=1e-10))

@@ -336,12 +336,15 @@ def cmd_accountant(spec: RunSpec, args: argparse.Namespace) -> int:
 def _compare_cell(
     eps_b: float,
     tau: float,
+    config: DpSgdConfig | str,
     dist: RunCountDist,
-    delta: float,
     delta_h: float,
-    n_iters: int,
 ) -> dict[str, Any]:
-    """One comparison row; failures become NA cells with a reason."""
+    """One comparison row; failures become NA cells with a reason.
+
+    config is the calibrated training configuration of the row's
+    (eps_b, tau), or the reason its calibration failed.
+    """
     row: dict[str, Any] = {
         "eps_b": eps_b,
         "tau": tau,
@@ -355,13 +358,10 @@ def _compare_cell(
     if isinstance(dist, TruncatedNegativeBinomial):
         row["eta"] = dist.eta
         row["nu"] = dist.nu
-    try:
-        sigma = calibrate_sigma_rdp(eps_b, delta, tau, n_iters)
-        config = DpSgdConfig(sigma=sigma, tau=tau, n_iters=n_iters)
-    except ValueError as exc:
-        row["reason"] = f"calibration failed: {exc}"
+    if isinstance(config, str):
+        row["reason"] = config
         return row
-    row["sigma"] = sigma
+    row["sigma"] = config.sigma
     try:
         bounds = compare_bounds(config, dist, delta_h)
     except ValueError as exc:
@@ -375,7 +375,11 @@ def _compare_cell(
 
 
 def cmd_compare(spec: RunSpec, args: argparse.Namespace) -> int:
-    """Tabulates our bound against the prior bound over a grid."""
+    """Tabulates our bound against the prior bound over a grid.
+
+    Each (eps_b, tau) is calibrated once and shared by its run-count
+    columns.
+    """
     eps_b_list = args.eps_b if args.eps_b else [1.0, 2.0, 4.0]
     tau_list = args.tau if args.tau else [1.0]
     xi_specs = spec.xi if isinstance(spec.xi, tuple) else ()
@@ -384,16 +388,20 @@ def cmd_compare(spec: RunSpec, args: argparse.Namespace) -> int:
     if args.lower:
         header.append("eps_lower")
     header.append("reason")
+    grid = [(e, t) for e in eps_b_list for t in tau_list] if xi_list else []
     rows = []
-    for eps_b in eps_b_list:
-        for tau in tau_list:
-            for dist in xi_list:
-                cell = _compare_cell(
-                    eps_b, tau, dist, args.delta, spec.delta_h, args.n_iters
-                )
-                if args.lower:
-                    cell["eps_lower"] = _cell_lower_bound(cell, dist, spec, args)
-                rows.append([cell.get(name) for name in header])
+    for eps_b, tau in grid:
+        config: DpSgdConfig | str
+        try:
+            sigma = calibrate_sigma_rdp(eps_b, args.delta, tau, args.n_iters)
+            config = DpSgdConfig(sigma=sigma, tau=tau, n_iters=args.n_iters)
+        except ValueError as exc:
+            config = f"calibration failed: {exc}"
+        for dist in xi_list:
+            cell = _compare_cell(eps_b, tau, config, dist, spec.delta_h)
+            if args.lower:
+                cell["eps_lower"] = _cell_lower_bound(cell, dist, spec, args)
+            rows.append([cell.get(name) for name in header])
     _emit_table(header, rows, spec.fmt, args.out)
     return _EXIT_OK
 

@@ -277,7 +277,8 @@ def fdp_to_eps_delta(curve: TradeoffCurve, delta: float) -> float:
 
     Returns max(0, inf{a : f(x) >= 1 - delta - e^a x for all x}). Gaussian
     curves use the closed-form conversion delta(eps) and bracketed
-    root-finding; other curves use bisection on the slope with an inner
+    root-finding, and return an eps with delta(eps) <= delta at most 1e-9
+    above the root; other curves use bisection on the slope with an inner
     concave maximization of the constraint violation.
 
     Args:
@@ -296,14 +297,24 @@ def fdp_to_eps_delta(curve: TradeoffCurve, delta: float) -> float:
             return math.inf
         if delta >= gdp_delta_of_eps(curve.mu, 0.0):
             return 0.0
-        return float(
-            optimize.brentq(
-                lambda e: gdp_delta_of_eps(curve.mu, e) - delta,
-                0.0,
-                _EPS_BRACKET_HI,
-                xtol=_EPS_TOL,
-            )
-        )
+
+        def gap(e: float) -> float:
+            return gdp_delta_of_eps(curve.mu, e) - delta
+
+        eps = float(optimize.brentq(gap, 0.0, _EPS_BRACKET_HI, xtol=_EPS_TOL))
+        if gap(eps) > 0.0:
+            # brentq stopped below the root, where eps is no upper bound.
+            # The root lies within xtol + 4 * machine epsilon * eps of it,
+            # so bisect up from eps to 1/1024 of xtol.
+            lo, hi = eps, eps + 2.0 * _EPS_TOL
+            while hi - lo > _EPS_TOL / 1024.0:
+                mid = 0.5 * (lo + hi)
+                if gap(mid) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            eps = hi
+        return eps
     f0 = float(curve(0.0))
     if delta < 1.0 - f0 - _VIOLATION_SLACK:
         return math.inf

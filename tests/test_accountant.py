@@ -20,6 +20,7 @@ from privtune.accountant import (
     select_epsilon_fdp,
     select_epsilon_rdp,
     select_epsilon_rdp_pure,
+    subsampled_rdp_curve,
 )
 from privtune.runcount import TNB, PointMass
 from privtune.tradeoff import (
@@ -157,6 +158,62 @@ def test_rdp_gaussian_curve_subsampled_frozen_value():
     assert rdp_gaussian_curve(config, 2.0) < rdp_gaussian_curve(
         DpSgdConfig(2.0, 1.0, 1), 2.0
     )
+
+
+# calibrate_sigma_rdp(eps_b, 1e-5, 0.1, 1000) before the Renyi orders
+# were summed in one array pass.
+_SIGMA_TAU_01 = {1.0: 12.868245390069886, 2.0: 6.887044137244694}
+# log k! for k = 0..512.
+_LGAMMA = [math.lgamma(k + 1.0) for k in range(513)]
+
+
+def _subsampled_rdp_oracle(sigma: float, tau: float, n: int, a: int) -> float:
+    """Order-a subsampled Gaussian bound, term by term with math.fsum.
+
+    N / (a - 1) * log sum_j C(a, j) (1-tau)^(a-j) tau^j e^(j(j-1)/(2 sigma^2)),
+    with the largest term taken out of the sum and added back by log1p.
+    """
+    logs = [
+        _LGAMMA[a] - _LGAMMA[j] - _LGAMMA[a - j]
+        + (a - j) * math.log1p(-tau)
+        + j * math.log(tau)
+        + j * (j - 1) / (2.0 * sigma**2)
+        for j in range(a + 1)
+    ]
+    top = max(range(a + 1), key=logs.__getitem__)
+    rest = math.fsum(
+        math.exp(t - logs[top]) for j, t in enumerate(logs) if j != top
+    )
+    return n * (logs[top] + math.log1p(rest)) / (a - 1)
+
+
+def _rdp_eps_oracle(sigma: float, tau: float, n: int, delta: float) -> float:
+    """Tight-rule epsilon of the oracle bound, minimized over orders 2..512."""
+    return min(
+        _subsampled_rdp_oracle(sigma, tau, n, a)
+        + math.log1p(-1.0 / a)
+        - (math.log(delta) + math.log(a)) / (a - 1)
+        for a in range(2, 513)
+    )
+
+
+def test_subsampled_rdp_curve_matches_term_by_term_oracle():
+    orders = np.arange(2.0, 513.0)
+    for sigma, tau in ((1.0, 0.1), (0.8, 0.01), (5.0, 0.5)):
+        gammas = subsampled_rdp_curve(tau, orders)(sigma, 1000)
+        config = DpSgdConfig(sigma, tau, 1000)
+        for a, gamma in zip(range(2, 513), gammas):
+            want = _subsampled_rdp_oracle(sigma, tau, 1000, a)
+            assert gamma == pytest.approx(want, rel=1e-12), (sigma, tau, a)
+            assert rdp_gaussian_curve(config, a) == pytest.approx(
+                want, rel=1e-12
+            )
+    for eps_b, sigma_star in _SIGMA_TAU_01.items():
+        sigma = calibrate_sigma_rdp(eps_b, 1e-5, 0.1, 1000)
+        assert sigma == pytest.approx(sigma_star, rel=1e-12)
+        assert _rdp_eps_oracle(sigma, 0.1, 1000, 1e-5) == pytest.approx(
+            eps_b, abs=1e-9
+        )
 
 
 def test_rdp_to_eps_classic_rule_closed_form():

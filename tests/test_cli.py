@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from privtune import cli
 from privtune.cli import RunSpec, main
 
 _ACCOUNTANT_EXAMPLE = [
@@ -198,6 +199,61 @@ def test_compare_point_mass_row_reports_reason_not_crash(capsys):
     row = out.strip().split("\n")[1]
     assert ",NA," in row
     assert "prior bound requires a tnb run count" in row
+
+
+# `compare` over 2 eps_b x 2 tau x 3 xi, as printed when every cell
+# calibrated its own sigma.
+_COMPARE_GRID_CSV = """\
+eps_b,tau,eta,nu,e_xi,eps_ours,eps_prior,reason
+1,1,0,0.01,21.4976,1.51334,1.88947,
+1,1,1,0.01,100,2.01632,2.68583,
+1,1,NA,NA,10,14.6061,NA,prior bound requires a tnb run count
+1,0.1,0,0.01,21.4976,1.55467,1.88892,
+1,0.1,1,0.01,100,2.07057,2.68493,
+1,0.1,NA,NA,10,14.9943,NA,prior bound requires a tnb run count
+2,1,0,0.01,21.4976,2.95216,3.61912,
+2,1,1,0.01,100,3.8906,5.06628,
+2,1,NA,NA,10,28.0486,NA,prior bound requires a tnb run count
+2,0.1,0,0.01,21.4976,3.10218,3.61879,
+2,0.1,1,0.01,100,4.0845,5.06243,
+2,0.1,NA,NA,10,29.4458,NA,prior bound requires a tnb run count
+"""
+
+
+def test_compare_calibrates_once_per_budget_and_rate(capsys, monkeypatch):
+    calls = []
+    calibrate = cli.calibrate_sigma_rdp
+
+    def counted(*args):
+        calls.append(args)
+        return calibrate(*args)
+
+    monkeypatch.setattr(cli, "calibrate_sigma_rdp", counted)
+    argv = ["compare", "--eps-b", "1", "--eps-b", "2", "--tau", "1"]
+    argv += ["--tau", "0.1", "--xi", "tnb:eta=0,nu=1e-2"]
+    argv += ["--xi", "tnb:eta=1,nu=1e-2", "--xi", "pointmass:k=10"]
+    code, out, _ = _run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    assert len(calls) == 4
+    assert len(set(calls)) == 4
+    assert out == _COMPARE_GRID_CSV
+
+
+def test_compare_rejects_iterations_and_rate_by_name(capsys):
+    expected = {
+        ("--n-iters", "0"): "calibration failed: n_iters must be >= 1, got 0",
+        ("--tau", "1.5"): "calibration failed: tau must lie in (0, 1], got 1.5",
+    }
+    for flag, reason in expected.items():
+        code, out, _ = _run(
+            capsys,
+            ["compare", "--eps-b", "1", *flag, "--xi", "tnb:eta=1,nu=1e-2"]
+            + ["--xi", "pointmass:k=2", "--format", "json"],
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert [row["reason"] for row in rows] == [reason, reason]
+        assert all(row["eps_ours"] is None for row in rows)
 
 
 def test_csv_floats_use_six_significant_digits(capsys):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +73,37 @@ def test_fdp_to_eps_delta_frozen_value():
     assert fdp_to_eps_delta(GaussianCurve(1.0), 1e-5) == pytest.approx(
         _EPS_OF_G1_AT_1E5, rel=1e-10
     )
+
+
+def _gdp_delta_closed_form(mu: float, eps: float) -> float:
+    """Dong-Roth-Su delta(eps) of mu-GDP, from math.erfc alone."""
+
+    def phi(x: float) -> float:
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    return phi(-eps / mu + mu / 2.0) - math.exp(eps) * phi(-eps / mu - mu / 2.0)
+
+
+def test_fdp_to_eps_delta_gaussian_is_no_lower_than_root():
+    # The root of delta(eps) = target by bisection on the closed form down
+    # to adjacent floats. The returned eps must not lie below it, so that
+    # it is an upper bound, and at most 1e-9 above it. The two double
+    # evaluations of delta disagree by a few ulps in the root (1.4e-14
+    # over 3000 inputs), hence the 1e-13 float slack below the root.
+    rng = random.Random(20240601)
+    for _ in range(300):
+        mu = rng.uniform(0.2, 8.0)
+        delta = 10.0 ** rng.uniform(-10.0, -3.0)
+        lo, hi = 0.0, 100.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if _gdp_delta_closed_form(mu, mid) > delta:
+                lo = mid
+            else:
+                hi = mid
+        eps = fdp_to_eps_delta(GaussianCurve(mu), delta)
+        assert hi - 1e-13 <= eps <= lo + 1e-9, (mu, delta, eps, hi)
+    # A value brentq already left on the safe side does not move.
+    assert fdp_to_eps_delta(GaussianCurve(1.0), 1e-5) == _EPS_OF_G1_AT_1E5
 
 
 def test_fdp_to_eps_delta_round_trip_on_eps_delta_curve():
