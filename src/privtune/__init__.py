@@ -12,106 +12,4 @@ distinguishing game that lower-bounds the true privacy level
 (:mod:`privtune.cli`).
 """
 
-from __future__ import annotations
-
-from .accountant import (
-    AccountantReport,
-    base_curve_for,
-    calibrate_sigma_rdp,
-    compare_bounds,
-    log_ratio_max,
-    rdp_gaussian_curve,
-    rdp_to_eps,
-    select_epsilon_fdp,
-    select_epsilon_rdp,
-    select_epsilon_rdp_pure,
-)
-from .audit import (
-    THREADS_ENV_VAR,
-    AuditReport,
-    GameConfig,
-    ThresholdSweep,
-    calibrate_sigma_gdp,
-    clopper_pearson_upper,
-    eps_lower_bound,
-    run_audit,
-    simulate_game,
-    sweep_thresholds,
-    thread_count,
-)
-from .discrete import (
-    FiniteMechanismPair,
-    SelectionOutput,
-    approx_dp_delta,
-    near_worst_case_pair,
-    pure_dp_epsilon,
-    renyi_divergence,
-    selection_distribution,
-    simulate_selection,
-    theorem4_campaign,
-    theorem4_check,
-)
-from .runcount import TNB, PointMass, RunCountDist, TruncatedNegativeBinomial
-from .tradeoff import (
-    DpSgdConfig,
-    EpsDeltaCurve,
-    GaussianCurve,
-    TradeoffCurve,
-    eval_eps_delta_curve,
-    eval_gdp_curve,
-    fdp_to_eps_delta,
-    gdp_approx_mu,
-    gdp_delta_of_eps,
-    gdp_mu_from_eps_delta,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "TradeoffCurve",
-    "EpsDeltaCurve",
-    "GaussianCurve",
-    "DpSgdConfig",
-    "eval_eps_delta_curve",
-    "eval_gdp_curve",
-    "fdp_to_eps_delta",
-    "gdp_delta_of_eps",
-    "gdp_mu_from_eps_delta",
-    "gdp_approx_mu",
-    "RunCountDist",
-    "PointMass",
-    "TruncatedNegativeBinomial",
-    "TNB",
-    "AccountantReport",
-    "log_ratio_max",
-    "select_epsilon_fdp",
-    "rdp_gaussian_curve",
-    "rdp_to_eps",
-    "select_epsilon_rdp",
-    "select_epsilon_rdp_pure",
-    "calibrate_sigma_rdp",
-    "compare_bounds",
-    "base_curve_for",
-    "FiniteMechanismPair",
-    "SelectionOutput",
-    "selection_distribution",
-    "pure_dp_epsilon",
-    "approx_dp_delta",
-    "renyi_divergence",
-    "theorem4_check",
-    "theorem4_campaign",
-    "near_worst_case_pair",
-    "simulate_selection",
-    "GameConfig",
-    "AuditReport",
-    "ThresholdSweep",
-    "THREADS_ENV_VAR",
-    "thread_count",
-    "calibrate_sigma_gdp",
-    "simulate_game",
-    "clopper_pearson_upper",
-    "eps_lower_bound",
-    "sweep_thresholds",
-    "run_audit",
-    "__version__",
-]

@@ -23,8 +23,10 @@ from .tradeoff import (
     DpSgdConfig,
     GaussianCurve,
     TradeoffCurve,
+    _golden_max,
     fdp_to_eps_delta,
     gdp_approx_mu,
+    gdp_mu_from_eps_delta,
 )
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "select_epsilon_rdp",
     "select_epsilon_rdp_pure",
     "calibrate_sigma_rdp",
+    "calibrate_sigma_gdp",
     "compare_bounds",
     "base_curve_for",
 ]
@@ -45,7 +48,6 @@ _GRID_SIZE = 10001
 # One point per decade below the uniform grid's first cell, so that a
 # maximizer far below 1e-4 is reached in a few splits.
 _LOG_GRID = np.logspace(-300.0, -5.0, 296)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-8
 # A cell is split into _CERTIFY_SPLIT equal parts while its bound exceeds
 # the best value found by more than _CERTIFY_TOL; at most _CERTIFY_BATCH
@@ -224,19 +226,12 @@ def log_ratio_max(
             return math.inf
         return math.log(float(dist.omega_complement(a)) / denom)
 
-    a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > _REFINE_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(d)
+    c, fc, d, fd = _golden_max(
+        objective,
+        grid[max(best - 1, 0)],
+        grid[min(best + 1, grid.size - 1)],
+        _REFINE_TOL,
+    )
     candidates = [(float(vals[best]), float(grid[best])), (fc, c), (fd, d)]
     value, arg = max(candidates, key=lambda t: t[0])
 
@@ -594,9 +589,10 @@ def calibrate_sigma_rdp(
       The calibrated noise multiplier sigma.
 
     Raises:
-      ValueError: if an argument is outside its range, naming it.
+      ValueError: if an argument is outside its range, naming it, or
+        eps_b is out of reach of the sigma search bracket.
     """
-    if eps_b <= 0.0:
+    if not eps_b > 0.0:
         raise ValueError(f"eps_b must be > 0, got {eps_b}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -605,20 +601,62 @@ def calibrate_sigma_rdp(
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
     if tau == 1.0:
-        def budget_gap(rho: float) -> float:
-            eps = np.min(rdp_to_eps(rho * _ALPHA_DENSE, _ALPHA_DENSE, delta))
-            return float(eps) - eps_b
+        # The composed Renyi curve is rho * alpha, rho = N / (2 sigma^2).
+        def eps_at(rho: float) -> float:
+            return float(
+                np.min(rdp_to_eps(rho * _ALPHA_DENSE, _ALPHA_DENSE, delta))
+            )
 
-        rho = optimize.brentq(budget_gap, 1e-8, 50.0, xtol=1e-14)
-        return math.sqrt(n_iters / (2.0 * rho))
+        def sigma_of(rho: float) -> float:
+            return math.sqrt(n_iters / (2.0 * rho))
 
-    curve = subsampled_rdp_curve(tau, _INT_ALPHAS)
+        bracket, xtol = (1e-8, 50.0), 1e-14
+    else:
+        curve = subsampled_rdp_curve(tau, _INT_ALPHAS)
 
-    def budget_gap_sigma(sigma: float) -> float:
-        gammas = curve(sigma, n_iters)
-        return float(np.min(rdp_to_eps(gammas, _INT_ALPHAS, delta))) - eps_b
+        def eps_at(sigma: float) -> float:
+            gammas = curve(sigma, n_iters)
+            return float(np.min(rdp_to_eps(gammas, _INT_ALPHAS, delta)))
 
-    return float(optimize.brentq(budget_gap_sigma, 0.3, 1e4, xtol=1e-10))
+        sigma_of, bracket, xtol = float, (0.3, 1e4), 1e-10
+    ends = sorted(eps_at(x) for x in bracket)
+    if not ends[0] <= eps_b <= ends[1]:
+        sigmas = sorted(sigma_of(x) for x in bracket)
+        raise ValueError(
+            f"eps_b={eps_b} is out of reach: sigma in "
+            f"[{sigmas[0]:.6g}, {sigmas[1]:.6g}] gives eps_b in "
+            f"[{ends[0]:.6g}, {ends[1]:.6g}]"
+        )
+    root = optimize.brentq(lambda x: eps_at(x) - eps_b, *bracket, xtol=xtol)
+    return sigma_of(root)
+
+
+def calibrate_sigma_gdp(
+    eps_b: float, delta: float, tau: float, n_iters: int
+) -> float:
+    """Noise multiplier whose composed Gaussian-DP level matches a budget.
+
+    Inverts the composed noisy-gradient Gaussian-DP approximation so
+    that the base mechanism satisfies (eps_b, delta)-DP.
+
+    Args:
+      eps_b: target privacy parameter of the base mechanism.
+      delta: target additive slack.
+      tau: sampling rate in (0, 1].
+      n_iters: number of composed iterations.
+
+    Returns:
+      The calibrated noise multiplier, searched in [1, 1e5].
+    """
+    mu_target = gdp_mu_from_eps_delta(eps_b, delta)
+    return float(
+        optimize.brentq(
+            lambda s: gdp_approx_mu(DpSgdConfig(s, tau, n_iters)) - mu_target,
+            1.0,
+            1e5,
+            xtol=1e-10,
+        )
+    )
 
 
 def base_curve_for(config: DpSgdConfig) -> GaussianCurve:

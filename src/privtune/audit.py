@@ -17,11 +17,10 @@ import os
 from concurrent import futures
 
 import numpy as np
-from scipy import optimize, stats
-from scipy.special import ndtri
+from scipy import special
 
 from .runcount import RunCountDist
-from .tradeoff import DpSgdConfig, gdp_approx_mu, gdp_mu_from_eps_delta
+from .tradeoff import DpSgdConfig
 
 __all__ = [
     "GameConfig",
@@ -29,7 +28,6 @@ __all__ = [
     "ThresholdSweep",
     "THREADS_ENV_VAR",
     "thread_count",
-    "calibrate_sigma_gdp",
     "simulate_game",
     "clopper_pearson_upper",
     "eps_lower_bound",
@@ -124,34 +122,6 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def calibrate_sigma_gdp(
-    eps_b: float, delta: float, tau: float, n_iters: int
-) -> float:
-    """Noise multiplier whose composed Gaussian-DP level matches a budget.
-
-    Inverts the composed noisy-gradient Gaussian-DP approximation so
-    that the base mechanism satisfies (eps_b, delta)-DP.
-
-    Args:
-      eps_b: target privacy parameter of the base mechanism.
-      delta: target additive slack.
-      tau: sampling rate in (0, 1].
-      n_iters: number of composed iterations.
-
-    Returns:
-      The calibrated noise multiplier, searched in [1, 1e5].
-    """
-    mu_target = gdp_mu_from_eps_delta(eps_b, delta)
-    return float(
-        optimize.brentq(
-            lambda s: gdp_approx_mu(DpSgdConfig(s, tau, n_iters)) - mu_target,
-            1.0,
-            1e5,
-            xtol=1e-10,
-        )
-    )
-
-
 def _simulate_block(
     cfg: GameConfig,
     block: int,
@@ -170,7 +140,7 @@ def _simulate_block(
     if mech.tau == 1.0:
         uniform = rng.random(size)
         with np.errstate(divide="ignore"):
-            top = ndtri(np.exp(np.log(uniform) / counts))
+            top = special.ndtri(np.exp(np.log(uniform) / counts))
         scores = top + shift * truth
     else:
         scores = np.empty(size)
@@ -225,64 +195,71 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def clopper_pearson_upper(
-    successes: int, trials: int, confidence: float
-) -> float:
-    """One-sided upper confidence limit for a binomial proportion.
+    successes: np.ndarray | int, trials: int, confidence: float
+) -> np.ndarray | float:
+    """One-sided upper confidence limits for a binomial proportion.
 
     Args:
-      successes: observed success count.
-      trials: number of draws, at least successes.
+      successes: observed success count, or an array of them.
+      trials: number of draws, at least every success count.
       confidence: one-sided confidence level in (0, 1).
 
     Returns:
-      The exact upper limit via the beta quantile; 1.0 when every draw
-      succeeded.
+      The exact upper limit, the confidence quantile of
+      Beta(successes + 1, trials - successes), for each count; 1.0 where
+      every draw succeeded. A float for a scalar count, else an array of
+      its shape.
     """
-    if not 0 <= successes <= trials:
+    counts = np.asarray(successes)
+    if not np.all((counts >= 0) & (counts <= trials)):
         raise ValueError(
             f"need 0 <= successes <= trials, got ({successes}, {trials})"
         )
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if successes == trials:
-        return 1.0
-    return float(stats.beta.ppf(confidence, successes + 1, trials - successes))
+    upper = np.where(
+        counts == trials,
+        1.0,
+        special.betaincinv(
+            counts + 1, np.maximum(trials - counts, 1), confidence
+        ),
+    )
+    return float(upper) if np.ndim(successes) == 0 else upper
 
 
-def eps_lower_bound(fp_upper: float, fn_upper: float, delta: float) -> float:
+def eps_lower_bound(
+    fp_upper: np.ndarray | float, fn_upper: np.ndarray | float, delta: float
+) -> np.ndarray | float:
     """Privacy lower bound implied by bounded error rates.
 
     Evaluates max(log((1 - delta - FP) / FN),
     log((1 - delta - FN) / FP), 0) at the confidence-upper-bounded
-    false-positive and false-negative rates.
+    false-positive and false-negative rates; a term whose numerator is
+    not positive counts as 0.
 
     Args:
-      fp_upper: upper confidence limit on the false-positive rate.
-      fn_upper: upper confidence limit on the false-negative rate.
+      fp_upper: upper confidence limit(s) on the false-positive rate.
+      fn_upper: upper confidence limit(s) on the false-negative rate.
       delta: additive slack of the guarantee being tested.
 
     Returns:
-      A nonnegative bound; infinite only if an error rate is exactly 0
-      while the opposing numerator is positive.
+      A nonnegative bound per pair of rates, broadcast over the inputs;
+      a float when both rates are scalars. Infinite only if an error
+      rate is exactly 0 while the opposing numerator is positive.
     """
-    for name, value in (
-        ("fp_upper", fp_upper),
-        ("fn_upper", fn_upper),
-        ("delta", delta),
-    ):
-        if not 0.0 <= value <= 1.0:
+    fp = np.asarray(fp_upper, dtype=float)
+    fn = np.asarray(fn_upper, dtype=float)
+    for name, value in (("fp_upper", fp), ("fn_upper", fn), ("delta", delta)):
+        if not np.all((value >= 0.0) & (value <= 1.0)):
             raise ValueError(f"{name} must be in [0, 1], got {value}")
-    best = 0.0
-    for numerator, denominator in (
-        (1.0 - delta - fp_upper, fn_upper),
-        (1.0 - delta - fn_upper, fp_upper),
-    ):
-        if numerator <= 0.0:
-            continue
-        if denominator == 0.0:
-            return math.inf
-        best = max(best, math.log(numerator / denominator))
-    return best
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        first = np.log(np.maximum(1.0 - delta - fp, 0.0) / fn)
+        second = np.log(np.maximum(1.0 - delta - fn, 0.0) / fp)
+    # fmax skips the NaN of a 0/0 term, whose numerator is not positive.
+    eps = np.fmax(np.fmax(first, second), 0.0)
+    if np.ndim(fp_upper) == 0 and np.ndim(fn_upper) == 0:
+        return float(eps)
+    return eps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -354,20 +331,15 @@ def sweep_thresholds(
     fp_cnt = n0 - np.searchsorted(s0, thresholds, side="right")
     fn_cnt = np.searchsorted(s1, thresholds, side="right")
     side = 1.0 - (1.0 - confidence) / 2.0
-    fp_up = _upper_limits(fp_cnt, n0, side)
-    fn_up = _upper_limits(fn_cnt, n1, side)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first = np.log(np.maximum(1.0 - delta - fp_up, 0.0) / fn_up)
-        second = np.log(np.maximum(1.0 - delta - fn_up, 0.0) / fp_up)
-    eps = np.maximum(np.maximum(first, second), 0.0)
-    eps[np.isnan(eps)] = 0.0
+    fp_up = clopper_pearson_upper(fp_cnt, n0, side)
+    fn_up = clopper_pearson_upper(fn_cnt, n1, side)
     return ThresholdSweep(
         thresholds=thresholds,
         fp_counts=fp_cnt,
         fn_counts=fn_cnt,
         fp_upper=fp_up,
         fn_upper=fn_up,
-        eps_lower=eps,
+        eps_lower=eps_lower_bound(fp_up, fn_up, delta),
         n_null=n0,
         n_alternative=n1,
     )
@@ -399,15 +371,4 @@ def run_audit(cfg: GameConfig) -> AuditReport:
         fp_upper=float(sweep.fp_upper[best]),
         fn_upper=float(sweep.fn_upper[best]),
         eps_lower=float(sweep.eps_lower[best]),
-    )
-
-
-def _upper_limits(counts: np.ndarray, n: int, side: float) -> np.ndarray:
-    """Vectorized one-sided Clopper-Pearson upper limits."""
-    if n == 0:
-        return np.ones_like(counts, dtype=float)
-    return np.where(
-        counts == n,
-        1.0,
-        stats.beta.ppf(side, counts + 1, np.maximum(n - counts, 1)),
     )

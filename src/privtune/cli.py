@@ -22,7 +22,6 @@ import sys
 from typing import Any, Sequence
 
 from .accountant import (
-    AccountantReport,
     base_curve_for,
     calibrate_sigma_rdp,
     compare_bounds,
@@ -31,7 +30,6 @@ from .accountant import (
 )
 from .audit import (
     GameConfig,
-    calibrate_sigma_gdp,
     run_audit,
     simulate_game,
     sweep_thresholds,
@@ -53,7 +51,7 @@ from .tradeoff import (
     TradeoffCurve,
 )
 
-__all__ = ["RunSpec", "UsageError", "main"]
+__all__ = ["UsageError", "main"]
 
 _EXIT_OK = 0
 _EXIT_USAGE = 2
@@ -69,47 +67,6 @@ _PURE_DP_GENERIC_FACTOR = 3.0
 
 class UsageError(Exception):
     """Raised for malformed parameters; maps to exit code 2."""
-
-
-@dataclasses.dataclass(frozen=True)
-class RunSpec:
-    """Parsed invocation record shared by the subcommands.
-
-    Attributes:
-      subcommand: one of accountant, compare, audit, tightness,
-        theorem4.
-      base: base-curve spec string, if the subcommand takes one.
-      xi: run-count spec string, or a tuple of them for the compare
-        grid, or None when the subcommand takes none.
-      delta_h: additive slack for the tuned guarantee.
-      fmt: output format, one of json, csv, text.
-      seed: random seed for simulation subcommands.
-      trials: Monte Carlo trial count for simulation subcommands.
-    """
-
-    subcommand: str
-    base: str | None = None
-    xi: str | tuple[str, ...] | None = None
-    delta_h: float | None = None
-    fmt: str = "text"
-    seed: int = 0
-    trials: int | None = None
-
-
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    """Builds the invocation record from parsed flags."""
-    xi = getattr(args, "xi", None)
-    if isinstance(xi, list):
-        xi = tuple(xi)
-    return RunSpec(
-        subcommand=args.subcommand,
-        base=getattr(args, "base", None),
-        xi=xi,
-        delta_h=getattr(args, "delta_h", None),
-        fmt=args.format,
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", None),
-    )
 
 
 def _parse_kv_spec(
@@ -156,16 +113,9 @@ def _parse_kv_spec(
     return kind, fields
 
 
-def _spec_float(raw: str, name: str, key: str) -> float:
+def _spec_number(raw: str, name: str, key: str, kind: type = float) -> Any:
     try:
-        return float(raw)
-    except ValueError:
-        raise UsageError(f"{name}: bad value {raw!r} for key {key!r}") from None
-
-
-def _spec_int(raw: str, name: str, key: str) -> int:
-    try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
         raise UsageError(f"{name}: bad value {raw!r} for key {key!r}") from None
 
@@ -195,16 +145,16 @@ def parse_base_spec(
     )
     try:
         if kind == "gdp":
-            return GaussianCurve(_spec_float(fields["mu"], "--base", "mu"))
+            return GaussianCurve(_spec_number(fields["mu"], "--base", "mu"))
         if kind == "epsdelta":
             return EpsDeltaCurve(
-                _spec_float(fields["eps"], "--base", "eps"),
-                _spec_float(fields["delta"], "--base", "delta"),
+                _spec_number(fields["eps"], "--base", "eps"),
+                _spec_number(fields["delta"], "--base", "delta"),
             )
         return DpSgdConfig(
-            _spec_float(fields["sigma"], "--base", "sigma"),
-            _spec_float(fields["tau"], "--base", "tau"),
-            _spec_int(fields["n"], "--base", "n"),
+            _spec_number(fields["sigma"], "--base", "sigma"),
+            _spec_number(fields["tau"], "--base", "tau"),
+            _spec_number(fields["n"], "--base", "n", int),
         )
     except ValueError as exc:
         raise UsageError(f"--base: {exc}") from None
@@ -227,10 +177,10 @@ def parse_xi_spec(text: str) -> RunCountDist:
     try:
         if kind == "tnb":
             return TruncatedNegativeBinomial(
-                _spec_float(fields["eta"], "--xi", "eta"),
-                _spec_float(fields["nu"], "--xi", "nu"),
+                _spec_number(fields["eta"], "--xi", "eta"),
+                _spec_number(fields["nu"], "--xi", "nu"),
             )
-        return PointMass(_spec_int(fields["k"], "--xi", "k"))
+        return PointMass(_spec_number(fields["k"], "--xi", "k", int))
     except ValueError as exc:
         raise UsageError(f"--xi: {exc}") from None
 
@@ -306,28 +256,17 @@ def _emit_table(
     _emit("\n".join(line.rstrip() for line in lines) + "\n", out)
 
 
-def _report_payload(report: AccountantReport) -> dict[str, Any]:
-    return {
-        "eps_h": report.eps_h,
-        "delta_h": report.delta_h,
-        "eps_base": report.eps_base,
-        "log_ratio": report.log_ratio,
-        "argmax_a": report.argmax_a,
-        "method": report.method,
-    }
-
-
-def cmd_accountant(spec: RunSpec, args: argparse.Namespace) -> int:
+def cmd_accountant(args: argparse.Namespace) -> int:
     """Bounds the tuned protocol's privacy level for one configuration."""
-    base = parse_base_spec(spec.base or "")
-    dist = parse_xi_spec(str(spec.xi))
+    base = parse_base_spec(args.base)
+    dist = parse_xi_spec(args.xi)
     curve: TradeoffCurve
     if isinstance(base, DpSgdConfig):
         curve = base_curve_for(base)
     else:
         curve = base
-    report = select_epsilon_fdp(curve, dist, spec.delta_h)
-    _emit_report(_report_payload(report), spec.fmt, args.out)
+    report = select_epsilon_fdp(curve, dist, args.delta_h)
+    _emit_report(dataclasses.asdict(report), args.format, args.out)
     if math.isinf(report.eps_h):
         return _EXIT_INFINITE
     return _EXIT_OK
@@ -374,7 +313,7 @@ def _compare_cell(
     return row
 
 
-def cmd_compare(spec: RunSpec, args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
     """Tabulates our bound against the prior bound over a grid.
 
     Each (eps_b, tau) is calibrated once and shared by its run-count
@@ -382,8 +321,7 @@ def cmd_compare(spec: RunSpec, args: argparse.Namespace) -> int:
     """
     eps_b_list = args.eps_b if args.eps_b else [1.0, 2.0, 4.0]
     tau_list = args.tau if args.tau else [1.0]
-    xi_specs = spec.xi if isinstance(spec.xi, tuple) else ()
-    xi_list = [parse_xi_spec(text) for text in xi_specs]
+    xi_list = [parse_xi_spec(text) for text in args.xi or ()]
     header = ["eps_b", "tau", "eta", "nu", "e_xi", "eps_ours", "eps_prior"]
     if args.lower:
         header.append("eps_lower")
@@ -398,19 +336,16 @@ def cmd_compare(spec: RunSpec, args: argparse.Namespace) -> int:
         except ValueError as exc:
             config = f"calibration failed: {exc}"
         for dist in xi_list:
-            cell = _compare_cell(eps_b, tau, config, dist, spec.delta_h)
+            cell = _compare_cell(eps_b, tau, config, dist, args.delta_h)
             if args.lower:
-                cell["eps_lower"] = _cell_lower_bound(cell, dist, spec, args)
+                cell["eps_lower"] = _cell_lower_bound(cell, dist, args)
             rows.append([cell.get(name) for name in header])
-    _emit_table(header, rows, spec.fmt, args.out)
+    _emit_table(header, rows, args.format, args.out)
     return _EXIT_OK
 
 
 def _cell_lower_bound(
-    cell: dict[str, Any],
-    dist: RunCountDist,
-    spec: RunSpec,
-    args: argparse.Namespace,
+    cell: dict[str, Any], dist: RunCountDist, args: argparse.Namespace
 ) -> float | None:
     """Audited lower bound for one comparison cell, sharing its sigma."""
     if "sigma" not in cell:
@@ -420,14 +355,14 @@ def _cell_lower_bound(
             sigma=cell["sigma"], tau=cell["tau"], n_iters=args.n_iters
         ),
         dist=dist,
-        trials=spec.trials or 1,
-        seed=spec.seed,
+        trials=args.trials or 1,
+        seed=args.seed,
         delta=args.delta,
     )
     return run_audit(cfg).eps_lower
 
 
-def cmd_tightness(spec: RunSpec, args: argparse.Namespace) -> int:
+def cmd_tightness(args: argparse.Namespace) -> int:
     """Reproduces the near-worst-case selection example."""
     pair = near_worst_case_pair(
         _TIGHTNESS_SPREAD, _TIGHTNESS_RATIO, _TIGHTNESS_EPS
@@ -450,17 +385,17 @@ def cmd_tightness(spec: RunSpec, args: argparse.Namespace) -> int:
             "gap": bound - eps_tuned,
         }
     else:
-        eps_at_delta = _tuned_eps_at_delta(tuned, tuned_prime, spec.delta_h)
+        eps_at_delta = _tuned_eps_at_delta(tuned, tuned_prime, args.delta_h)
         predicted = select_epsilon_rdp_pure(
-            _TIGHTNESS_EPS, dist, spec.delta_h
+            _TIGHTNESS_EPS, dist, args.delta_h
         )
         payload = {
-            "delta": spec.delta_h,
+            "delta": args.delta_h,
             "eps_tuned": eps_at_delta,
             "eps_predicted": predicted,
             "gap": predicted - eps_at_delta,
         }
-    _emit_report(payload, spec.fmt, args.out)
+    _emit_report(payload, args.format, args.out)
     return _EXIT_OK
 
 
@@ -482,27 +417,27 @@ def _tuned_eps_at_delta(
     return high
 
 
-def cmd_audit(spec: RunSpec, args: argparse.Namespace) -> int:
+def cmd_audit(args: argparse.Namespace) -> int:
     """Runs the distinguishing game and reports the concluded bound."""
-    base = parse_base_spec(spec.base or "")
+    base = parse_base_spec(args.base)
     if not isinstance(base, DpSgdConfig):
         raise UsageError(
             "--base: audit requires a dpsgd base, got "
-            f"{str(spec.base).split(':', 1)[0]!r}"
+            f"{args.base.split(':', 1)[0]!r}"
         )
-    dist = parse_xi_spec(str(spec.xi))
+    dist = parse_xi_spec(args.xi)
     try:
         cfg = GameConfig(
             config=base,
             dist=dist,
-            trials=spec.trials or 0,
-            seed=spec.seed,
+            trials=args.trials,
+            seed=args.seed,
             confidence=args.confidence,
             delta=args.delta,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if spec.fmt == "csv":
+    if args.format == "csv":
         truth, scores = simulate_game(cfg)
         sweep = sweep_thresholds(truth, scores, cfg.confidence, cfg.delta)
         header = [
@@ -537,16 +472,16 @@ def cmd_audit(spec: RunSpec, args: argparse.Namespace) -> int:
         "fn_upper": report.fn_upper,
         "eps_lower": report.eps_lower,
     }
-    _emit_report(payload, spec.fmt, args.out)
+    _emit_report(payload, args.format, args.out)
     return _EXIT_OK
 
 
-def cmd_theorem4(spec: RunSpec, args: argparse.Namespace) -> int:
+def cmd_theorem4(args: argparse.Namespace) -> int:
     """Runs the grouped-versus-refined divergence campaign."""
     if args.instances < 1:
         raise UsageError(f"--instances must be >= 1, got {args.instances}")
     passes, worst = theorem4_campaign(
-        args.instances, spec.seed, n_jobs=thread_count()
+        args.instances, args.seed, n_jobs=thread_count()
     )
     payload = {
         "instances": args.instances,
@@ -554,7 +489,7 @@ def cmd_theorem4(spec: RunSpec, args: argparse.Namespace) -> int:
         "worst_margin": worst,
         "verdict": f"{passes}/{args.instances} pass",
     }
-    _emit_report(payload, spec.fmt, args.out)
+    _emit_report(payload, args.format, args.out)
     if passes != args.instances:
         return _EXIT_PROPERTY
     return _EXIT_OK
@@ -724,8 +659,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(_spec_from_args(args), args)
-    except UsageError as exc:
+        return args.func(args)
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

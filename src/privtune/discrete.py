@@ -34,7 +34,12 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 _OUTPUT_SUM_TOL = 1e-10
+# Float error in a divergence grows with its size (a small selection
+# probability is a difference of pgf values near 1). Against exact
+# rational sums on 9e4 random order-8 instances, the float margin
+# d_refined - d_grouped fell short of the exact one by <= 8.8e-8 d_refined.
 _THEOREM_SLACK = 1e-12
+_THEOREM_REL_SLACK = 1e-6
 
 
 def _validate_probability_vector(p: np.ndarray, name: str, size: int) -> np.ndarray:
@@ -227,7 +232,9 @@ def theorem4_check(
     Computes the Renyi divergence of the selection outputs under the
     pair's score partition, and again under the strict refinement that
     breaks every group into singletons in listed order. Merging symbols
-    into score ties must not increase the divergence.
+    into score ties must not increase the divergence; the comparison
+    allows float error of 1e-6 relative to the refined divergence plus
+    1e-12.
 
     Args:
       pair: mechanism pair with a score partition.
@@ -244,7 +251,8 @@ def theorem4_check(
     refined_qp = selection_distribution(pair.p_prime, refined, dist)
     d_grouped = renyi_divergence(grouped_q, grouped_qp, alpha)
     d_refined = renyi_divergence(refined_q, refined_qp, alpha)
-    return d_grouped, d_refined, d_grouped <= d_refined + _THEOREM_SLACK
+    slack = _THEOREM_SLACK + _THEOREM_REL_SLACK * d_refined
+    return d_grouped, d_refined, d_grouped <= d_refined + slack
 
 
 def _random_instance(
@@ -303,20 +311,19 @@ def theorem4_campaign(
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
 
-    def run_one(index: int) -> float:
-        pair, dist, alpha = _random_instance(
-            np.random.SeedSequence([seed, index])
+    def run_one(index: int) -> tuple[float, float, bool]:
+        return theorem4_check(
+            *_random_instance(np.random.SeedSequence([seed, index]))
         )
-        d_grouped, d_refined, _ = theorem4_check(pair, dist, alpha)
-        return d_refined - d_grouped
 
     if n_jobs > 1:
         with futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            margins = list(pool.map(run_one, range(instances)))
+            checks = list(pool.map(run_one, range(instances)))
     else:
-        margins = [run_one(i) for i in range(instances)]
-    passes = sum(1 for m in margins if m >= -_THEOREM_SLACK)
-    return passes, float(min(margins))
+        checks = [run_one(i) for i in range(instances)]
+    passes = sum(1 for _, _, ok in checks if ok)
+    worst = min(refined - grouped for grouped, refined, _ in checks)
+    return passes, float(worst)
 
 
 def near_worst_case_pair(

@@ -21,7 +21,6 @@ __all__ = [
     "RunCountDist",
     "PointMass",
     "TruncatedNegativeBinomial",
-    "TNB",
 ]
 
 _TAIL_TOL = 1e-12
@@ -153,7 +152,7 @@ class TruncatedNegativeBinomial(RunCountDist):
     nu: float
 
     def __post_init__(self) -> None:
-        if self.eta <= -1.0:
+        if not self.eta > -1.0:
             raise ValueError(f"eta must be > -1, got {self.eta}")
         if not 0.0 < self.nu < 1.0:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
@@ -287,6 +286,3 @@ class TruncatedNegativeBinomial(RunCountDist):
         idx = np.searchsorted(self._cumulative, u, side="left")
         ks = np.minimum(idx + 1, self.k_max).astype(np.int64)
         return int(ks) if size is None else ks
-
-
-TNB = TruncatedNegativeBinomial

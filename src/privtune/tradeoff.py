@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Callable
 
 import numpy as np
 from scipy import optimize, special
@@ -21,8 +22,6 @@ __all__ = [
     "EpsDeltaCurve",
     "GaussianCurve",
     "DpSgdConfig",
-    "eval_eps_delta_curve",
-    "eval_gdp_curve",
     "fdp_to_eps_delta",
     "gdp_delta_of_eps",
     "gdp_mu_from_eps_delta",
@@ -78,7 +77,7 @@ class EpsDeltaCurve(TradeoffCurve):
     delta: float
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
@@ -103,7 +102,7 @@ class GaussianCurve(TradeoffCurve):
     mu: float
 
     def __post_init__(self) -> None:
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:
             raise ValueError(f"mu must be >= 0, got {self.mu}")
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
@@ -133,24 +132,12 @@ class DpSgdConfig:
     n_iters: int
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
         if self.n_iters < 1:
             raise ValueError(f"n_iters must be >= 1, got {self.n_iters}")
-
-
-def eval_eps_delta_curve(
-    epsilon: float, delta: float, x: np.ndarray | float
-) -> np.ndarray | float:
-    """Evaluates the (epsilon, delta)-DP trade-off curve at x."""
-    return EpsDeltaCurve(epsilon, delta)(x)
-
-
-def eval_gdp_curve(mu: float, x: np.ndarray | float) -> np.ndarray | float:
-    """Evaluates the Gaussian trade-off curve G_mu at x."""
-    return GaussianCurve(mu)(x)
 
 
 def gdp_delta_of_eps(mu: float, epsilon: float) -> float:
@@ -167,9 +154,9 @@ def gdp_delta_of_eps(mu: float, epsilon: float) -> float:
       The conversion delta, a value in [0, 1], strictly decreasing in
       epsilon.
     """
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise ValueError(f"mu must be > 0, got {mu}")
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     first = special.ndtr(-epsilon / mu + mu / 2.0)
     log_second = epsilon + special.log_ndtr(-epsilon / mu - mu / 2.0)
@@ -239,6 +226,33 @@ def gdp_approx_mu(config: DpSgdConfig) -> float:
     return math.sqrt(2.0 * inner) * config.tau * math.sqrt(config.n_iters)
 
 
+def _golden_max(
+    fn: Callable[[float], float], a: float, b: float, tol: float
+) -> tuple[float, float, float, float]:
+    """Golden-section search for the maximum of fn on [a, b].
+
+    Narrows the bracket until it is at most tol wide, assuming fn is
+    unimodal on it.
+
+    Returns:
+      (c, fn(c), d, fn(d)) at the two interior points of the last
+      bracket.
+    """
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    return c, fc, d, fd
+
+
 def _max_violation(curve: TradeoffCurve, delta: float, a: float) -> float:
     """Largest amount by which the line 1 - delta - e^a x exceeds the curve.
 
@@ -256,19 +270,7 @@ def _max_violation(curve: TradeoffCurve, delta: float, a: float) -> float:
     def gap_at(x: float) -> float:
         return (1.0 - delta - slope * x) - float(curve(x))
 
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = gap_at(c), gap_at(d)
-    while b - a > 1e-12:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = gap_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = gap_at(d)
+    _, fc, _, fd = _golden_max(gap_at, lo, hi, 1e-12)
     return max(float(gaps[best]), fc, fd)
 
 

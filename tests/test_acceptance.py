@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from privtune.accountant import (
+    calibrate_sigma_gdp,
     calibrate_sigma_rdp,
     compare_bounds,
     log_ratio_max,
@@ -40,7 +41,6 @@ from privtune.accountant import (
 )
 from privtune.audit import (
     GameConfig,
-    calibrate_sigma_gdp,
     run_audit,
     simulate_game,
     thread_count,
@@ -53,12 +53,12 @@ from privtune.discrete import (
     simulate_selection,
     theorem4_campaign,
 )
-from privtune.runcount import TNB, PointMass
+from privtune.runcount import PointMass
+from privtune.runcount import TruncatedNegativeBinomial as TNB
 from privtune.tradeoff import (
     DpSgdConfig,
     EpsDeltaCurve,
     GaussianCurve,
-    eval_gdp_curve,
     fdp_to_eps_delta,
 )
 
@@ -401,7 +401,7 @@ def test_criterion_9_simulator_calibration():
     thresholds = np.quantile(null, 1.0 - levels)
     fn = np.searchsorted(alt, thresholds, side="right") / alt.size
     mu = np.sqrt(_N_ITERS) / 40.0
-    roc_dev = float(np.max(np.abs(fn - eval_gdp_curve(mu, levels))))
+    roc_dev = float(np.max(np.abs(fn - GaussianCurve(mu)(levels))))
     roc_ok = roc_dev < 0.005
 
     pair = near_worst_case_pair(1e-3, 100.0, 1.0)

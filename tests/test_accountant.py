@@ -22,7 +22,8 @@ from privtune.accountant import (
     select_epsilon_rdp_pure,
     subsampled_rdp_curve,
 )
-from privtune.runcount import TNB, PointMass
+from privtune.runcount import PointMass
+from privtune.runcount import TruncatedNegativeBinomial as TNB
 from privtune.tradeoff import (
     DpSgdConfig,
     EpsDeltaCurve,

@@ -13,7 +13,6 @@ from scipy import stats
 from privtune.audit import (
     AuditReport,
     GameConfig,
-    calibrate_sigma_gdp,
     clopper_pearson_upper,
     eps_lower_bound,
     run_audit,
@@ -21,10 +20,12 @@ from privtune.audit import (
     sweep_thresholds,
     thread_count,
 )
-from privtune.runcount import TNB, PointMass
+from privtune.accountant import calibrate_sigma_gdp
+from privtune.runcount import PointMass
+from privtune.runcount import TruncatedNegativeBinomial as TNB
 from privtune.tradeoff import (
     DpSgdConfig,
-    eval_gdp_curve,
+    GaussianCurve,
     gdp_approx_mu,
     gdp_mu_from_eps_delta,
 )
@@ -68,6 +69,28 @@ def test_clopper_pearson_upper_dominates_point_estimate():
 def test_clopper_pearson_upper_monotone_in_successes():
     values = [clopper_pearson_upper(s, 20, 0.975) for s in range(21)]
     assert all(a < b + 1e-15 for a, b in zip(values, values[1:]))
+
+
+def test_clopper_pearson_upper_on_arrays_solves_the_binomial_tail():
+    # The upper limit u for s successes in n draws solves
+    # P(Binomial(n, u) <= s) = 1 - confidence; the tail is summed here
+    # term by term.
+    for n in range(1, 61):
+        counts = np.arange(n + 1)
+        for confidence in (0.6, 0.95, 0.975, 0.999):
+            upper = clopper_pearson_upper(counts, n, confidence)
+            scalar = [
+                clopper_pearson_upper(int(s), n, confidence) for s in counts
+            ]
+            assert upper.tolist() == scalar
+            assert upper[n] == 1.0
+            for s in range(n):
+                u = float(upper[s])
+                tail = math.fsum(
+                    math.comb(n, i) * u**i * (1.0 - u) ** (n - i)
+                    for i in range(s + 1)
+                )
+                assert abs(tail - (1.0 - confidence)) <= 1e-10
 
 
 def test_eps_lower_bound_frozen_values():
@@ -162,7 +185,7 @@ def test_simulated_roc_tracks_gaussian_tradeoff_curve():
     thresholds = np.quantile(null, 1.0 - levels)
     fn = np.searchsorted(alt, thresholds, side="right") / alt.size
     mu = np.sqrt(1000.0) / 40.0
-    assert float(np.max(np.abs(fn - eval_gdp_curve(mu, levels)))) < 0.01
+    assert float(np.max(np.abs(fn - GaussianCurve(mu)(levels)))) < 0.01
 
 
 def test_run_audit_frozen_game_and_thread_invariance(monkeypatch):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from privtune import cli
-from privtune.cli import RunSpec, main
+from privtune.cli import main
 
 _ACCOUNTANT_EXAMPLE = [
     "accountant",
@@ -320,7 +324,72 @@ def test_unknown_flag_exits_2():
     assert excinfo.value.code == 2
 
 
-def test_run_spec_is_frozen():
-    spec = RunSpec(subcommand="accountant", base="gdp:mu=1")
-    with pytest.raises(AttributeError):
-        spec.base = "gdp:mu=2"
+_GEOMETRIC = ["--xi", "tnb:eta=1,nu=1e-2"]
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["accountant", "--base", "gdp:mu=1", *_GEOMETRIC, "--delta-h", "2"],
+         "delta_h"),
+        (["accountant", "--base", "gdp:mu=1", *_GEOMETRIC, "--delta-h", "nan"],
+         "delta_h"),
+        (["tightness", "--which", "approx", "--delta-h", "0"], "delta"),
+        (["accountant", "--base", "gdp:mu=1", "--xi", "tnb:eta=nan,nu=1e-2"],
+         "eta"),
+        (["accountant", "--base", "gdp:mu=nan", *_GEOMETRIC], "mu"),
+        (["accountant", "--base", "epsdelta:eps=nan,delta=1e-5", *_GEOMETRIC],
+         "eps"),
+        (["accountant", "--base", "dpsgd:sigma=nan,tau=1,n=1000", *_GEOMETRIC],
+         "sigma"),
+    ],
+)
+def test_domain_errors_exit_2_with_a_message(capsys, argv, needle):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def test_calibration_failures_name_the_budget(capsys):
+    expected = {
+        "1e-4": [
+            "calibration failed: eps_b=0.0001 is out of reach: sigma in "
+            "[3.16228, 223607] gives eps_b in [0.00143159, 96.0353]",
+            "calibration failed: eps_b=0.0001 is out of reach: sigma in "
+            "[0.3, 10000] gives eps_b in [0.00839268, 6517.55]",
+        ],
+        "nan": ["calibration failed: eps_b must be > 0, got nan"] * 2,
+    }
+    for eps_b, reasons in expected.items():
+        code, out, _ = _run(
+            capsys,
+            ["compare", "--eps-b", eps_b, "--tau", "1", "--tau", "0.1"]
+            + ["--xi", "pointmass:k=2", "--format", "json"],
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert [row["reason"] for row in rows] == reasons
+        assert all(row["eps_ours"] is None for row in rows)
+
+
+def test_imports_load_only_what_they_use():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "import privtune\n"
+        "print(sorted(m for m in sys.modules if m.startswith('privtune.')))\n"
+        "import privtune.cli\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert result.stdout == "[]\nFalse\n"

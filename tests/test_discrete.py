@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from privtune.discrete import (
     FiniteMechanismPair,
     SelectionOutput,
+    _random_instance,
     approx_dp_delta,
     near_worst_case_pair,
     pure_dp_epsilon,
@@ -21,7 +23,8 @@ from privtune.discrete import (
     theorem4_campaign,
     theorem4_check,
 )
-from privtune.runcount import TNB, PointMass
+from privtune.runcount import PointMass
+from privtune.runcount import TruncatedNegativeBinomial as TNB
 
 # Frozen regression values for the near-worst-case three-symbol pair
 # with spread 1e-3, ratio 100, epsilon 1, tuned through TNB(1, 1e-3).
@@ -155,6 +158,48 @@ def test_theorem4_check_frozen_example():
     assert refined == pytest.approx(_THEOREM4_REFINED, rel=1e-10)
     assert ok
     assert grouped <= refined + 1e-12
+
+
+def test_theorem4_check_passes_a_tie_that_float_error_reverses():
+    # Instance 628 of seed 836464178: its grouped and refined order-8
+    # divergences differ only by float error, 1.7e-11 the wrong way.
+    pair, dist, alpha = _random_instance(
+        np.random.SeedSequence([836464178, 628])
+    )
+    assert (dist, alpha) == (TNB(1.0, 0.1), 8.0)
+    grouped, refined, ok = theorem4_check(pair, dist, alpha)
+    assert ok
+    assert grouped > refined + 1e-12
+
+    # Oracle: exact rational selection outputs of the normalized inputs
+    # under the geometric pgf S(y) = nu y / (1 - (1 - nu) y). The order-8
+    # divergence is increasing in sum_y q(y)^8 / q'(y)^7, so comparing the
+    # sums orders the divergences.
+    nu = Fraction(dist.nu)
+
+    def order8_sum(partition):
+        sums = []
+        for probs in (pair.p, pair.p_prime):
+            p = [Fraction(float(x)) for x in probs]
+            total = sum(p)
+            q = {}
+            cumulative, pgf_prev = Fraction(0), Fraction(0)
+            for group in partition:
+                cumulative += sum(p[i] for i in group) / total
+                pgf_here = nu * cumulative / (1 - (1 - nu) * cumulative)
+                for i in group:
+                    q[i] = (pgf_here - pgf_prev) / len(group)
+                pgf_prev = pgf_here
+            sums.append(q)
+        q, q_prime = sums
+        return sum(q[i] ** 8 / q_prime[i] ** 7 for i in q)
+
+    exact_grouped = order8_sum(pair.score_partition)
+    exact_refined = order8_sum(
+        tuple((i,) for group in pair.score_partition for i in group)
+    )
+    assert exact_grouped < exact_refined
+    assert (exact_refined - exact_grouped) / exact_grouped < 1e-20
 
 
 def test_theorem4_campaign_frozen_and_thread_invariant():

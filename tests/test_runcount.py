@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privtune.runcount import TNB, PointMass, TruncatedNegativeBinomial
+from privtune.runcount import PointMass, TruncatedNegativeBinomial
+from privtune.runcount import TruncatedNegativeBinomial as TNB
 
 # Frozen regression values. The eta=0 cases follow the logarithmic
 # series pmf k -> (1-nu)^k / (k ln(1/nu)); the eta=2 mean is

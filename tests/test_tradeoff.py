@@ -14,8 +14,6 @@ from privtune.tradeoff import (
     DpSgdConfig,
     EpsDeltaCurve,
     GaussianCurve,
-    eval_eps_delta_curve,
-    eval_gdp_curve,
     fdp_to_eps_delta,
     gdp_approx_mu,
     gdp_delta_of_eps,
@@ -36,17 +34,17 @@ _APPROX_MU_UNIT = 1.7101424755953307
 
 
 def test_gdp_curve_frozen_value():
-    assert eval_gdp_curve(1.0, 0.5) == pytest.approx(_GDP_1_AT_HALF, rel=1e-12)
+    assert GaussianCurve(1.0)(0.5) == pytest.approx(_GDP_1_AT_HALF, rel=1e-12)
 
 
 def test_gdp_curve_endpoints():
-    assert eval_gdp_curve(1.0, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert eval_gdp_curve(1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert eval_gdp_curve(0.0, 0.3) == pytest.approx(0.7, abs=1e-12)
+    assert GaussianCurve(1.0)(0.0) == pytest.approx(1.0, abs=1e-12)
+    assert GaussianCurve(1.0)(1.0) == pytest.approx(0.0, abs=1e-12)
+    assert GaussianCurve(0.0)(0.3) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_eps_delta_curve_frozen_value():
-    assert eval_eps_delta_curve(1.0, 0.1, 0.2) == pytest.approx(
+    assert EpsDeltaCurve(1.0, 0.1)(0.2) == pytest.approx(
         _EPSDELTA_1_01_AT_02, rel=1e-12
     )
     assert 0.9 - np.exp(1.0) * 0.2 == pytest.approx(
@@ -55,9 +53,9 @@ def test_eps_delta_curve_frozen_value():
 
 
 def test_eps_delta_curve_regions():
-    assert eval_eps_delta_curve(1.0, 0.1, 0.0) == pytest.approx(0.9)
-    assert eval_eps_delta_curve(1.0, 0.1, 0.9) == 0.0
-    assert eval_eps_delta_curve(0.0, 0.0, 0.25) == pytest.approx(0.75)
+    assert EpsDeltaCurve(1.0, 0.1)(0.0) == pytest.approx(0.9)
+    assert EpsDeltaCurve(1.0, 0.1)(0.9) == 0.0
+    assert EpsDeltaCurve(0.0, 0.0)(0.25) == pytest.approx(0.75)
 
 
 def test_curves_are_callable_and_vectorized():
@@ -175,9 +173,9 @@ def test_invalid_parameters_raise(build):
 )
 @settings(max_examples=200, deadline=None)
 def test_gdp_curve_is_a_valid_tradeoff_function(mu, x):
-    value = float(eval_gdp_curve(mu, x))
+    value = float(GaussianCurve(mu)(x))
     assert 0.0 <= value <= 1.0
-    assert value <= float(eval_gdp_curve(mu, x / 2.0)) + 1e-12
+    assert value <= float(GaussianCurve(mu)(x / 2.0)) + 1e-12
 
 
 @given(
@@ -188,7 +186,7 @@ def test_gdp_curve_is_a_valid_tradeoff_function(mu, x):
 def test_gdp_curve_is_self_symmetric(mu, x):
     # Reflecting a Gaussian trade-off curve across the diagonal gives
     # the same curve back.
-    assert float(eval_gdp_curve(mu, float(eval_gdp_curve(mu, x)))) == (
+    assert float(GaussianCurve(mu)(float(GaussianCurve(mu)(x)))) == (
         pytest.approx(x, abs=1e-9)
     )
 
@@ -200,9 +198,9 @@ def test_gdp_curve_is_self_symmetric(mu, x):
 )
 @settings(max_examples=200, deadline=None)
 def test_eps_delta_curve_bounds(eps, delta, x):
-    value = float(eval_eps_delta_curve(eps, delta, x))
+    value = float(EpsDeltaCurve(eps, delta)(x))
     assert 0.0 <= value <= 1.0 - delta + 1e-12
-    assert float(eval_eps_delta_curve(eps, delta, 0.0)) == pytest.approx(
+    assert float(EpsDeltaCurve(eps, delta)(0.0)) == pytest.approx(
         1.0 - delta, abs=1e-12
     )
 
