@@ -23,7 +23,6 @@ from .tradeoff import (
     DpSgdConfig,
     GaussianCurve,
     TradeoffCurve,
-    _golden_max,
     fdp_to_eps_delta,
     gdp_approx_mu,
     gdp_mu_from_eps_delta,
@@ -49,6 +48,7 @@ _GRID_SIZE = 10001
 # maximizer far below 1e-4 is reached in a few splits.
 _LOG_GRID = np.logspace(-300.0, -5.0, 296)
 _REFINE_TOL = 1e-8
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # A cell is split into _CERTIFY_SPLIT equal parts while its bound exceeds
 # the best value found by more than _CERTIFY_TOL; at most _CERTIFY_BATCH
 # cells with the largest bounds are split at a time, and at most
@@ -66,6 +66,9 @@ _INT_ALPHAS = np.arange(2.0, 513.0)
 # j = 0..max order of its chunk, so all 511 integer orders at once would
 # need 511 x 513 floats per temporary.
 _ORDER_CHUNK = 64
+
+# Largest order of the pure-DP selection bound, as prior practice capped it.
+_PURE_ALPHA_CAP = 256.0
 
 # Dense order grid for noise calibration, where the minimum over orders
 # must track the budget smoothly.
@@ -171,6 +174,33 @@ def _cell_bounds(
         np.inf,
     )
     return np.minimum(np.where(np.isnan(monotone), np.inf, monotone), convex)
+
+
+def _golden_max(
+    fn: Callable[[float], float], a: float, b: float, tol: float
+) -> tuple[float, float, float, float]:
+    """Golden-section search for the maximum of fn on [a, b].
+
+    Narrows the bracket until it is at most tol wide, assuming fn is
+    unimodal on it.
+
+    Returns:
+      (c, fn(c), d, fn(d)) at the two interior points of the last
+      bracket.
+    """
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    return c, fc, d, fd
 
 
 def log_ratio_max(
@@ -535,7 +565,6 @@ def select_epsilon_rdp_pure(
     epsilon: float,
     dist: TruncatedNegativeBinomial,
     delta_h: float,
-    alpha_cap: float = 256.0,
 ) -> float:
     """Renyi selection bound for a pure-DP base, in prior conventions.
 
@@ -548,14 +577,13 @@ def select_epsilon_rdp_pure(
       epsilon: pure-DP parameter of the base mechanism.
       dist: truncated-negative-binomial run count.
       delta_h: target delta for the selection guarantee.
-      alpha_cap: largest Renyi order searched.
 
     Returns:
       The predicted selection epsilon at delta_h.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    alphas = SPEC_ALPHAS[SPEC_ALPHAS <= alpha_cap]
+    alphas = SPEC_ALPHAS[SPEC_ALPHAS <= _PURE_ALPHA_CAP]
     p = math.exp(epsilon) / (1.0 + math.exp(epsilon))
     q = 1.0 - p
     gammas = (

@@ -33,11 +33,9 @@ from .audit import (
     run_audit,
     simulate_game,
     sweep_thresholds,
-    thread_count,
 )
 from .discrete import (
-    SelectionOutput,
-    approx_dp_delta,
+    approx_dp_epsilon,
     near_worst_case_pair,
     pure_dp_epsilon,
     selection_distribution,
@@ -115,9 +113,12 @@ def _parse_kv_spec(
 
 def _spec_number(raw: str, name: str, key: str, kind: type = float) -> Any:
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise UsageError(f"{name}: bad value {raw!r} for key {key!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{name}: {key} must be finite, got {raw!r}")
+    return value
 
 
 def parse_base_spec(
@@ -385,7 +386,7 @@ def cmd_tightness(args: argparse.Namespace) -> int:
             "gap": bound - eps_tuned,
         }
     else:
-        eps_at_delta = _tuned_eps_at_delta(tuned, tuned_prime, args.delta_h)
+        eps_at_delta = approx_dp_epsilon(tuned, tuned_prime, args.delta_h)
         predicted = select_epsilon_rdp_pure(
             _TIGHTNESS_EPS, dist, args.delta_h
         )
@@ -397,24 +398,6 @@ def cmd_tightness(args: argparse.Namespace) -> int:
         }
     _emit_report(payload, args.format, args.out)
     return _EXIT_OK
-
-
-def _tuned_eps_at_delta(
-    tuned: SelectionOutput, tuned_prime: SelectionOutput, delta: float
-) -> float:
-    """Smallest epsilon at which the tuned pair is (eps, delta)-close."""
-    low, high = 0.0, pure_dp_epsilon(tuned, tuned_prime)
-    if math.isinf(high):
-        return math.inf
-    if approx_dp_delta(tuned, tuned_prime, 0.0) <= delta:
-        return 0.0
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if approx_dp_delta(tuned, tuned_prime, mid) > delta:
-            low = mid
-        else:
-            high = mid
-    return high
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -480,9 +463,7 @@ def cmd_theorem4(args: argparse.Namespace) -> int:
     """Runs the grouped-versus-refined divergence campaign."""
     if args.instances < 1:
         raise UsageError(f"--instances must be >= 1, got {args.instances}")
-    passes, worst = theorem4_campaign(
-        args.instances, args.seed, n_jobs=thread_count()
-    )
+    passes, worst = theorem4_campaign(args.instances, args.seed)
     payload = {
         "instances": args.instances,
         "passes": passes,

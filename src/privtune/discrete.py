@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent import futures
 
 import numpy as np
 
@@ -25,6 +24,7 @@ __all__ = [
     "selection_distribution",
     "pure_dp_epsilon",
     "approx_dp_delta",
+    "approx_dp_epsilon",
     "renyi_divergence",
     "theorem4_check",
     "theorem4_campaign",
@@ -198,6 +198,42 @@ def approx_dp_delta(
     return max(forward, backward)
 
 
+def approx_dp_epsilon(
+    q: SelectionOutput, q_prime: SelectionOutput, delta: float
+) -> float:
+    """Smallest epsilon making two outputs (epsilon, delta)-indistinguishable.
+
+    The exact inverse of approx_dp_delta in epsilon. For each epsilon the
+    hockey-stick sum of one ordering is largest over the symbols whose
+    likelihood ratio q/q' exceeds e^epsilon, a prefix S of the symbols
+    sorted by decreasing ratio, so that ordering needs
+    max(0, max over prefixes S of log((q(S) - delta) / q'(S))). The result
+    is the larger of the two orderings' values.
+
+    Args:
+      q: first selection output.
+      q_prime: second selection output.
+      delta: additive slack in [0, 1].
+
+    Returns:
+      The epsilon value; infinite when, in either ordering, some prefix
+      has q'(S) = 0 but q(S) > delta.
+    """
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    eps = 0.0
+    for a, b in ((q.q, q_prime.q), (q_prime.q, q.q)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            order = np.argsort(-(a / b))  # ratio +inf first, 0/0 (nan) last
+            excess = np.cumsum(a[order]) - delta
+            mass = np.cumsum(b[order])
+            if np.any((mass == 0.0) & (excess > 0.0)):
+                return math.inf
+            logs = np.log(excess[excess > 0.0] / mass[excess > 0.0])
+        eps = max(eps, float(np.max(logs, initial=0.0)))
+    return eps
+
+
 def renyi_divergence(
     q: SelectionOutput, q_prime: SelectionOutput, alpha: float
 ) -> float:
@@ -289,20 +325,17 @@ def _random_instance(
     return pair, dist, alpha
 
 
-def theorem4_campaign(
-    instances: int, seed: int, n_jobs: int = 1
-) -> tuple[int, float]:
+def theorem4_campaign(instances: int, seed: int) -> tuple[int, float]:
     """Runs the tied-vs-refined divergence check on random instances.
 
     Each instance draws random probability vectors, a random score
     partition containing at least one tied group, a random run-count
-    distribution, and a random Renyi order, using a per-instance seed so
-    results do not depend on the parallelism degree.
+    distribution, and a random Renyi order, from its own seed
+    SeedSequence([seed, index]).
 
     Args:
       instances: number of randomized instances.
       seed: base seed for the instance stream.
-      n_jobs: worker threads; 1 runs serially.
 
     Returns:
       (number of instances passing the inequality, worst signed margin
@@ -310,17 +343,10 @@ def theorem4_campaign(
     """
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
-
-    def run_one(index: int) -> tuple[float, float, bool]:
-        return theorem4_check(
-            *_random_instance(np.random.SeedSequence([seed, index]))
-        )
-
-    if n_jobs > 1:
-        with futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            checks = list(pool.map(run_one, range(instances)))
-    else:
-        checks = [run_one(i) for i in range(instances)]
+    checks = [
+        theorem4_check(*_random_instance(np.random.SeedSequence([seed, i])))
+        for i in range(instances)
+    ]
     passes = sum(1 for _, _, ok in checks if ok)
     worst = min(refined - grouped for grouped, refined, _ in checks)
     return passes, float(worst)

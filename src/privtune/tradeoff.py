@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
 
 import numpy as np
 from scipy import optimize, special
@@ -30,9 +29,6 @@ __all__ = [
 
 _EPS_BRACKET_HI = 100.0
 _EPS_TOL = 1e-9
-_VIOLATION_SLACK = 1e-12
-_GRID_SIZE = 4097
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _validate_unit_interval(x: np.ndarray | float, name: str) -> np.ndarray:
@@ -83,7 +79,9 @@ class EpsDeltaCurve(TradeoffCurve):
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        hi = 1.0 - self.delta - math.exp(self.epsilon) * x
+        # e^eps x as exp(eps + log x): no overflow at large eps, 0 at x = 0.
+        with np.errstate(divide="ignore", over="ignore"):
+            hi = 1.0 - self.delta - np.exp(self.epsilon + np.log(x))
         lo = math.exp(-self.epsilon) * (1.0 - self.delta - x)
         return np.maximum(0.0, np.maximum(hi, lo))
 
@@ -226,69 +224,29 @@ def gdp_approx_mu(config: DpSgdConfig) -> float:
     return math.sqrt(2.0 * inner) * config.tau * math.sqrt(config.n_iters)
 
 
-def _golden_max(
-    fn: Callable[[float], float], a: float, b: float, tol: float
-) -> tuple[float, float, float, float]:
-    """Golden-section search for the maximum of fn on [a, b].
-
-    Narrows the bracket until it is at most tol wide, assuming fn is
-    unimodal on it.
-
-    Returns:
-      (c, fn(c), d, fn(d)) at the two interior points of the last
-      bracket.
-    """
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return c, fc, d, fd
-
-
-def _max_violation(curve: TradeoffCurve, delta: float, a: float) -> float:
-    """Largest amount by which the line 1 - delta - e^a x exceeds the curve.
-
-    The gap (line minus curve) is concave in x because the curve is convex,
-    so a coarse grid scan followed by golden-section refinement around the
-    best cell finds the maximum.
-    """
-    slope = math.exp(a)
-    xs = np.linspace(0.0, 1.0, _GRID_SIZE)
-    gaps = (1.0 - delta - slope * xs) - np.asarray(curve(xs))
-    best = int(np.argmax(gaps))
-    lo = xs[max(best - 1, 0)]
-    hi = xs[min(best + 1, _GRID_SIZE - 1)]
-
-    def gap_at(x: float) -> float:
-        return (1.0 - delta - slope * x) - float(curve(x))
-
-    _, fc, _, fd = _golden_max(gap_at, lo, hi, 1e-12)
-    return max(float(gaps[best]), fc, fd)
-
-
 def fdp_to_eps_delta(curve: TradeoffCurve, delta: float) -> float:
     """Smallest epsilon such that the curve dominates the (eps, delta) curve.
 
     Returns max(0, inf{a : f(x) >= 1 - delta - e^a x for all x}). Gaussian
     curves use the closed-form conversion delta(eps) and bracketed
     root-finding, and return an eps with delta(eps) <= delta at most 1e-9
-    above the root; other curves use bisection on the slope with an inner
-    concave maximization of the constraint violation.
+    above the root. For an (eps0, delta0) curve the gap between the line
+    and the curve is concave, so it peaks at a vertex; only the corner
+    x* = (1 - delta0) / (1 + e^eps0), where f(x*) = x*, binds, giving
+    eps = max(0, log((1 - delta - x*) / x*)), written as
+    eps0 + log1p(-(delta - delta0)(1 + e^-eps0) / (1 - delta0)).
 
     Args:
-      curve: the trade-off curve to convert.
+      curve: the trade-off curve to convert, a GaussianCurve or an
+        EpsDeltaCurve.
       delta: target additive slack in [0, 1].
 
     Returns:
       The epsilon value, or ``math.inf`` when delta < 1 - f(0).
+
+    Raises:
+      ValueError: if delta is outside [0, 1].
+      TypeError: for any other curve class.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
@@ -317,16 +275,18 @@ def fdp_to_eps_delta(curve: TradeoffCurve, delta: float) -> float:
                     hi = mid
             eps = hi
         return eps
-    f0 = float(curve(0.0))
-    if delta < 1.0 - f0 - _VIOLATION_SLACK:
+    if not isinstance(curve, EpsDeltaCurve):
+        raise TypeError(
+            f"no (epsilon, delta) conversion for {type(curve).__name__}"
+        )
+    if delta < curve.delta:
         return math.inf
-    if _max_violation(curve, delta, 0.0) <= _VIOLATION_SLACK:
+    if curve.delta == 1.0:
+        # f is 0 everywhere, and delta = 1 admits every line.
         return 0.0
-    lo, hi = 0.0, _EPS_BRACKET_HI
-    while hi - lo > _EPS_TOL:
-        mid = (lo + hi) / 2.0
-        if _max_violation(curve, delta, mid) <= _VIOLATION_SLACK:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    shrink = -(delta - curve.delta) * (1.0 + math.exp(-curve.epsilon)) / (
+        1.0 - curve.delta
+    )
+    if shrink <= -1.0:
+        return 0.0
+    return max(0.0, curve.epsilon + math.log1p(shrink))

@@ -43,10 +43,9 @@ from privtune.audit import (
     GameConfig,
     run_audit,
     simulate_game,
-    thread_count,
 )
 from privtune.discrete import (
-    approx_dp_delta,
+    approx_dp_epsilon,
     near_worst_case_pair,
     pure_dp_epsilon,
     selection_distribution,
@@ -203,14 +202,7 @@ def test_criterion_1_pure_dp_tightness():
 def test_criterion_2_approx_dp_tightness():
     start = time.perf_counter()
     q, q_prime = _tuned_worst_case_pair()
-    low, high = 0.0, pure_dp_epsilon(q, q_prime)
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if approx_dp_delta(q, q_prime, mid) > _DELTA:
-            low = mid
-        else:
-            high = mid
-    eps_tuned = high
+    eps_tuned = approx_dp_epsilon(q, q_prime, _DELTA)
     predicted = select_epsilon_rdp_pure(1.0, TNB(1.0, 1e-3), _DELTA)
     elapsed = time.perf_counter() - start
     # Oracle: delta(eps) = sum_j max(0, q_j - e^eps q'_j) over both
@@ -358,7 +350,7 @@ def test_criterion_6_soundness_ordering(table3_results, audit_results):
 
 def test_criterion_7_theorem4_campaign():
     start = time.perf_counter()
-    passes, worst = theorem4_campaign(1000, 7, n_jobs=thread_count())
+    passes, worst = theorem4_campaign(1000, 7)
     elapsed = time.perf_counter() - start
     ok = passes == 1000 and elapsed < 60.0
     _report(

@@ -149,6 +149,22 @@ def test_infinite_epsilon_exits_3(capsys):
     assert "inf" in out
 
 
+@pytest.mark.parametrize("eps", ["700", "1000"])
+def test_accountant_large_epsdelta_base_converts_exactly(capsys, eps):
+    # One run adds no log-ratio, and the per-run delta equals the curve's,
+    # so the bound is the base epsilon itself; e^1000 overflows a float.
+    code, out, err = _run(
+        capsys,
+        ["accountant", "--base", f"epsdelta:eps={eps},delta=1e-5"]
+        + ["--xi", "pointmass:k=1", "--format", "json"],
+    )
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert report["eps_base"] == report["eps_h"] == float(eps)
+    assert report["log_ratio"] == 0.0
+
+
 def test_theorem4_small_campaign(capsys):
     code, out, _ = _run(
         capsys, ["theorem4", "--instances", "5", "--seed", "7"]
@@ -341,6 +357,13 @@ _GEOMETRIC = ["--xi", "tnb:eta=1,nu=1e-2"]
         (["accountant", "--base", "epsdelta:eps=nan,delta=1e-5", *_GEOMETRIC],
          "eps"),
         (["accountant", "--base", "dpsgd:sigma=nan,tau=1,n=1000", *_GEOMETRIC],
+         "sigma"),
+        (["accountant", "--base", "gdp:mu=inf", *_GEOMETRIC], "mu"),
+        (["accountant", "--base", "gdp:mu=1", "--xi", "tnb:eta=inf,nu=1e-2"],
+         "eta"),
+        (["accountant", "--base", "epsdelta:eps=inf,delta=1e-5", *_GEOMETRIC],
+         "eps"),
+        (["accountant", "--base", "dpsgd:sigma=inf,tau=1,n=1000", *_GEOMETRIC],
          "sigma"),
     ],
 )

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from privtune.discrete import (
@@ -15,6 +15,7 @@ from privtune.discrete import (
     SelectionOutput,
     _random_instance,
     approx_dp_delta,
+    approx_dp_epsilon,
     near_worst_case_pair,
     pure_dp_epsilon,
     renyi_divergence,
@@ -131,6 +132,83 @@ def test_approx_dp_delta_monotone_in_epsilon():
     assert all(a >= b - 1e-15 for a, b in zip(deltas, deltas[1:]))
 
 
+def _hockey_stick(a, b, eps):
+    """max over both orderings of sum_y max(0, a(y) - e^eps b(y))."""
+    scale = math.exp(eps)
+    return max(
+        math.fsum(max(0.0, x - scale * y) for x, y in zip(a, b)),
+        math.fsum(max(0.0, y - scale * x) for x, y in zip(a, b)),
+    )
+
+
+def test_approx_dp_epsilon_frozen_value():
+    # Only the middle symbol's log-ratio exceeds the answer, so it is
+    # ln((q_2 - delta) / q_2'), the value a 200-step bisection returned.
+    q, q_prime = _worst_case_tuned()
+    eps = approx_dp_epsilon(q, q_prime, 1e-5)
+    assert eps == 2.9253116656657028
+    assert eps == pytest.approx(
+        math.log((_TUNED_Q[1] - 1e-5) / _TUNED_Q_PRIME[1]), rel=1e-12
+    )
+    assert approx_dp_epsilon(q, q_prime, 0.0) == pytest.approx(
+        _TUNED_PURE_EPS, rel=1e-12
+    )
+    assert approx_dp_epsilon(q, q_prime, 1.0) == 0.0
+    mismatched = SelectionOutput(np.array([0.5, 0.5]))
+    point = SelectionOutput(np.array([1.0, 0.0]))
+    assert math.isinf(approx_dp_epsilon(mismatched, point, 0.4))
+    assert approx_dp_epsilon(mismatched, point, 0.5) == 0.0
+    with pytest.raises(ValueError):
+        approx_dp_epsilon(q, q_prime, math.nan)
+
+
+@given(
+    weights=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=1000),
+            st.integers(min_value=0, max_value=1000),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+    log_delta=st.floats(min_value=-12.0, max_value=-0.3),
+)
+@settings(max_examples=200, deadline=None)
+def test_approx_dp_epsilon_inverts_the_hockey_stick(weights, log_delta):
+    total_a = sum(w for w, _ in weights)
+    total_b = sum(w for _, w in weights)
+    assume(total_a > 0 and total_b > 0)
+    a = [w / total_a for w, _ in weights]
+    b = [w / total_b for _, w in weights]
+    delta = 10.0**log_delta
+    eps = approx_dp_epsilon(
+        SelectionOutput(np.array(a)), SelectionOutput(np.array(b)), delta
+    )
+    # Oracle: the hockey-stick sum falls in eps to its limit, the mass
+    # one side puts where the other has none; below delta the smallest
+    # eps comes from bisection down to adjacent floats.
+    limit = max(
+        math.fsum(x for x, y in zip(a, b) if y == 0.0),
+        math.fsum(y for x, y in zip(a, b) if x == 0.0),
+    )
+    if limit > delta:
+        assert math.isinf(eps)
+        return
+    lo, hi = 0.0, 50.0
+    if _hockey_stick(a, b, 0.0) <= delta:
+        hi = 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _hockey_stick(a, b, mid) > delta:
+            lo = mid
+        else:
+            hi = mid
+    assert eps == pytest.approx(hi, rel=1e-9, abs=1e-12)
+    # Both hockey-stick sums round each term, hence the few-ulp slack.
+    assert approx_dp_delta(
+        SelectionOutput(np.array(a)), SelectionOutput(np.array(b)), eps
+    ) <= delta + 1e-14
+
+
 def test_renyi_divergence_frozen_value():
     q, q_prime = _worst_case_tuned()
     assert renyi_divergence(q, q_prime, 2.0) == pytest.approx(
@@ -202,11 +280,19 @@ def test_theorem4_check_passes_a_tie_that_float_error_reverses():
     assert (exact_refined - exact_grouped) / exact_grouped < 1e-20
 
 
-def test_theorem4_campaign_frozen_and_thread_invariant():
-    serial = theorem4_campaign(50, 7, n_jobs=1)
-    assert serial[0] == 50
-    assert serial[1] == pytest.approx(_CAMPAIGN_50_MARGIN, rel=1e-9)
-    assert theorem4_campaign(50, 7, n_jobs=4) == serial
+def test_theorem4_campaign_frozen_and_keyed_per_instance():
+    campaign = theorem4_campaign(50, 7)
+    assert campaign[0] == 50
+    assert campaign[1] == pytest.approx(_CAMPAIGN_50_MARGIN, rel=1e-9)
+    # Instance i is drawn from SeedSequence([seed, i]) alone.
+    checks = [
+        theorem4_check(*_random_instance(np.random.SeedSequence([7, i])))
+        for i in range(50)
+    ]
+    assert campaign == (
+        sum(ok for _, _, ok in checks),
+        min(refined - grouped for grouped, refined, _ in checks),
+    )
 
 
 def test_simulate_selection_matches_exact_distribution():

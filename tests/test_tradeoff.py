@@ -14,6 +14,7 @@ from privtune.tradeoff import (
     DpSgdConfig,
     EpsDeltaCurve,
     GaussianCurve,
+    TradeoffCurve,
     fdp_to_eps_delta,
     gdp_approx_mu,
     gdp_delta_of_eps,
@@ -108,6 +109,91 @@ def test_fdp_to_eps_delta_round_trip_on_eps_delta_curve():
     assert fdp_to_eps_delta(EpsDeltaCurve(1.3, 1e-3), 1e-3) == pytest.approx(
         1.3, abs=1e-9
     )
+
+
+def _eps_delta_conversion_closed_form(
+    eps: float, delta: float, target: float
+) -> float:
+    """Vertex formula for converting the (eps, delta) curve at target.
+
+    The gap between the line 1 - target - e^a x and the convex
+    piecewise-linear curve is concave, so it peaks at a vertex. With
+    target >= delta the vertices x = 0 and x = 1 - delta are slack, and
+    the corner x* = (1 - delta) / (1 + e^eps), where f(x*) = x*, gives
+    a = log((1 - target - x*) / x*).
+    """
+    corner = (1.0 - delta) / (1.0 + math.exp(eps))
+    return max(0.0, math.log((1.0 - target - corner) / corner))
+
+
+def _eps_delta_inputs() -> list[tuple[float, float, float]]:
+    rng = random.Random(20241018)
+    inputs = []
+    for _ in range(300):
+        delta = 10.0 ** rng.uniform(-10.0, -3.0)
+        inputs.append(
+            (rng.uniform(0.05, 25.0), delta, delta * rng.uniform(1.0, 100.0))
+        )
+    for eps in (30.0, 40.0, 100.0, 700.0):
+        inputs += [(eps, 1e-5, 1e-5), (eps, 1e-8, 1e-6)]
+    return inputs
+
+
+def test_fdp_to_eps_delta_eps_delta_curve_matches_vertex_formula():
+    # Agreement to float rounding, so no value is below the closed form;
+    # a bisection on the slope came out low by up to 2.4e-5 here, and at
+    # 29.0099 for every eps >= 30.
+    for eps, delta, target in _eps_delta_inputs():
+        got = fdp_to_eps_delta(EpsDeltaCurve(eps, delta), target)
+        want = _eps_delta_conversion_closed_form(eps, delta, target)
+        assert abs(got - want) <= 1e-12, (eps, delta, target, got, want)
+    assert fdp_to_eps_delta(EpsDeltaCurve(2.0, 1e-6), 1e-6) == 2.0
+    assert fdp_to_eps_delta(EpsDeltaCurve(2.0, 1e-6), 0.9) == 0.0
+    assert math.isinf(fdp_to_eps_delta(EpsDeltaCurve(2.0, 1e-6), 5e-7))
+    assert fdp_to_eps_delta(EpsDeltaCurve(2.0, 1.0), 1.0) == 0.0
+    assert math.isinf(fdp_to_eps_delta(EpsDeltaCurve(2.0, 1.0), 0.5))
+    assert fdp_to_eps_delta(EpsDeltaCurve(1000.0, 1e-5), 1e-5) == 1000.0
+
+
+def test_fdp_to_eps_delta_line_stays_below_eps_delta_curve():
+    # On a dense log-spaced grid plus the corner, the line of the
+    # returned epsilon never rises above the curve by more than float
+    # rounding, and the line of a value 1e-9 lower does at the corner.
+    # Rounding a to a float moves e^a by up to a ulps, hence the slack.
+    grid = np.logspace(-320.0, 0.0, 20001)
+    inputs = _eps_delta_inputs()
+    for eps, delta, target in inputs[:300:10] + inputs[300:]:
+        got = fdp_to_eps_delta(EpsDeltaCurve(eps, delta), target)
+        corner = (1.0 - delta) / (1.0 + math.exp(eps))
+        x = np.append(grid, corner)
+        curve = np.maximum(
+            0.0,
+            np.maximum(
+                1.0 - delta - math.exp(eps) * x,
+                math.exp(-eps) * (1.0 - delta - x),
+            ),
+        )
+        rise = np.max((1.0 - target - math.exp(got) * x) - curve)
+        assert rise <= 1e-15 * (1.0 + got), (eps, delta, target, rise)
+        if got > 1e-9:
+            lower = 1.0 - target - math.exp(got - 1e-9) * corner
+            assert lower > max(corner, 0.0), (eps, delta, target)
+
+
+def test_evaluate_eps_delta_curve_at_large_epsilon():
+    x = np.array([0.0, 1e-300, 0.5, 1.0 - 1e-5, 1.0])
+    with np.errstate(all="raise"):
+        values = EpsDeltaCurve(1000.0, 1e-5)(x)
+    assert values.tolist() == [1.0 - 1e-5, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_fdp_to_eps_delta_rejects_other_curve_classes():
+    class Diagonal(TradeoffCurve):
+        def _evaluate(self, x):
+            return 1.0 - x
+
+    with pytest.raises(TypeError):
+        fdp_to_eps_delta(Diagonal(), 1e-5)
 
 
 def test_gdp_delta_of_eps_frozen_value():
