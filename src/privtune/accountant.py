@@ -16,13 +16,14 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .runcount import RunCountDist, TruncatedNegativeBinomial
 from .tradeoff import (
     DpSgdConfig,
     GaussianCurve,
     TradeoffCurve,
+    _bisect,
     fdp_to_eps_delta,
     gdp_approx_mu,
     gdp_mu_from_eps_delta,
@@ -32,7 +33,6 @@ __all__ = [
     "AccountantReport",
     "log_ratio_max",
     "select_epsilon_fdp",
-    "rdp_gaussian_curve",
     "subsampled_rdp_curve",
     "rdp_to_eps",
     "select_epsilon_rdp",
@@ -413,36 +413,6 @@ def subsampled_rdp_curve(
     return curve
 
 
-def rdp_gaussian_curve(config: DpSgdConfig, alpha: float) -> float:
-    """Renyi divergence bound gamma(alpha) of iterated noisy training.
-
-    For tau = 1 this is the exact composed Gaussian value
-    N * alpha / (2 sigma^2). For tau < 1 it is the integer-order
-    subsampled bound composed N times (see subsampled_rdp_curve).
-
-    Args:
-      config: training parameters (sigma, tau, n_iters).
-      alpha: Renyi order, greater than 1; integral when tau < 1.
-
-    Returns:
-      The order-alpha Renyi bound.
-
-    Raises:
-      ValueError: if alpha <= 1, or tau < 1 with non-integer alpha.
-    """
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
-    if config.tau == 1.0:
-        return config.n_iters * alpha / (2.0 * config.sigma**2)
-    if alpha != int(alpha):
-        raise ValueError(
-            f"tau={config.tau} < 1 supports integer orders only, got "
-            f"alpha={alpha}"
-        )
-    curve = subsampled_rdp_curve(config.tau, np.array([alpha]))
-    return float(curve(config.sigma, config.n_iters)[0])
-
-
 def rdp_to_eps(
     gamma: np.ndarray | float,
     alpha: np.ndarray | float,
@@ -581,8 +551,8 @@ def select_epsilon_rdp_pure(
     Returns:
       The predicted selection epsilon at delta_h.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     alphas = SPEC_ALPHAS[SPEC_ALPHAS <= _PURE_ALPHA_CAP]
     p = math.exp(epsilon) / (1.0 + math.exp(epsilon))
     q = 1.0 - p
@@ -598,6 +568,18 @@ def select_epsilon_rdp_pure(
     return eps_h
 
 
+def _out_of_reach(
+    eps_b: float, sigmas: tuple[float, float], eps_at: Callable[[float], float]
+) -> ValueError:
+    """The error for an eps_b that no sigma in the search bracket meets."""
+    ends = sorted(eps_at(s) for s in sigmas)
+    return ValueError(
+        f"eps_b={eps_b} is out of reach: sigma in "
+        f"[{sigmas[0]:.6g}, {sigmas[1]:.6g}] gives eps_b in "
+        f"[{ends[0]:.6g}, {ends[1]:.6g}]"
+    )
+
+
 def calibrate_sigma_rdp(
     eps_b: float, delta: float, tau: float, n_iters: int
 ) -> float:
@@ -605,7 +587,8 @@ def calibrate_sigma_rdp(
 
     Finds sigma such that the composed training mechanism's Renyi curve,
     minimized over a dense order grid and converted with the tight rule,
-    equals eps_b at delta.
+    equals eps_b at delta. The bisection returns the larger sigma of its
+    final pair, whose epsilon is at most eps_b.
 
     Args:
       eps_b: target base epsilon, positive.
@@ -629,16 +612,15 @@ def calibrate_sigma_rdp(
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
     if tau == 1.0:
-        # The composed Renyi curve is rho * alpha, rho = N / (2 sigma^2).
-        def eps_at(rho: float) -> float:
+        # The composed Renyi curve is rho * alpha, rho = N / (2 sigma^2);
+        # the bracket spans rho from 50 down to 1e-8.
+        def eps_at(sigma: float) -> float:
+            rho = n_iters / (2.0 * sigma**2)
             return float(
                 np.min(rdp_to_eps(rho * _ALPHA_DENSE, _ALPHA_DENSE, delta))
             )
 
-        def sigma_of(rho: float) -> float:
-            return math.sqrt(n_iters / (2.0 * rho))
-
-        bracket, xtol = (1e-8, 50.0), 1e-14
+        bracket = (math.sqrt(n_iters / 100.0), math.sqrt(n_iters / 2e-8))
     else:
         curve = subsampled_rdp_curve(tau, _INT_ALPHAS)
 
@@ -646,17 +628,11 @@ def calibrate_sigma_rdp(
             gammas = curve(sigma, n_iters)
             return float(np.min(rdp_to_eps(gammas, _INT_ALPHAS, delta)))
 
-        sigma_of, bracket, xtol = float, (0.3, 1e4), 1e-10
-    ends = sorted(eps_at(x) for x in bracket)
-    if not ends[0] <= eps_b <= ends[1]:
-        sigmas = sorted(sigma_of(x) for x in bracket)
-        raise ValueError(
-            f"eps_b={eps_b} is out of reach: sigma in "
-            f"[{sigmas[0]:.6g}, {sigmas[1]:.6g}] gives eps_b in "
-            f"[{ends[0]:.6g}, {ends[1]:.6g}]"
-        )
-    root = optimize.brentq(lambda x: eps_at(x) - eps_b, *bracket, xtol=xtol)
-    return sigma_of(root)
+        bracket = (0.3, 1e4)
+    try:
+        return _bisect(lambda s: eps_at(s) - eps_b, *bracket)[1]
+    except ValueError:
+        raise _out_of_reach(eps_b, bracket, eps_at) from None
 
 
 def calibrate_sigma_gdp(
@@ -665,7 +641,9 @@ def calibrate_sigma_gdp(
     """Noise multiplier whose composed Gaussian-DP level matches a budget.
 
     Inverts the composed noisy-gradient Gaussian-DP approximation so
-    that the base mechanism satisfies (eps_b, delta)-DP.
+    that the base mechanism satisfies (eps_b, delta)-DP. The bisection
+    returns the larger sigma of its final pair, whose mu is at most the
+    target.
 
     Args:
       eps_b: target privacy parameter of the base mechanism.
@@ -675,16 +653,24 @@ def calibrate_sigma_gdp(
 
     Returns:
       The calibrated noise multiplier, searched in [1, 1e5].
+
+    Raises:
+      ValueError: if an argument is outside its range, or eps_b is out of
+        reach of the sigma search bracket.
     """
     mu_target = gdp_mu_from_eps_delta(eps_b, delta)
-    return float(
-        optimize.brentq(
-            lambda s: gdp_approx_mu(DpSgdConfig(s, tau, n_iters)) - mu_target,
-            1.0,
-            1e5,
-            xtol=1e-10,
-        )
-    )
+    unit = DpSgdConfig(1.0, tau, n_iters)
+
+    def mu_at(sigma: float) -> float:
+        return gdp_approx_mu(dataclasses.replace(unit, sigma=sigma))
+
+    def eps_at(sigma: float) -> float:
+        return fdp_to_eps_delta(GaussianCurve(mu_at(sigma)), delta)
+
+    try:
+        return _bisect(lambda s: mu_at(s) - mu_target, 1.0, 1e5)[1]
+    except ValueError:
+        raise _out_of_reach(eps_b, (1.0, 1e5), eps_at) from None
 
 
 def base_curve_for(config: DpSgdConfig) -> GaussianCurve:

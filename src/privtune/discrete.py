@@ -46,9 +46,10 @@ def _validate_probability_vector(p: np.ndarray, name: str, size: int) -> np.ndar
     arr = np.asarray(p, dtype=float)
     if arr.shape != (size,):
         raise ValueError(f"{name} must have shape ({size},), got {arr.shape}")
-    if np.any(arr < 0.0):
+    # NaN fails both checks; an infinite entry fails the sum.
+    if not np.all(arr >= 0.0):
         raise ValueError(f"{name} must be nonnegative")
-    if abs(float(arr.sum()) - 1.0) > _SUM_TOL:
+    if not abs(float(arr.sum()) - 1.0) <= _SUM_TOL:
         raise ValueError(f"{name} must sum to 1 within {_SUM_TOL}, got {arr.sum()}")
     return arr
 
@@ -116,7 +117,7 @@ class SelectionOutput:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.q, dtype=float)
-        if abs(float(arr.sum()) - 1.0) > _OUTPUT_SUM_TOL:
+        if not abs(float(arr.sum()) - 1.0) <= _OUTPUT_SUM_TOL:
             raise ValueError(
                 f"selection output must sum to 1 within {_OUTPUT_SUM_TOL}, "
                 f"got {arr.sum()}"
@@ -189,8 +190,8 @@ def approx_dp_delta(
     Returns:
       The required delta, a value in [0, 1].
     """
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     a, b = q.q, q_prime.q
     scale = math.exp(epsilon)
     forward = float(np.sum(np.maximum(0.0, a - scale * b)))
@@ -248,8 +249,8 @@ def renyi_divergence(
       A nonnegative value; infinity when q puts mass where q_prime has
       none.
     """
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    if not 1.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 1, got {alpha}")
     a, b = q.q, q_prime.q
     mask = a > 0.0
     if np.any(mask & (b <= 0.0)):
@@ -372,7 +373,7 @@ def near_worst_case_pair(
     Returns:
       The mechanism pair, scored with strict ordering A < B < C.
     """
-    if spread <= 0.0 or ratio <= 0.0 or epsilon <= 0.0:
+    if not (spread > 0.0 and ratio > 0.0 and epsilon > 0.0):
         raise ValueError(
             "spread, ratio, and epsilon must be positive, got "
             f"({spread}, {ratio}, {epsilon})"

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Callable
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "TradeoffCurve",
@@ -27,14 +28,33 @@ __all__ = [
     "gdp_approx_mu",
 ]
 
-_EPS_BRACKET_HI = 100.0
-_EPS_TOL = 1e-9
+
+def _bisect(
+    f: Callable[[float], float], lo: float, hi: float
+) -> tuple[float, float]:
+    """Narrows a sign change of f on [lo, hi] to adjacent floats (lo, hi).
+
+    Halves the bracket until its midpoint rounds to an end. Each returned
+    end keeps its starting end's side, f > 0 or f <= 0, so a caller takes
+    the end on the safe side of the root. Raises ValueError when f(lo) and
+    f(hi) are on the same side or either is NaN.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if not (f_lo > 0.0 >= f_hi or f_lo <= 0.0 < f_hi):
+        raise ValueError(f"no sign change on [{lo}, {hi}]: f = {f_lo}, {f_hi}")
+    lo_positive = f_lo > 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if (f(mid) > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _validate_unit_interval(x: np.ndarray | float, name: str) -> np.ndarray:
     """Returns x as an array after checking every entry lies in [0, 1]."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
     return arr
 
@@ -73,8 +93,8 @@ class EpsDeltaCurve(TradeoffCurve):
     delta: float
 
     def __post_init__(self) -> None:
-        if not self.epsilon >= 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must lie in [0, inf), got {self.epsilon}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
 
@@ -164,9 +184,9 @@ def gdp_delta_of_eps(mu: float, epsilon: float) -> float:
 def gdp_mu_from_eps_delta(epsilon: float, delta: float) -> float:
     """Unique mu whose conversion delta at the given epsilon equals delta.
 
-    Inverts ``gdp_delta_of_eps`` in mu by bracketed root-finding; the
-    round-trip ``gdp_delta_of_eps(result, epsilon)`` matches delta to
-    within 1e-9.
+    Inverts ``gdp_delta_of_eps`` in mu by bisection on [1e-12, 100] down
+    to adjacent floats and returns the smaller end, whose round-trip
+    ``gdp_delta_of_eps(result, epsilon)`` is at most delta.
 
     Args:
       epsilon: privacy parameter, positive.
@@ -176,23 +196,18 @@ def gdp_mu_from_eps_delta(epsilon: float, delta: float) -> float:
       The Gaussian-DP parameter mu.
 
     Raises:
-      ValueError: if the root is not bracketed by [1e-12, 100].
+      ValueError: if an argument is outside its range, or the root is not
+        bracketed by [1e-12, 100].
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    lo, hi = 1e-12, 100.0
 
     def gap(mu: float) -> float:
         return gdp_delta_of_eps(mu, epsilon) - delta
 
-    if gap(lo) > 0.0 or gap(hi) < 0.0:
-        raise ValueError(
-            f"no mu in bracket [{lo}, {hi}] matches delta={delta} at "
-            f"epsilon={epsilon}"
-        )
-    return float(optimize.brentq(gap, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    return _bisect(gap, 1e-12, 100.0)[0]
 
 
 def gdp_approx_mu(config: DpSgdConfig) -> float:
@@ -228,10 +243,10 @@ def fdp_to_eps_delta(curve: TradeoffCurve, delta: float) -> float:
     """Smallest epsilon such that the curve dominates the (eps, delta) curve.
 
     Returns max(0, inf{a : f(x) >= 1 - delta - e^a x for all x}). Gaussian
-    curves use the closed-form conversion delta(eps) and bracketed
-    root-finding, and return an eps with delta(eps) <= delta at most 1e-9
-    above the root. For an (eps0, delta0) curve the gap between the line
-    and the curve is concave, so it peaks at a vertex; only the corner
+    curves bisect the closed-form conversion delta(eps) down to adjacent
+    floats and return the larger end, whose delta(eps) is at most delta.
+    For an (eps0, delta0) curve the gap between the line and the curve is
+    concave, so it peaks at a vertex; only the corner
     x* = (1 - delta0) / (1 + e^eps0), where f(x*) = x*, binds, giving
     eps = max(0, log((1 - delta - x*) / x*)), written as
     eps0 + log1p(-(delta - delta0)(1 + e^-eps0) / (1 - delta0)).
@@ -257,23 +272,11 @@ def fdp_to_eps_delta(curve: TradeoffCurve, delta: float) -> float:
             return math.inf
         if delta >= gdp_delta_of_eps(curve.mu, 0.0):
             return 0.0
-
-        def gap(e: float) -> float:
-            return gdp_delta_of_eps(curve.mu, e) - delta
-
-        eps = float(optimize.brentq(gap, 0.0, _EPS_BRACKET_HI, xtol=_EPS_TOL))
-        if gap(eps) > 0.0:
-            # brentq stopped below the root, where eps is no upper bound.
-            # The root lies within xtol + 4 * machine epsilon * eps of it,
-            # so bisect up from eps to 1/1024 of xtol.
-            lo, hi = eps, eps + 2.0 * _EPS_TOL
-            while hi - lo > _EPS_TOL / 1024.0:
-                mid = 0.5 * (lo + hi)
-                if gap(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            eps = hi
+        # delta(eps) <= Phi(-eps/mu + mu/2), which is delta at the top end.
+        top = curve.mu * (curve.mu / 2.0 - float(special.ndtri(delta)))
+        _, eps = _bisect(
+            lambda e: gdp_delta_of_eps(curve.mu, e) - delta, 0.0, top
+        )
         return eps
     if not isinstance(curve, EpsDeltaCurve):
         raise TypeError(

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from scipy import special
 
 from privtune.accountant import (
+    _ALPHA_DENSE,
     base_curve_for,
     calibrate_sigma_rdp,
     compare_bounds,
     log_ratio_max,
-    rdp_gaussian_curve,
     rdp_to_eps,
     select_epsilon_fdp,
     select_epsilon_rdp,
@@ -142,23 +142,12 @@ def test_select_epsilon_fdp_infinite_result():
     assert math.isinf(report.eps_h)
 
 
-def test_rdp_gaussian_curve_full_batch_closed_form():
-    # With tau=1 the subsampled bound collapses to the analytic value
-    # alpha * (n_iters / sigma^2) / 2.
-    config = DpSgdConfig(2.0, 1.0, 100)
-    assert rdp_gaussian_curve(config, 10.0) == pytest.approx(125.0, rel=1e-12)
-    assert rdp_gaussian_curve(config, 2.0) == pytest.approx(25.0, rel=1e-12)
-
-
-def test_rdp_gaussian_curve_subsampled_frozen_value():
-    config = DpSgdConfig(2.0, 0.5, 1)
-    assert rdp_gaussian_curve(config, 2.0) == pytest.approx(
-        _RDP_SUBSAMPLED, rel=1e-10
-    )
-    # Subsampling can only shrink the divergence bound.
-    assert rdp_gaussian_curve(config, 2.0) < rdp_gaussian_curve(
-        DpSgdConfig(2.0, 1.0, 1), 2.0
-    )
+def test_subsampled_rdp_curve_frozen_value():
+    gamma = float(subsampled_rdp_curve(0.5, np.array([2.0]))(2.0, 1)[0])
+    assert gamma == pytest.approx(_RDP_SUBSAMPLED, rel=1e-10)
+    # Subsampling can only shrink the divergence bound below the full-batch
+    # value alpha / (2 sigma^2) = 0.25.
+    assert gamma < 2.0 / (2.0 * 2.0**2)
 
 
 # calibrate_sigma_rdp(eps_b, 1e-5, 0.1, 1000) before the Renyi orders
@@ -202,19 +191,35 @@ def test_subsampled_rdp_curve_matches_term_by_term_oracle():
     orders = np.arange(2.0, 513.0)
     for sigma, tau in ((1.0, 0.1), (0.8, 0.01), (5.0, 0.5)):
         gammas = subsampled_rdp_curve(tau, orders)(sigma, 1000)
-        config = DpSgdConfig(sigma, tau, 1000)
         for a, gamma in zip(range(2, 513), gammas):
             want = _subsampled_rdp_oracle(sigma, tau, 1000, a)
             assert gamma == pytest.approx(want, rel=1e-12), (sigma, tau, a)
-            assert rdp_gaussian_curve(config, a) == pytest.approx(
-                want, rel=1e-12
-            )
     for eps_b, sigma_star in _SIGMA_TAU_01.items():
         sigma = calibrate_sigma_rdp(eps_b, 1e-5, 0.1, 1000)
         assert sigma == pytest.approx(sigma_star, rel=1e-12)
         assert _rdp_eps_oracle(sigma, 0.1, 1000, 1e-5) == pytest.approx(
             eps_b, abs=1e-9
         )
+
+
+def test_calibrate_sigma_rdp_returns_the_larger_sigma():
+    # The bisection runs on sigma: the budget is met at the returned sigma
+    # and missed one float below it.
+    orders = np.arange(2.0, 513.0)
+    curve = subsampled_rdp_curve(0.1, orders)
+
+    def eps_subsampled(sigma: float) -> float:
+        return float(np.min(rdp_to_eps(curve(sigma, 1000), orders, 1e-5)))
+
+    def eps_full_batch(sigma: float) -> float:
+        rho = 1000 / (2.0 * sigma**2)
+        return float(np.min(rdp_to_eps(rho * _ALPHA_DENSE, _ALPHA_DENSE, 1e-5)))
+
+    for tau, eps_at in ((0.1, eps_subsampled), (1.0, eps_full_batch)):
+        for eps_b in (1.0, 2.0):
+            sigma = calibrate_sigma_rdp(eps_b, 1e-5, tau, 1000)
+            below = math.nextafter(sigma, 0.0)
+            assert eps_at(sigma) <= eps_b < eps_at(below), (tau, eps_b)
 
 
 def test_rdp_to_eps_classic_rule_closed_form():

@@ -124,6 +124,19 @@ def test_calibrate_sigma_gdp_frozen_value_and_round_trip():
     )
 
 
+def test_calibrate_sigma_gdp_returns_the_larger_sigma():
+    target = gdp_mu_from_eps_delta(2.0, 1e-5)
+    sigma = calibrate_sigma_gdp(2.0, 1e-5, 1.0, 1000)
+    below = math.nextafter(sigma, 0.0)
+    assert gdp_approx_mu(DpSgdConfig(sigma, 1.0, 1000)) <= target
+    assert gdp_approx_mu(DpSgdConfig(below, 1.0, 1000)) > target
+
+
+def test_calibrate_sigma_gdp_names_an_unreachable_budget():
+    with pytest.raises(ValueError, match=r"eps_b=0\.0001 is out of reach"):
+        calibrate_sigma_gdp(1e-4, 1e-5, 1.0, 1000)
+
+
 def test_game_config_validation():
     config = DpSgdConfig(60.0, 1.0, 1000)
     dist = TNB(1.0, 1e-2)

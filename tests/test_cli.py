@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -163,6 +164,43 @@ def test_accountant_large_epsdelta_base_converts_exactly(capsys, eps):
     report = json.loads(out)
     assert report["eps_base"] == report["eps_h"] == float(eps)
     assert report["log_ratio"] == 0.0
+
+
+def _gdp_eps_root(mu: float, delta: float, hi: float) -> float:
+    """Root of the Dong-Roth-Su delta(eps) = delta on [0, hi], by math.erfc."""
+
+    def gap(eps: float) -> float:
+        first = 0.5 * math.erfc((eps / mu - mu / 2.0) / math.sqrt(2.0))
+        second = 0.5 * math.erfc((eps / mu + mu / 2.0) / math.sqrt(2.0))
+        return first - math.exp(eps) * second - delta
+
+    lo = 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+# dpsgd at tau = 1 is G_mu with mu = sqrt(1000) / 0.05 = 632; its eps_base,
+# about 2e5, overflows math.exp, so it has no erfc root here.
+@pytest.mark.parametrize(
+    "base,mu", [("gdp:mu=14", 14.0), ("dpsgd:sigma=0.05,tau=1,n=1000", None)]
+)
+def test_accountant_converts_a_base_epsilon_above_100(capsys, base, mu):
+    code, out, err = _run(
+        capsys,
+        ["accountant", "--base", base, "--xi", "pointmass:k=1"]
+        + ["--format", "json"],
+    )
+    assert code == 0
+    assert err == ""
+    eps_base = json.loads(out)["eps_base"]
+    assert 100.0 < eps_base < math.inf
+    if mu is not None:
+        root = _gdp_eps_root(mu, 1e-5, 200.0)
+        assert abs(eps_base - root) <= 1e-13, (eps_base, root)
 
 
 def test_theorem4_small_campaign(capsys):
@@ -406,6 +444,7 @@ def test_imports_load_only_what_they_use():
         "print(sorted(m for m in sys.modules if m.startswith('privtune.')))\n"
         "import privtune.cli\n"
         "print('scipy.stats' in sys.modules)\n"
+        "print('scipy.optimize' in sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -415,4 +454,4 @@ def test_imports_load_only_what_they_use():
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=120,
     )
-    assert result.stdout == "[]\nFalse\n"
+    assert result.stdout == "[]\nFalse\nFalse\n"

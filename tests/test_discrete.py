@@ -24,6 +24,7 @@ from privtune.discrete import (
     theorem4_campaign,
     theorem4_check,
 )
+from privtune.accountant import select_epsilon_rdp_pure
 from privtune.runcount import PointMass
 from privtune.runcount import TruncatedNegativeBinomial as TNB
 
@@ -334,6 +335,52 @@ def test_mechanism_pair_validation():
 def test_near_worst_case_pair_rejects_impossible_shapes():
     with pytest.raises(ValueError):
         near_worst_case_pair(spread=0.9, ratio=100.0, epsilon=1.0)
+
+
+_HALVES = np.array([0.5, 0.5])
+_OUT = SelectionOutput(_HALVES)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: approx_dp_delta(_OUT, _OUT, math.nan),
+        lambda: approx_dp_delta(_OUT, _OUT, math.inf),
+        lambda: renyi_divergence(_OUT, _OUT, math.nan),
+        lambda: renyi_divergence(_OUT, _OUT, math.inf),
+        lambda: select_epsilon_rdp_pure(math.nan, TNB(1.0, 1e-3), 1e-5),
+        lambda: select_epsilon_rdp_pure(math.inf, TNB(1.0, 1e-3), 1e-5),
+        lambda: near_worst_case_pair(math.nan),
+        lambda: near_worst_case_pair(1e-3, math.nan),
+        lambda: near_worst_case_pair(1e-3, 100.0, math.nan),
+        lambda: SelectionOutput(np.array([math.nan, 1.0])),
+        lambda: SelectionOutput(np.array([math.inf, 0.0])),
+        lambda: FiniteMechanismPair(
+            ("a", "b"), np.array([math.nan, 1.0]), _HALVES, ((0,), (1,))
+        ),
+        lambda: FiniteMechanismPair(
+            ("a", "b"), _HALVES, np.array([math.inf, 0.0]), ((0,), (1,))
+        ),
+    ],
+    ids=[
+        "delta-nan-eps",
+        "delta-inf-eps",
+        "renyi-nan-alpha",
+        "renyi-inf-alpha",
+        "rdp-pure-nan-eps",
+        "rdp-pure-inf-eps",
+        "pair-nan-spread",
+        "pair-nan-ratio",
+        "pair-nan-eps",
+        "output-nan",
+        "output-inf",
+        "mechanism-nan-p",
+        "mechanism-inf-p-prime",
+    ],
+)
+def test_nan_and_infinite_arguments_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 @given(

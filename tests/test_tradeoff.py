@@ -15,6 +15,7 @@ from privtune.tradeoff import (
     EpsDeltaCurve,
     GaussianCurve,
     TradeoffCurve,
+    _bisect,
     fdp_to_eps_delta,
     gdp_approx_mu,
     gdp_delta_of_eps,
@@ -23,12 +24,13 @@ from privtune.tradeoff import (
 
 # Frozen regression values, computed once from closed forms: the
 # Gaussian curve at mu=1 is the standard normal CDF at -1, the
-# (1, 0.1) curve at 0.2 is 0.9 - e * 0.2, and the rest were
-# cross-checked against independent root-finding on the defining
-# equations.
+# (1, 0.1) curve at 0.2 is 0.9 - e * 0.2, eps of G_1 at 1e-5 is the
+# root of the Dong-Roth-Su delta(eps) = 1e-5 by bisection on math.erfc
+# (acceptance criterion 3), and the rest were cross-checked against
+# independent root-finding on the defining equations.
 _GDP_1_AT_HALF = 0.15865525393145707
 _EPSDELTA_1_01_AT_02 = 0.35634363430819094
-_EPS_OF_G1_AT_1E5 = 4.377178095682196
+_EPS_OF_G1_AT_1E5 = 4.377178095681225
 _DELTA_OF_MU_HALF_EPS_1 = 0.006829594983114584
 _MU_OF_EPS1_DELTA_1E5 = 0.26805112321147506
 _APPROX_MU_UNIT = 1.7101424755953307
@@ -86,9 +88,9 @@ def _gdp_delta_closed_form(mu: float, eps: float) -> float:
 def test_fdp_to_eps_delta_gaussian_is_no_lower_than_root():
     # The root of delta(eps) = target by bisection on the closed form down
     # to adjacent floats. The returned eps must not lie below it, so that
-    # it is an upper bound, and at most 1e-9 above it. The two double
-    # evaluations of delta disagree by a few ulps in the root (1.4e-14
-    # over 3000 inputs), hence the 1e-13 float slack below the root.
+    # it is an upper bound, nor above it by more than float error. The two
+    # double evaluations of delta disagree by a few ulps in the root
+    # (1.4e-14 over 3000 inputs), hence the 1e-13 float slack each side.
     rng = random.Random(20240601)
     for _ in range(300):
         mu = rng.uniform(0.2, 8.0)
@@ -100,8 +102,7 @@ def test_fdp_to_eps_delta_gaussian_is_no_lower_than_root():
             else:
                 hi = mid
         eps = fdp_to_eps_delta(GaussianCurve(mu), delta)
-        assert hi - 1e-13 <= eps <= lo + 1e-9, (mu, delta, eps, hi)
-    # A value brentq already left on the safe side does not move.
+        assert hi - 1e-13 <= eps <= hi + 1e-13, (mu, delta, eps, hi)
     assert fdp_to_eps_delta(GaussianCurve(1.0), 1e-5) == _EPS_OF_G1_AT_1E5
 
 
@@ -215,6 +216,45 @@ def test_gdp_conversions_are_mutually_inverse():
     for eps, delta in ((0.5, 1e-3), (2.0, 1e-6), (4.0, 1e-5)):
         mu = gdp_mu_from_eps_delta(eps, delta)
         assert gdp_delta_of_eps(mu, eps) == pytest.approx(delta, rel=1e-6)
+
+
+def test_bisect_keeps_each_end_on_its_side_down_to_adjacent_floats():
+    lo, hi = _bisect(lambda x: x * x - 2.0, 0.0, 2.0)
+    assert hi == math.nextafter(lo, math.inf)
+    assert lo * lo - 2.0 <= 0.0 < hi * hi - 2.0
+    lo, hi = _bisect(lambda x: 2.0 - x * x, 0.0, 2.0)
+    assert hi == math.nextafter(lo, math.inf)
+    assert 2.0 - lo * lo > 0.0 >= 2.0 - hi * hi
+    for f in (lambda x: x + 1.0, lambda x: math.nan):
+        with pytest.raises(ValueError, match="no sign change"):
+            _bisect(f, 0.0, 2.0)
+
+
+def test_gaussian_solves_return_their_safe_end():
+    # fdp_to_eps_delta returns the larger eps and gdp_mu_from_eps_delta the
+    # smaller mu of an adjacent pair: delta is met there, and one float
+    # further toward the root it is not.
+    for mu, delta in ((0.3, 1e-3), (1.0, 1e-5), (14.0, 1e-5), (6.0, 1e-10)):
+        eps = fdp_to_eps_delta(GaussianCurve(mu), delta)
+        assert gdp_delta_of_eps(mu, eps) <= delta
+        assert gdp_delta_of_eps(mu, math.nextafter(eps, 0.0)) > delta
+    for eps, delta in ((0.5, 1e-3), (1.0, 1e-5), (4.0, 1e-5)):
+        mu = gdp_mu_from_eps_delta(eps, delta)
+        assert gdp_delta_of_eps(mu, eps) <= delta
+        assert gdp_delta_of_eps(math.nextafter(mu, math.inf), eps) > delta
+
+
+def test_eps_delta_curve_rejects_infinite_epsilon():
+    with pytest.raises(ValueError, match="epsilon"):
+        EpsDeltaCurve(math.inf, 0.0)
+
+
+def test_curves_reject_nan_arguments():
+    for curve in (GaussianCurve(1.0), EpsDeltaCurve(1.0, 0.1)):
+        with pytest.raises(ValueError, match="x must lie in"):
+            curve(math.nan)
+        with pytest.raises(ValueError, match="x must lie in"):
+            curve(np.array([0.5, math.nan]))
 
 
 def test_gdp_approx_mu_frozen_value():
