@@ -45,18 +45,10 @@ __all__ = [
 
 _GRID_SIZE = 10001
 # One point per decade below the uniform grid's first cell, so that a
-# maximizer far below 1e-4 is reached in a few splits.
+# maximizer far below 1e-4 lies between two grid points.
 _LOG_GRID = np.logspace(-300.0, -5.0, 296)
 _REFINE_TOL = 1e-8
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# A cell is split into _CERTIFY_SPLIT equal parts while its bound exceeds
-# the best value found by more than _CERTIFY_TOL; at most _CERTIFY_BATCH
-# cells with the largest bounds are split at a time, and at most
-# _CERTIFY_BUDGET new points are evaluated.
-_CERTIFY_TOL = 1e-11
-_CERTIFY_SPLIT = 8
-_CERTIFY_BATCH = 1024
-_CERTIFY_BUDGET = 10**5
 
 # Renyi orders for the selection bound: fractional orders near 1 plus all
 # integer orders up to 512.
@@ -105,93 +97,24 @@ class AccountantReport:
     method: str
 
 
-def _log_ratio_terms(
-    curve: TradeoffCurve, dist: RunCountDist, a: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """omega(1 - a), omega(f(a)) and the log-ratio objective at points a.
-
-    A 0/0 ratio, where both weights vanish, counts as -inf.
-    """
-    top = np.asarray(dist.omega_complement(a), dtype=float)
-    bottom = np.asarray(dist.omega(np.asarray(curve(a))), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.log(top) - np.log(bottom)
-    return top, bottom, np.where(np.isnan(vals), -np.inf, vals)
-
-
-def _cell_bounds(
-    x: np.ndarray,
-    top: np.ndarray,
-    bottom: np.ndarray,
-    vals: np.ndarray,
-    i: np.ndarray,
-) -> np.ndarray:
-    """Upper bounds of the log-ratio objective on the cells [x[i], x[i+1]].
-
-    x is sorted and top, bottom and vals are the terms of
-    _log_ratio_terms at x. Each cell gets the smaller of two bounds, each
-    valid on its own:
-
-    - monotone: omega(1 - a) and omega(f(a)) are both nonincreasing in a,
-      so the objective is at most log omega(1 - lo) - log omega(f(hi));
-    - convex: omega(1 - a) is convex in a, so it lies below its chord on
-      the cell, and omega(f(a)) is convex (omega is convex and
-      nondecreasing, f convex), so it lies above the line through lo with
-      the slope of a chord ending at lo and above the line through hi
-      with the slope of a chord starting at hi. The ratio of the chord to
-      the upper envelope of the two lines peaks at lo, at hi or where the
-      lines cross. The chords reach at least one cell width beyond the
-      cell, so float error in their slopes is not magnified; cells with
-      no such chord on either side get the monotone bound only.
-
-    Returns:
-      One bound per cell; +inf where neither bound is finite.
-    """
-    lo, hi = x[i], x[i + 1]
-    width = hi - lo
-    left = np.searchsorted(x, lo - width, side="right") - 1
-    right = np.searchsorted(x, hi + width, side="left")
-    has_chords = (left >= 0) & (right < x.size)
-    left = np.maximum(left, 0)
-    right = np.minimum(right, x.size - 1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        monotone = np.log(top[i]) - np.log(bottom[i + 1])
-        slope_lo = (bottom[i] - bottom[left]) / (lo - x[left])
-        slope_hi = (bottom[right] - bottom[i + 1]) / (x[right] - hi)
-        cross = (
-            bottom[i + 1] - bottom[i] + slope_lo * lo - slope_hi * hi
-        ) / (slope_lo - slope_hi)
-        cross = np.clip(np.where(np.isnan(cross), lo, cross), lo, hi)
-        chord = top[i] + (top[i + 1] - top[i]) * ((cross - lo) / width)
-        floor = np.maximum(
-            bottom[i] + slope_lo * (cross - lo),
-            bottom[i + 1] + slope_hi * (cross - hi),
-        )
-        at_cross = np.log(chord) - np.log(floor)
-    convex = np.where(
-        has_chords & ~np.isnan(at_cross),
-        np.maximum(np.maximum(vals[i], vals[i + 1]), at_cross),
-        np.inf,
-    )
-    return np.minimum(np.where(np.isnan(monotone), np.inf, monotone), convex)
-
-
 def _golden_max(
     fn: Callable[[float], float], a: float, b: float, tol: float
 ) -> tuple[float, float, float, float]:
     """Golden-section search for the maximum of fn on [a, b].
 
-    Narrows the bracket until it is at most tol wide, assuming fn is
-    unimodal on it.
+    Narrows the bracket while it is wider than tol and its interior
+    points c < d are distinct floats strictly inside it; with tol = 0 it
+    ends at adjacent floats. For a unimodal fn the bracket keeps a
+    maximizer: fn(c) >= fn(d) leaves one in [a, d], else in [c, b].
 
     Returns:
-      (c, fn(c), d, fn(d)) at the two interior points of the last
-      bracket.
+      (a, b, x, fn(x)): the last bracket and whichever of its interior
+      points has the larger value, c on a tie.
     """
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > tol and a < c < d < b:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -200,36 +123,44 @@ def _golden_max(
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = fn(d)
-    return c, fc, d, fd
+    return (a, b, c, fc) if fc >= fd else (a, b, d, fd)
 
 
 def log_ratio_max(
     curve: TradeoffCurve, dist: RunCountDist
 ) -> tuple[float, float]:
-    """Certified maximum of log(omega(1 - a) / omega(f(a))) over a in [0, 1].
+    """Upper value of the maximum of log(omega(1 - a) / omega(f(a))) on [0, 1].
 
-    Evaluates the objective on a uniform grid of 10^4 cells plus one point
-    per decade from 1e-300 to 1e-5, and refines the maximizer around the
-    best point by golden-section search to 1e-8. Then branch and bound:
-    every cell of the grid gets an upper bound on the objective (see
-    _cell_bounds), and each cell whose bound exceeds the best value found
-    by more than 1e-11 is split into 8 equal parts, largest bounds first,
-    until no such cell is left or 10^5 points have been added. The
-    returned value is the largest bound of any cell, so it is never below
-    the supremum of the objective, up to float rounding. Unless the budget
-    runs out, which takes an objective flat at its maximum over a long
-    stretch, the value is at most 1e-11 above the objective at the
-    returned maximizer.
+    The objective is unimodal. Both run-count families have
+    omega(x) = c (alpha + beta x)^p:
+      - a truncated negative binomial has omega proportional to
+        (1 - (1 - nu) x)^-(eta + 1), so the objective is
+        (eta + 1) log(v / u) with v = 1 - (1 - nu) f(a) concave and
+        u = nu + (1 - nu) a affine and positive;
+      - a point mass at k has omega = k x^(k - 1), so the objective is
+        (k - 1) log((1 - a) / f(a)), an affine function over a convex one.
+    Both ratios have convex superlevel sets {r >= t}, as v - t u and
+    1 - a - t f(a) are concave, and r is constant on a stretch only at its
+    maximum: a concave function that vanishes on [c, d] is <= 0 outside
+    it. So for every convex nonincreasing f, as every trade-off curve is,
+    a golden-section search keeps a maximizer in its bracket.
 
-    The bounds need f convex and nonincreasing, as every trade-off curve
-    is, and omega nondecreasing and convex, as every run-count
-    distribution's is. A cell's bound is infinite when omega(f) vanishes
-    at its right end. With the objective finite at every grid point, that
-    happens only when omega(0) = pmf(1) = 0, as for a point mass at k >= 2,
-    in the cell ending at a = 1: there the objective is unbounded (a
-    Gaussian curve) or infinite past the point where an (eps, delta)
-    curve reaches 0. Such a cell is not refined, and its value is the
-    best one the golden-section search found, not an upper bound.
+    The objective is evaluated on a uniform grid of 10^4 cells plus one
+    point per decade from 1e-300 to 1e-5, and the golden-section search
+    runs between the best grid point's neighbours, which hold the
+    maximizer, down to adjacent floats [lo, hi]. Since omega(1 - a) and
+    omega(f(a)) are both nonincreasing in a, the objective on [lo, hi] is
+    at most log(omega(1 - lo) / omega(f(hi))), and that is the value
+    returned: never below the supremum, up to float rounding in the two
+    terms, and a few ulps above the objective at the maximizer. As
+    omega(0) > 0 bounds the objective, omega(f) is evaluated as
+    omega_complement(1 - f), which keeps its digits where f is near 1.
+
+    A run count with omega(0) = pmf(1) = 0, as a point mass at k >= 2,
+    is the exception. Near a = 1 its objective is unbounded (a Gaussian
+    curve) or infinite past the point where an (eps, delta) curve
+    reaches 0, and omega(f) needs f itself. Its search stops at 1e-8 and
+    returns the best value it evaluated, which is not an upper bound.
 
     The objective is 0 at both endpoints for curves with f(0) = 1 and
     f(1) = 0, and the maximum is always nonnegative.
@@ -242,79 +173,38 @@ def log_ratio_max(
       A pair (maximum value, maximizer a); the value is infinite when the
       objective is infinite at a grid point.
     """
+    vanishes = float(dist.omega(0.0)) == 0.0
+
+    def terms(a: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+        if vanishes:
+            return dist.omega_complement(a), dist.omega(curve(a))
+        return dist.omega_complement(a), dist.omega_complement(curve.complement(a))
+
+    def objective(a: float) -> float:
+        num, denom = terms(a)
+        return math.inf if denom == 0.0 else math.log(num / denom)
+
     grid = np.concatenate(
         [[0.0], _LOG_GRID, np.linspace(0.0, 1.0, _GRID_SIZE)[1:]]
     )
-    top, bottom, vals = _log_ratio_terms(curve, dist, grid)
+    top, bottom = terms(grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.log(top) - np.log(bottom)
+    vals = np.where(np.isnan(vals), -np.inf, vals)
     best = int(np.argmax(vals))
     if math.isinf(vals[best]):
         return math.inf, float(grid[best])
-
-    def objective(a: float) -> float:
-        denom = float(dist.omega(float(curve(a))))
-        if denom == 0.0:
-            return math.inf
-        return math.log(float(dist.omega_complement(a)) / denom)
-
-    c, fc, d, fd = _golden_max(
+    lo, hi, arg, value = _golden_max(
         objective,
         grid[max(best - 1, 0)],
         grid[min(best + 1, grid.size - 1)],
-        _REFINE_TOL,
+        _REFINE_TOL if vanishes else 0.0,
     )
-    candidates = [(float(vals[best]), float(grid[best])), (fc, c), (fd, d)]
-    value, arg = max(candidates, key=lambda t: t[0])
-
-    x = grid
-    lo, hi = grid[:-1], grid[1:]
-    bound = _cell_bounds(x, top, bottom, vals, np.arange(lo.size))
-    fractions = np.arange(1, _CERTIFY_SPLIT) / _CERTIFY_SPLIT
-    certified = -math.inf
-    evaluated = 0
-    while True:
-        open_ = (
-            (bound > value + _CERTIFY_TOL)
-            & (bound < math.inf)
-            & (hi - lo > 2 * _CERTIFY_SPLIT * np.spacing(hi))
-        )
-        done = bound[~open_]
-        certified = max(
-            certified, float(np.max(done[done < math.inf], initial=-math.inf))
-        )
-        lo, hi, bound = lo[open_], hi[open_], bound[open_]
-        room = min(
-            _CERTIFY_BATCH, (_CERTIFY_BUDGET - evaluated) // fractions.size
-        )
-        if not lo.size or room <= 0:
-            certified = max(certified, float(np.max(bound, initial=-math.inf)))
-            break
-        split = np.zeros(lo.size, dtype=bool)
-        split[np.argsort(bound)[::-1][:room]] = True
-        edges = lo[split, None] + (hi - lo)[split, None] * fractions
-        new = edges.ravel()
-        new_top, new_bottom, new_vals = _log_ratio_terms(curve, dist, new)
-        evaluated += new.size
-        at = np.searchsorted(x, new)
-        x = np.insert(x, at, new)
-        top = np.insert(top, at, new_top)
-        bottom = np.insert(bottom, at, new_bottom)
-        vals = np.insert(vals, at, new_vals)
-        k = int(np.argmax(new_vals))
-        if new_vals[k] > value:
-            value, arg = float(new_vals[k]), float(new[k])
-        child_lo = np.concatenate([lo[split, None], edges], axis=1).ravel()
-        child_hi = np.concatenate([edges, hi[split, None]], axis=1).ravel()
-        lo = np.concatenate([lo[~split], child_lo])
-        hi = np.concatenate([hi[~split], child_hi])
-        bound = np.concatenate(
-            [
-                bound[~split],
-                _cell_bounds(
-                    x, top, bottom, vals, np.searchsorted(x, child_lo)
-                ),
-            ]
-        )
-    return max(value, certified, 0.0), arg
+    if vals[best] >= value:
+        value, arg = float(vals[best]), float(grid[best])
+    if not vanishes:
+        value = math.log(terms(lo)[0] / terms(hi)[1])
+    return max(value, 0.0), float(arg)
 
 
 def select_epsilon_fdp(
@@ -481,19 +371,17 @@ def select_epsilon_rdp(
     config: DpSgdConfig,
     dist: RunCountDist,
     delta_h: float,
-    rule: str = "tight",
 ) -> AccountantReport:
     """Renyi-divergence privacy bound for best-of-k selection.
 
     Lifts the base Renyi curve of the training configuration through the
     truncated-negative-binomial selection bound and converts the best
-    order pair to epsilon at delta_h.
+    order pair to epsilon at delta_h with the tight rule.
 
     Args:
       config: training parameters (sigma, tau, n_iters).
       dist: run-count distribution; must be TruncatedNegativeBinomial.
       delta_h: target delta for the selection guarantee, in (0, 1).
-      rule: Renyi-to-epsilon conversion rule, "tight" or "classic".
 
     Returns:
       An AccountantReport with method "RDP_PRIOR"; eps_base is the base
@@ -518,9 +406,9 @@ def select_epsilon_rdp(
         curve = subsampled_rdp_curve(config.tau, alphas)
         gammas = curve(config.sigma, config.n_iters)
     eps_h, _, _ = _tnb_hat_epsilon(
-        gammas, alphas, dist.eta, dist.nu, dist.mean, delta_h, rule
+        gammas, alphas, dist.eta, dist.nu, dist.mean, delta_h, "tight"
     )
-    eps_base = float(np.min(rdp_to_eps(gammas, alphas, delta_h, rule)))
+    eps_base = float(np.min(rdp_to_eps(gammas, alphas, delta_h)))
     return AccountantReport(
         eps_h=eps_h,
         delta_h=delta_h,
@@ -539,9 +427,12 @@ def select_epsilon_rdp_pure(
     """Renyi selection bound for a pure-DP base, in prior conventions.
 
     Uses the exact Renyi curve of an epsilon-DP mechanism (attained by
-    the two-point pair with p = e^eps / (1 + e^eps)), the classic
-    conversion, and Renyi orders capped at 256, reproducing how earlier
-    accounting practice stated this bound.
+    the two-point pair with p = e^eps / (1 + e^eps) and q = 1 - p), the
+    classic conversion, and Renyi orders capped at 256, reproducing how
+    earlier accounting practice stated this bound. The curve is
+    log(p^a q^(1-a) + q^a p^(1-a)) / (a - 1); with log p - log q = eps
+    and log p = -log1p(e^-eps) it is formed in log space, so no epsilon
+    overflows.
 
     Args:
       epsilon: pure-DP parameter of the base mechanism.
@@ -554,14 +445,10 @@ def select_epsilon_rdp_pure(
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     alphas = SPEC_ALPHAS[SPEC_ALPHAS <= _PURE_ALPHA_CAP]
-    p = math.exp(epsilon) / (1.0 + math.exp(epsilon))
-    q = 1.0 - p
-    gammas = (
-        np.log(
-            p ** alphas * q ** (1.0 - alphas) + q ** alphas * p ** (1.0 - alphas)
-        )
-        / (alphas - 1.0)
-    )
+    log_p = -math.log1p(math.exp(-epsilon))
+    gammas = np.logaddexp(
+        log_p + (alphas - 1.0) * epsilon, log_p - alphas * epsilon
+    ) / (alphas - 1.0)
     eps_h, _, _ = _tnb_hat_epsilon(
         gammas, alphas, dist.eta, dist.nu, dist.mean, delta_h, rule="classic"
     )

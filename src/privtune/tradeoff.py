@@ -62,20 +62,35 @@ def _validate_unit_interval(x: np.ndarray | float, name: str) -> np.ndarray:
 class TradeoffCurve:
     """Base class for trade-off functions f: [0, 1] -> [0, 1].
 
-    Subclasses implement ``_evaluate`` on a validated float array.
-    Instances are callable on scalars or arrays; scalar input returns a
-    float, array input returns an array of the same shape.
+    Subclasses implement ``_evaluate`` and ``_complement`` on a validated
+    float array. Instances are callable on scalars or arrays, as is
+    ``complement``; scalar input returns a float, array input returns an
+    array of the same shape.
     """
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _complement(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
-        arr = _validate_unit_interval(x, "x")
-        out = self._evaluate(np.atleast_1d(arr))
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(out[0])
-        return out.reshape(arr.shape)
+        return _apply(self._evaluate, x)
+
+    def complement(self, x: np.ndarray | float) -> np.ndarray | float:
+        """1 - f(x), computed directly, so it keeps its digits where f is near 1."""
+        return _apply(self._complement, x)
+
+
+def _apply(
+    fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray | float
+) -> np.ndarray | float:
+    """fn on x as a validated 1-d array, shaped back like x."""
+    arr = _validate_unit_interval(x, "x")
+    out = fn(np.atleast_1d(arr))
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,12 +113,20 @@ class EpsDeltaCurve(TradeoffCurve):
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        # e^eps x as exp(eps + log x): no overflow at large eps, 0 at x = 0.
+    def _scaled(self, x: np.ndarray) -> np.ndarray:
+        """e^eps x as exp(eps + log x): no overflow at large eps, 0 at x = 0."""
         with np.errstate(divide="ignore", over="ignore"):
-            hi = 1.0 - self.delta - np.exp(self.epsilon + np.log(x))
+            return np.exp(self.epsilon + np.log(x))
+
+    def _evaluate(self, x: np.ndarray) -> np.ndarray:
+        hi = 1.0 - self.delta - self._scaled(x)
         lo = math.exp(-self.epsilon) * (1.0 - self.delta - x)
         return np.maximum(0.0, np.maximum(hi, lo))
+
+    def _complement(self, x: np.ndarray) -> np.ndarray:
+        # min(1, delta + e^eps x, 1 - e^-eps (1 - delta - x)).
+        lo = 1.0 - math.exp(-self.epsilon) * (1.0 - self.delta - x)
+        return np.minimum(1.0, np.minimum(self.delta + self._scaled(x), lo))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,15 +147,17 @@ class GaussianCurve(TradeoffCurve):
             raise ValueError(f"mu must be >= 0, got {self.mu}")
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
+        return self._shifted(x, -1.0)
+
+    def _complement(self, x: np.ndarray) -> np.ndarray:
+        # 1 - G_mu(x) = Phi(Phi^-1(x) + mu).
+        return self._shifted(x, 1.0)
+
+    def _shifted(self, x: np.ndarray, sign: float) -> np.ndarray:
+        """Phi(sign (Phi^-1(x) + mu)); Phi^-1 maps 0 and 1 to -inf and inf."""
         if self.mu == 0.0:
-            return 1.0 - x
-        out = np.empty_like(x)
-        interior = (x > 0.0) & (x < 1.0)
-        out[x == 0.0] = 1.0
-        out[x == 1.0] = 0.0
-        xi = x[interior]
-        out[interior] = special.ndtr(-special.ndtri(xi) - self.mu)
-        return out
+            return x.copy() if sign > 0.0 else 1.0 - x
+        return special.ndtr(sign * (special.ndtri(x) + self.mu))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,7 +222,7 @@ def gdp_mu_from_eps_delta(epsilon: float, delta: float) -> float:
 
     Raises:
       ValueError: if an argument is outside its range, or the root is not
-        bracketed by [1e-12, 100].
+        bracketed by [1e-12, 100], naming epsilon and delta.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -207,7 +232,12 @@ def gdp_mu_from_eps_delta(epsilon: float, delta: float) -> float:
     def gap(mu: float) -> float:
         return gdp_delta_of_eps(mu, epsilon) - delta
 
-    return _bisect(gap, 1e-12, 100.0)[0]
+    try:
+        return _bisect(gap, 1e-12, 100.0)[0]
+    except ValueError:
+        raise ValueError(
+            f"no mu in [1e-12, 100] has delta={delta} at epsilon={epsilon}"
+        ) from None
 
 
 def gdp_approx_mu(config: DpSgdConfig) -> float:

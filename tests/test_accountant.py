@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,12 +61,67 @@ def _tnb_gaussian_objective(
     """log(omega(1 - a) / omega(G_mu(a))) under TNB(eta, nu), in closed form.
 
     omega(x) is proportional to (1 - (1-nu) x)^-(eta+1) for every eta,
-    including the logarithmic series at eta = 0.
+    including the logarithmic series at eta = 0. 1 - (1-nu) G_mu(a) is
+    formed as nu + (1-nu)(1 - G_mu(a)) with 1 - G_mu(a) =
+    Phi(Phi^-1(a) + mu), which keeps its digits when G_mu(a) is near 1.
     """
-    f = special.ndtr(-special.ndtri(a) - mu)
+    complement = special.ndtr(special.ndtri(a) + mu)
     return (eta + 1.0) * np.log(
-        (1.0 - (1.0 - nu) * f) / (nu + (1.0 - nu) * np.asarray(a))
+        (nu + (1.0 - nu) * complement) / (nu + (1.0 - nu) * np.asarray(a))
     )
+
+
+def _mp_golden_max(fn, lo: float, hi: float) -> mpmath.mpf:
+    """Maximum of a unimodal fn on [lo, hi] by golden section in mpmath.
+
+    Runs at the working precision of mpmath.mp until the bracket is
+    1e-36 wide, relative to its upper end when that exceeds 1.
+    """
+    ratio = (mpmath.sqrt(5) - 1) / 2
+    a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > mpmath.mpf(10) ** -36 * max(1, abs(b)):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = fn(d)
+    return max(fc, fd)
+
+
+def _mp_tnb_log_ratio_sup(curve, eta: float, nu: float) -> mpmath.mpf:
+    """Supremum of the log-ratio objective under TNB(eta, nu), 40 digits.
+
+    The objective is (eta + 1) log((nu + (1-nu)(1 - f(a))) / (nu + (1-nu) a)).
+    A Gaussian curve is searched over z = Phi^-1(a) in [-40, 40], with
+    a = Phi(z) and 1 - f(a) = Phi(z + mu); an (eps, delta) curve over a in
+    [0, 1], with 1 - f(a) = min(1, delta + e^eps a, 1 - e^-eps (1 - delta - a)).
+    """
+    with mpmath.workdps(40):
+        nu_mp = mpmath.mpf(nu)
+
+        def log_ratio(a, complement):
+            return (eta + 1) * mpmath.log(
+                (nu_mp + (1 - nu_mp) * complement) / (nu_mp + (1 - nu_mp) * a)
+            )
+
+        if isinstance(curve, GaussianCurve):
+            mu = mpmath.mpf(curve.mu)
+            return _mp_golden_max(
+                lambda z: log_ratio(mpmath.ncdf(z), mpmath.ncdf(z + mu)), -40, 40
+            )
+        e, delta = mpmath.exp(mpmath.mpf(curve.epsilon)), mpmath.mpf(curve.delta)
+        return _mp_golden_max(
+            lambda a: log_ratio(
+                a, min(1, delta + e * a, 1 - (1 - delta - a) / e)
+            ),
+            0,
+            1,
+        )
 
 
 def test_log_ratio_max_frozen_values():
@@ -83,6 +139,45 @@ def test_log_ratio_max_frozen_values():
         assert value >= np.max(_tnb_gaussian_objective(mu, 5.0, 1e-6, grid))
         at_argmax = _tnb_gaussian_objective(mu, 5.0, 1e-6, argmax)
         assert 0.0 <= value - at_argmax <= 1e-9
+
+
+def test_log_ratio_max_is_exact_on_a_flat_maximum():
+    # On the second piece of the (1, 0) curve, f(a) = (1 - a) / e, so the
+    # objective 3 log((1 - a) / f(a)) is exactly 3 over a long stretch.
+    value, argmax = log_ratio_max(EpsDeltaCurve(1.0, 0.0), PointMass(4))
+    assert value == pytest.approx(3.0, abs=1e-12)
+    assert 0.5 < argmax < 1.0
+
+
+_SOUNDNESS_TNBS = ((0.0, 0.6), (1.0, 1e-2), (0.5, 1e-4), (5.0, 1e-6), (2.0, 1e-8))
+_SOUNDNESS_CURVES = [
+    GaussianCurve(mu) for mu in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)
+] + [
+    EpsDeltaCurve(eps, delta)
+    for eps, delta in (
+        (0.1, 1e-3), (0.5, 1e-9), (1.0, 1e-5), (2.0, 0.0), (4.36, 1e-5), (8.0, 1e-6)
+    )
+]
+
+
+def test_log_ratio_max_is_a_tight_upper_value():
+    # 61 inputs against a 40-digit maximization: never below the supremum
+    # by more than float rounding, and at most 1e-12 above it. The last
+    # input forms 1 - (1-nu) f(a) from an f(a) near 1 with nu tiny, where
+    # 1 - f(a) must be computed directly (the supremum is 5.684623090596002).
+    cases = [
+        (curve, TNB(eta, nu))
+        for curve in _SOUNDNESS_CURVES
+        for eta, nu in _SOUNDNESS_TNBS
+    ]
+    cases.append(
+        (GaussianCurve(0.21483661487412484), TNB(4.606021011330059, 4.671336689674573e-08))
+    )
+    for curve, dist in cases:
+        value, _ = log_ratio_max(curve, dist)
+        sup = _mp_tnb_log_ratio_sup(curve, dist.eta, dist.nu)
+        rel = float((mpmath.mpf(value) - sup) / abs(sup))
+        assert -1e-15 <= rel <= 1e-12, (curve, dist, value, rel)
 
 
 def test_log_ratio_max_is_zero_for_single_run():
@@ -253,6 +348,25 @@ def test_select_epsilon_rdp_pure_frozen_prediction():
     assert select_epsilon_rdp_pure(1.0, TNB(1.0, 1e-3), 1e-5) == pytest.approx(
         _PURE_PREDICTION, rel=1e-9
     )
+
+
+def test_select_epsilon_rdp_pure_is_finite_at_large_epsilon():
+    # For eps >= 710 the pure-DP Renyi curve equals eps to double
+    # precision at every order. The lifted bound then separates: the
+    # order-a terms eps + (log E + log(1/delta)) / (a - 1) are smallest at
+    # the largest order, 256, and the order-a' terms
+    # (1 + eta)(eps - (eps - log(1/nu)) / a') at the smallest, 1.1.
+    eta, nu, delta = 1.0, 1e-3, 1e-5
+    dist = TNB(eta, nu)
+    for eps in (710.0, 1000.0):
+        want = (
+            eps
+            + (1.0 + eta) * (eps - (eps - math.log(1.0 / nu)) / 1.1)
+            + (math.log(dist.mean) + math.log(1.0 / delta)) / 255.0
+        )
+        assert select_epsilon_rdp_pure(eps, dist, delta) == pytest.approx(
+            want, rel=1e-12
+        )
 
 
 def test_select_epsilon_rdp_reports_geometric_example():

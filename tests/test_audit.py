@@ -135,6 +135,10 @@ def test_calibrate_sigma_gdp_returns_the_larger_sigma():
 def test_calibrate_sigma_gdp_names_an_unreachable_budget():
     with pytest.raises(ValueError, match=r"eps_b=0\.0001 is out of reach"):
         calibrate_sigma_gdp(1e-4, 1e-5, 1.0, 1000)
+    # A budget whose mu lies above the [1e-12, 100] bracket of
+    # gdp_mu_from_eps_delta is named by its epsilon and delta.
+    with pytest.raises(ValueError, match=r"delta=1e-05 at epsilon=10000\.0"):
+        calibrate_sigma_gdp(1e4, 1e-5, 1.0, 1000)
 
 
 def test_game_config_validation():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,26 @@ def test_curves_are_callable_and_vectorized():
     assert gauss.shape == x.shape
     assert eps_delta.shape == x.shape
     assert gauss[5] == pytest.approx(_GDP_1_AT_HALF, rel=1e-12)
+
+
+def test_curve_complements_keep_their_digits_where_f_is_near_one():
+    x = np.linspace(0.0, 1.0, 101)
+    for curve in (
+        GaussianCurve(0.0), GaussianCurve(1.0), EpsDeltaCurve(1.0, 0.1),
+        EpsDeltaCurve(0.0, 0.0), EpsDeltaCurve(700.0, 1e-5),
+    ):
+        np.testing.assert_allclose(curve.complement(x), 1.0 - curve(x), atol=2e-16)
+        assert curve.complement(1.0) == 1.0
+    assert GaussianCurve(1.0).complement(0.0) == 0.0
+    assert EpsDeltaCurve(1.0, 1e-9).complement(0.0) == 1e-9
+    # 1 - f(1e-20) rounds to 0 from f; the complements keep 15 digits.
+    assert EpsDeltaCurve(1.0, 0.0).complement(1e-20) == pytest.approx(
+        math.e * 1e-20, rel=1e-15
+    )
+    with mpmath.workdps(50):
+        z = -mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(1e-20))
+        want = float(mpmath.ncdf(z + 1))
+    assert GaussianCurve(1.0).complement(1e-20) == pytest.approx(want, rel=1e-13)
 
 
 def test_fdp_to_eps_delta_frozen_value():
