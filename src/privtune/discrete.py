@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -40,17 +41,40 @@ _OUTPUT_SUM_TOL = 1e-10
 # d_refined - d_grouped fell short of the exact one by <= 8.8e-8 d_refined.
 _THEOREM_SLACK = 1e-12
 _THEOREM_REL_SLACK = 1e-6
+# Instances per kernel call in theorem4_campaign, per (run count, order)
+# bucket: at most nine partial chunks are held at once, at any instance
+# count.
+_CAMPAIGN_CHUNK = 1024
+_CAMPAIGN_RUN_COUNTS: tuple[RunCountDist, ...] = (
+    PointMass(2),
+    PointMass(5),
+    TruncatedNegativeBinomial(1.0, 0.1),
+)
+_CAMPAIGN_ORDERS = (1.5, 2.0, 8.0)
+
+
+def _check_sums(rows: np.ndarray, name: str, tol: float) -> None:
+    """Raises ValueError unless every row of a 2-D array sums to 1 within tol."""
+    sums = rows.sum(axis=1)
+    # NaN and infinite entries fail too.
+    bad = ~(np.abs(sums - 1.0) <= tol)
+    if np.any(bad):
+        raise ValueError(f"{name} must sum to 1 within {tol}, got {sums[bad][0]}")
+
+
+def _check_probability_rows(rows: np.ndarray, name: str) -> None:
+    """Raises ValueError unless every row is a probability vector."""
+    # NaN fails both checks; an infinite entry fails the sum.
+    if not np.all(rows >= 0.0):
+        raise ValueError(f"{name} must be nonnegative")
+    _check_sums(rows, name, _SUM_TOL)
 
 
 def _validate_probability_vector(p: np.ndarray, name: str, size: int) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (size,):
         raise ValueError(f"{name} must have shape ({size},), got {arr.shape}")
-    # NaN fails both checks; an infinite entry fails the sum.
-    if not np.all(arr >= 0.0):
-        raise ValueError(f"{name} must be nonnegative")
-    if not abs(float(arr.sum()) - 1.0) <= _SUM_TOL:
-        raise ValueError(f"{name} must sum to 1 within {_SUM_TOL}, got {arr.sum()}")
+    _check_probability_rows(arr[None], name)
     return arr
 
 
@@ -117,12 +141,97 @@ class SelectionOutput:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.q, dtype=float)
-        if not abs(float(arr.sum()) - 1.0) <= _OUTPUT_SUM_TOL:
-            raise ValueError(
-                f"selection output must sum to 1 within {_OUTPUT_SUM_TOL}, "
-                f"got {arr.sum()}"
-            )
+        _check_sums(arr[None], "selection output", _OUTPUT_SUM_TOL)
         object.__setattr__(self, "q", arr)
+
+
+def _score_columns(
+    partition: tuple[tuple[int, ...], ...]
+) -> tuple[list[int], list[int]]:
+    """Symbol indices in increasing score, and the group rank of each."""
+    order = [i for group in partition for i in group]
+    ranks = [rank for rank, group in enumerate(partition) for _ in group]
+    return order, ranks
+
+
+def _selection_rows(
+    probs: np.ndarray, labels: np.ndarray, dist: RunCountDist
+) -> np.ndarray:
+    """Selection probabilities of each row of symbols listed in score order.
+
+    Row r holds one side's outcome probabilities in increasing score, and
+    labels[r] the nondecreasing group rank of each column; a zero-mass
+    padding column is a group of its own. Group masses and their
+    cumulative sums c_j give group j the pgf increment S(c_j) - S(c_{j-1}),
+    shared evenly by its symbols.
+    """
+    rows = np.arange(probs.shape[0])[:, None]
+    mass = np.zeros(probs.shape)
+    size = np.zeros(probs.shape)
+    np.add.at(mass, (rows, labels), probs)
+    np.add.at(size, (rows, labels), 1.0)
+    pgf = dist.pgf(np.minimum(np.cumsum(mass, axis=1), 1.0))
+    increment = np.diff(pgf, axis=1, prepend=0.0)
+    q = np.take_along_axis(increment, labels, 1) / np.take_along_axis(
+        size, labels, 1
+    )
+    _check_sums(q, "selection output", _OUTPUT_SUM_TOL)
+    return q
+
+
+def _renyi_rows(q: np.ndarray, q_prime: np.ndarray, alpha: float) -> np.ndarray:
+    """Order-alpha Renyi divergence of each row pair, by log-sum-exp."""
+    if not 1.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 1, got {alpha}")
+    mask = q > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_terms = np.where(
+            mask, alpha * np.log(q) - (alpha - 1.0) * np.log(q_prime), -np.inf
+        )
+        peak = np.max(log_terms, axis=1, keepdims=True)
+        # A cumulative sum adds in column order whatever the row count,
+        # where np.sum's order depends on the array's shape.
+        scaled = np.cumsum(np.exp(log_terms - peak), axis=1)[:, -1]
+        total = peak[:, 0] + np.log(scaled)
+    divergence = np.maximum(total / (alpha - 1.0), 0.0)
+    return np.where(np.any(mask & (q_prime <= 0.0), axis=1), np.inf, divergence)
+
+
+def _theorem4_rows(
+    draws: list[tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]],
+    dist: RunCountDist,
+    alpha: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grouped and refined divergences of (p, p_prime, partition) instances.
+
+    Stacks the instances as rows in score order, zero-padded to the
+    widest, and returns the grouped divergences, the refined ones and
+    whether each passes theorem4_check's comparison.
+    """
+    width = max(len(p) for p, _, _ in draws)
+    p = np.zeros((len(draws), width))
+    p_prime = np.zeros((len(draws), width))
+    grouped = np.tile(np.arange(width), (len(draws), 1))
+    for row, (p_row, p_prime_row, partition) in enumerate(draws):
+        order, ranks = _score_columns(partition)
+        p[row, : len(order)] = p_row[order]
+        p_prime[row, : len(order)] = p_prime_row[order]
+        grouped[row, : len(order)] = ranks
+    _check_probability_rows(p, "p")
+    _check_probability_rows(p_prime, "p_prime")
+    refined = np.broadcast_to(np.arange(width), p.shape)
+    d_grouped = _renyi_rows(
+        _selection_rows(p, grouped, dist),
+        _selection_rows(p_prime, grouped, dist),
+        alpha,
+    )
+    d_refined = _renyi_rows(
+        _selection_rows(p, refined, dist),
+        _selection_rows(p_prime, refined, dist),
+        alpha,
+    )
+    slack = _THEOREM_SLACK + _THEOREM_REL_SLACK * d_refined
+    return d_grouped, d_refined, d_grouped <= d_refined + slack
 
 
 def selection_distribution(
@@ -148,14 +257,9 @@ def selection_distribution(
     """
     arr = _validate_probability_vector(p, "p", int(np.asarray(p).shape[0]))
     groups = _validate_partition(tuple(partition), arr.shape[0])
-    q = np.zeros_like(arr)
-    cumulative = 0.0
-    pgf_prev = 0.0
-    for group in groups:
-        cumulative += float(arr[list(group)].sum())
-        pgf_here = float(dist.pgf(min(cumulative, 1.0)))
-        q[list(group)] = (pgf_here - pgf_prev) / len(group)
-        pgf_prev = pgf_here
+    order, ranks = _score_columns(groups)
+    q = np.empty_like(arr)
+    q[order] = _selection_rows(arr[order][None], np.array([ranks]), dist)[0]
     return SelectionOutput(q=q)
 
 
@@ -249,16 +353,7 @@ def renyi_divergence(
       A nonnegative value; infinity when q puts mass where q_prime has
       none.
     """
-    if not 1.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and > 1, got {alpha}")
-    a, b = q.q, q_prime.q
-    mask = a > 0.0
-    if np.any(mask & (b <= 0.0)):
-        return math.inf
-    log_terms = alpha * np.log(a[mask]) - (alpha - 1.0) * np.log(b[mask])
-    peak = float(np.max(log_terms))
-    total = peak + math.log(float(np.sum(np.exp(log_terms - peak))))
-    return max(0.0, total / (alpha - 1.0))
+    return float(_renyi_rows(q.q[None], q_prime.q[None], alpha)[0])
 
 
 def theorem4_check(
@@ -281,21 +376,19 @@ def theorem4_check(
     Returns:
       (grouped divergence, refined divergence, grouped <= refined).
     """
-    refined = tuple((i,) for g in pair.score_partition for i in g)
-    grouped_q = selection_distribution(pair.p, pair.score_partition, dist)
-    grouped_qp = selection_distribution(pair.p_prime, pair.score_partition, dist)
-    refined_q = selection_distribution(pair.p, refined, dist)
-    refined_qp = selection_distribution(pair.p_prime, refined, dist)
-    d_grouped = renyi_divergence(grouped_q, grouped_qp, alpha)
-    d_refined = renyi_divergence(refined_q, refined_qp, alpha)
-    slack = _THEOREM_SLACK + _THEOREM_REL_SLACK * d_refined
-    return d_grouped, d_refined, d_grouped <= d_refined + slack
+    grouped, refined, ok = _theorem4_rows(
+        [(pair.p, pair.p_prime, pair.score_partition)], dist, alpha
+    )
+    return float(grouped[0]), float(refined[0]), bool(ok[0])
 
 
-def _random_instance(
+def _draw_instance(
     seed_seq: np.random.SeedSequence,
-) -> tuple[FiniteMechanismPair, RunCountDist, float]:
-    """Draws one randomized check instance with at least one tied group."""
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...], RunCountDist, float]:
+    """Draws one randomized check instance with at least one tied group.
+
+    Returns (p, p_prime, score partition, run-count distribution, order).
+    """
     rng = np.random.default_rng(seed_seq)
     size = int(rng.integers(3, 9))
     p = rng.dirichlet(np.full(size, rng.uniform(0.3, 3.0)))
@@ -310,20 +403,42 @@ def _random_instance(
     if all(len(g) == 1 for g in groups):
         merged = tuple(groups[0] + groups[1])
         groups = [merged] + groups[2:]
+    dist = _CAMPAIGN_RUN_COUNTS[int(rng.integers(len(_CAMPAIGN_RUN_COUNTS)))]
+    alpha = _CAMPAIGN_ORDERS[int(rng.integers(len(_CAMPAIGN_ORDERS)))]
+    return p, p_prime, tuple(groups), dist, alpha
+
+
+def _random_instance(
+    seed_seq: np.random.SeedSequence,
+) -> tuple[FiniteMechanismPair, RunCountDist, float]:
+    """The instance of _draw_instance as theorem4_check's arguments."""
+    p, p_prime, partition, dist, alpha = _draw_instance(seed_seq)
     pair = FiniteMechanismPair(
-        alphabet=tuple(f"s{i}" for i in range(size)),
+        alphabet=tuple(f"s{i}" for i in range(len(p))),
         p=p,
         p_prime=p_prime,
-        score_partition=tuple(groups),
+        score_partition=partition,
     )
-    dists: list[RunCountDist] = [
-        PointMass(2),
-        PointMass(5),
-        TruncatedNegativeBinomial(1.0, 0.1),
-    ]
-    dist = dists[int(rng.integers(len(dists)))]
-    alpha = [1.5, 2.0, 8.0][int(rng.integers(3))]
     return pair, dist, alpha
+
+
+def _campaign_chunks(
+    instances: int, seed: int
+) -> Iterator[tuple[list, RunCountDist, float]]:
+    """Yields (instances, run count, order) batches of the campaign.
+
+    Instance i comes from SeedSequence([seed, i]). Instances sharing a run
+    count and an order are yielded together, _CAMPAIGN_CHUNK at a time.
+    """
+    pending: dict[tuple[RunCountDist, float], list] = {}
+    for i in range(instances):
+        *draw, dist, alpha = _draw_instance(np.random.SeedSequence([seed, i]))
+        bucket = pending.setdefault((dist, alpha), [])
+        bucket.append(tuple(draw))
+        if len(bucket) == _CAMPAIGN_CHUNK:
+            yield pending.pop((dist, alpha)), dist, alpha
+    for (dist, alpha), draws in pending.items():
+        yield draws, dist, alpha
 
 
 def theorem4_campaign(instances: int, seed: int) -> tuple[int, float]:
@@ -332,11 +447,13 @@ def theorem4_campaign(instances: int, seed: int) -> tuple[int, float]:
     Each instance draws random probability vectors, a random score
     partition containing at least one tied group, a random run-count
     distribution, and a random Renyi order, from its own seed
-    SeedSequence([seed, index]).
+    SeedSequence([seed, index]). Instances are evaluated in batches that
+    share a run count and an order; each instance's result is that of
+    theorem4_check on it, whatever the batch.
 
     Args:
       instances: number of randomized instances.
-      seed: base seed for the instance stream.
+      seed: base seed for the instance stream, in [0, 2^64).
 
     Returns:
       (number of instances passing the inequality, worst signed margin
@@ -344,13 +461,14 @@ def theorem4_campaign(instances: int, seed: int) -> tuple[int, float]:
     """
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
-    checks = [
-        theorem4_check(*_random_instance(np.random.SeedSequence([seed, i])))
-        for i in range(instances)
-    ]
-    passes = sum(1 for _, _, ok in checks if ok)
-    worst = min(refined - grouped for grouped, refined, _ in checks)
-    return passes, float(worst)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    passes, worst = 0, math.inf
+    for draws, dist, alpha in _campaign_chunks(instances, seed):
+        grouped, refined, ok = _theorem4_rows(draws, dist, alpha)
+        passes += int(np.sum(ok))
+        worst = min(worst, float(np.min(refined - grouped)))
+    return passes, worst
 
 
 def near_worst_case_pair(

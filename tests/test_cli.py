@@ -403,6 +403,8 @@ _GEOMETRIC = ["--xi", "tnb:eta=1,nu=1e-2"]
          "eps"),
         (["accountant", "--base", "dpsgd:sigma=inf,tau=1,n=1000", *_GEOMETRIC],
          "sigma"),
+        (["theorem4", "--seed", "-1"], "seed"),
+        (["theorem4", "--seed", str(2**64)], "seed"),
     ],
 )
 def test_domain_errors_exit_2_with_a_message(capsys, argv, needle):

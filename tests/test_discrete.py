@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from privtune import discrete
 from privtune.discrete import (
     FiniteMechanismPair,
     SelectionOutput,
@@ -239,6 +240,37 @@ def test_theorem4_check_frozen_example():
     assert grouped <= refined + 1e-12
 
 
+def _exact_pgf(dist, c):
+    """The pgf at a rational point: c^k, or the geometric nu c / (1 - (1 - nu) c)."""
+    if isinstance(dist, PointMass):
+        return c**dist.k
+    assert dist.eta == 1.0
+    nu = Fraction(dist.nu)
+    return nu * c / (1 - (1 - nu) * c)
+
+
+def _exact_selection(probs, partition, dist):
+    """Exact rational selection output of the normalized float inputs."""
+    p = [Fraction(float(x)) for x in probs]
+    total = sum(p)
+    q = [Fraction(0)] * len(p)
+    cumulative, pgf_prev = Fraction(0), Fraction(0)
+    for group in partition:
+        cumulative += sum(p[i] for i in group) / total
+        pgf_here = _exact_pgf(dist, cumulative)
+        for i in group:
+            q[i] = (pgf_here - pgf_prev) / len(group)
+        pgf_prev = pgf_here
+    return q
+
+
+def _exact_power_sum(pair, partition, dist, order):
+    """sum_y q(y)^order / q'(y)^(order - 1) of the exact selection outputs."""
+    q = _exact_selection(pair.p, partition, dist)
+    q_prime = _exact_selection(pair.p_prime, partition, dist)
+    return sum(a**order / b ** (order - 1) for a, b in zip(q, q_prime))
+
+
 def test_theorem4_check_passes_a_tie_that_float_error_reverses():
     # Instance 628 of seed 836464178: its grouped and refined order-8
     # divergences differ only by float error, 1.7e-11 the wrong way.
@@ -250,32 +282,13 @@ def test_theorem4_check_passes_a_tie_that_float_error_reverses():
     assert ok
     assert grouped > refined + 1e-12
 
-    # Oracle: exact rational selection outputs of the normalized inputs
-    # under the geometric pgf S(y) = nu y / (1 - (1 - nu) y). The order-8
-    # divergence is increasing in sum_y q(y)^8 / q'(y)^7, so comparing the
-    # sums orders the divergences.
-    nu = Fraction(dist.nu)
-
-    def order8_sum(partition):
-        sums = []
-        for probs in (pair.p, pair.p_prime):
-            p = [Fraction(float(x)) for x in probs]
-            total = sum(p)
-            q = {}
-            cumulative, pgf_prev = Fraction(0), Fraction(0)
-            for group in partition:
-                cumulative += sum(p[i] for i in group) / total
-                pgf_here = nu * cumulative / (1 - (1 - nu) * cumulative)
-                for i in group:
-                    q[i] = (pgf_here - pgf_prev) / len(group)
-                pgf_prev = pgf_here
-            sums.append(q)
-        q, q_prime = sums
-        return sum(q[i] ** 8 / q_prime[i] ** 7 for i in q)
-
-    exact_grouped = order8_sum(pair.score_partition)
-    exact_refined = order8_sum(
-        tuple((i,) for group in pair.score_partition for i in group)
+    # Oracle: exact rational selection outputs of the normalized inputs.
+    # The order-8 divergence is increasing in sum_y q(y)^8 / q'(y)^7, so
+    # comparing the sums orders the divergences.
+    exact_grouped = _exact_power_sum(pair, pair.score_partition, dist, 8)
+    exact_refined = _exact_power_sum(
+        pair, tuple((i,) for group in pair.score_partition for i in group),
+        dist, 8,
     )
     assert exact_grouped < exact_refined
     assert (exact_refined - exact_grouped) / exact_grouped < 1e-20
@@ -294,6 +307,67 @@ def test_theorem4_campaign_frozen_and_keyed_per_instance():
         sum(ok for _, _, ok in checks),
         min(refined - grouped for grouped, refined, _ in checks),
     )
+
+
+def _instances(seed, count):
+    return [
+        _random_instance(np.random.SeedSequence([seed, i])) for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16, discrete._CAMPAIGN_CHUNK])
+def test_theorem4_campaign_is_independent_of_the_batch_size(monkeypatch, chunk):
+    # 300 instances fill all nine (run count, order) buckets with 28 to 42
+    # each, so every chunk size but the module's splits them across calls.
+    instances = _instances(7, 300)
+    assert len({(dist, alpha) for _, dist, alpha in instances}) == 9
+    checks = [theorem4_check(*instance) for instance in instances]
+    monkeypatch.setattr(discrete, "_CAMPAIGN_CHUNK", chunk)
+    assert theorem4_campaign(300, 7) == (
+        sum(ok for _, _, ok in checks),
+        min(refined - grouped for grouped, refined, _ in checks),
+    )
+    # theorem4_check is a batch of one; a whole bucket gives the same floats.
+    for key in {(dist, alpha) for _, dist, alpha in instances}:
+        members = [i for i, (_, *k) in enumerate(instances) if tuple(k) == key]
+        grouped, refined, ok = discrete._theorem4_rows(
+            [
+                (pair.p, pair.p_prime, pair.score_partition)
+                for pair, _, _ in (instances[i] for i in members)
+            ],
+            *key,
+        )
+        assert [checks[i] for i in members] == list(
+            zip(grouped.tolist(), refined.tolist(), ok.tolist())
+        )
+
+
+def test_theorem4_rows_match_exact_rational_divergences():
+    # Oracle: the order-2 divergence is log sum_y q(y)^2 / q'(y) over
+    # exact rational selection outputs. Float error, mostly the
+    # cancellation in pgf differences, stays far inside 1e-8 relative.
+    instances = [
+        instance for instance in _instances(7, 700) if instance[2] == 2.0
+    ]
+    assert len(instances) >= 200
+    for dist in {dist for _, dist, _ in instances}:
+        pairs = [pair for pair, d, _ in instances if d == dist]
+        grouped, refined, _ = discrete._theorem4_rows(
+            [(pair.p, pair.p_prime, pair.score_partition) for pair in pairs],
+            dist,
+            2.0,
+        )
+        for pair, got_grouped, got_refined in zip(pairs, grouped, refined):
+            singletons = tuple((i,) for g in pair.score_partition for i in g)
+            exact_grouped = _exact_power_sum(pair, pair.score_partition, dist, 2)
+            exact_refined = _exact_power_sum(pair, singletons, dist, 2)
+            assert exact_grouped <= exact_refined
+            for got, exact in (
+                (got_grouped, exact_grouped),
+                (got_refined, exact_refined),
+            ):
+                want = math.log1p(float(exact - 1))
+                assert got == pytest.approx(want, rel=1e-8, abs=1e-14)
 
 
 def test_simulate_selection_matches_exact_distribution():
