@@ -315,12 +315,19 @@ def _instances(seed, count):
     ]
 
 
+def _rows(pairs):
+    return [(pair.p, pair.p_prime, pair.score_partition) for pair in pairs]
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 16, discrete._CAMPAIGN_CHUNK])
 def test_theorem4_campaign_is_independent_of_the_batch_size(monkeypatch, chunk):
     # 300 instances fill all nine (run count, order) buckets with 28 to 42
     # each, so every chunk size but the module's splits them across calls.
     instances = _instances(7, 300)
-    assert len({(dist, alpha) for _, dist, alpha in instances}) == 9
+    buckets = {}
+    for index, (_, dist, alpha) in enumerate(instances):
+        buckets.setdefault((dist, alpha), []).append(index)
+    assert len(buckets) == 9
     checks = [theorem4_check(*instance) for instance in instances]
     monkeypatch.setattr(discrete, "_CAMPAIGN_CHUNK", chunk)
     assert theorem4_campaign(300, 7) == (
@@ -328,14 +335,9 @@ def test_theorem4_campaign_is_independent_of_the_batch_size(monkeypatch, chunk):
         min(refined - grouped for grouped, refined, _ in checks),
     )
     # theorem4_check is a batch of one; a whole bucket gives the same floats.
-    for key in {(dist, alpha) for _, dist, alpha in instances}:
-        members = [i for i, (_, *k) in enumerate(instances) if tuple(k) == key]
+    for (dist, alpha), members in buckets.items():
         grouped, refined, ok = discrete._theorem4_rows(
-            [
-                (pair.p, pair.p_prime, pair.score_partition)
-                for pair, _, _ in (instances[i] for i in members)
-            ],
-            *key,
+            _rows(instances[i][0] for i in members), dist, alpha
         )
         assert [checks[i] for i in members] == list(
             zip(grouped.tolist(), refined.tolist(), ok.tolist())
@@ -349,14 +351,11 @@ def test_theorem4_rows_match_exact_rational_divergences():
     instances = [
         instance for instance in _instances(7, 700) if instance[2] == 2.0
     ]
-    assert len(instances) >= 200
-    for dist in {dist for _, dist, _ in instances}:
+    dists = {dist for _, dist, _ in instances}
+    assert len(instances) >= 200 and len(dists) == 3
+    for dist in dists:
         pairs = [pair for pair, d, _ in instances if d == dist]
-        grouped, refined, _ = discrete._theorem4_rows(
-            [(pair.p, pair.p_prime, pair.score_partition) for pair in pairs],
-            dist,
-            2.0,
-        )
+        grouped, refined, _ = discrete._theorem4_rows(_rows(pairs), dist, 2.0)
         for pair, got_grouped, got_refined in zip(pairs, grouped, refined):
             singletons = tuple((i,) for g in pair.score_partition for i in g)
             exact_grouped = _exact_power_sum(pair, pair.score_partition, dist, 2)
