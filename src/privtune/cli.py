@@ -19,7 +19,7 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .accountant import (
     base_curve_for,
@@ -41,13 +41,8 @@ from .discrete import (
     selection_distribution,
     theorem4_campaign,
 )
-from .runcount import PointMass, RunCountDist, TruncatedNegativeBinomial
-from .tradeoff import (
-    DpSgdConfig,
-    EpsDeltaCurve,
-    GaussianCurve,
-    TradeoffCurve,
-)
+from .runcount import PointMass, TruncatedNegativeBinomial
+from .tradeoff import DpSgdConfig, EpsDeltaCurve, GaussianCurve
 
 __all__ = ["UsageError", "main"]
 
@@ -56,8 +51,6 @@ _EXIT_USAGE = 2
 _EXIT_INFINITE = 3
 _EXIT_PROPERTY = 4
 
-_TIGHTNESS_SPREAD = 1e-3
-_TIGHTNESS_RATIO = 100.0
 _TIGHTNESS_EPS = 1.0
 _TIGHTNESS_XI = (1.0, 1e-3)
 _PURE_DP_GENERIC_FACTOR = 3.0
@@ -67,123 +60,75 @@ class UsageError(Exception):
     """Raised for malformed parameters; maps to exit code 2."""
 
 
-def _parse_kv_spec(
-    text: str, name: str, kinds: dict[str, tuple[str, ...]]
-) -> tuple[str, dict[str, str]]:
-    """Splits "kind:k1=v1,k2=v2" and validates kind and key set.
+# Spec kind -> (constructor, its (key, type) arguments in order).
+_SpecKinds = dict[str, tuple[Callable[..., Any], tuple[tuple[str, type], ...]]]
+_BASE_KINDS: _SpecKinds = {
+    "gdp": (GaussianCurve, (("mu", float),)),
+    "epsdelta": (EpsDeltaCurve, (("eps", float), ("delta", float))),
+    "dpsgd": (DpSgdConfig, (("sigma", float), ("tau", float), ("n", int))),
+}
+_XI_KINDS: _SpecKinds = {
+    "tnb": (TruncatedNegativeBinomial, (("eta", float), ("nu", float))),
+    "pointmass": (PointMass, (("k", int),)),
+}
+
+
+def _parse_spec(text: str, flag: str, kinds: _SpecKinds) -> Any:
+    """Parses "kind:k1=v1,k2=v2" and builds the kind's object.
 
     Args:
       text: the spec string.
-      name: flag name for diagnostics.
-      kinds: allowed kind -> required key tuple.
+      flag: flag name for diagnostics.
+      kinds: allowed kind -> (constructor, its (key, type) arguments).
 
     Returns:
-      (kind, key -> raw value).
+      The constructor applied to the converted values in key order.
     """
     kind, sep, rest = text.partition(":")
     if kind not in kinds:
         raise UsageError(
-            f"{name}: unknown kind {kind!r}, expected one of "
+            f"{flag}: unknown kind {kind!r}, expected one of "
             f"{sorted(kinds)}"
         )
-    required = kinds[kind]
+    build, params = kinds[kind]
+    required = [key for key, _ in params]
     fields: dict[str, str] = {}
     if sep and rest:
         for token in rest.split(","):
             key, eq, value = token.partition("=")
             if not eq or not key or not value:
                 raise UsageError(
-                    f"{name}: malformed token {token!r}, expected key=value"
+                    f"{flag}: malformed token {token!r}, expected key=value"
                 )
             if key not in required:
                 raise UsageError(
-                    f"{name}: unexpected key {key!r} for kind {kind!r}, "
-                    f"expected {list(required)}"
+                    f"{flag}: unexpected key {key!r} for kind {kind!r}, "
+                    f"expected {required}"
                 )
             if key in fields:
-                raise UsageError(f"{name}: duplicate key {key!r}")
+                raise UsageError(f"{flag}: duplicate key {key!r}")
             fields[key] = value
     missing = [key for key in required if key not in fields]
     if missing:
         raise UsageError(
-            f"{name}: missing key {missing[0]!r} for kind {kind!r}"
+            f"{flag}: missing key {missing[0]!r} for kind {kind!r}"
         )
-    return kind, fields
-
-
-def _spec_number(raw: str, name: str, key: str, kind: type = float) -> Any:
+    values = []
+    for key, convert in params:
+        raw = fields[key]
+        try:
+            value = convert(raw)
+        except ValueError:
+            raise UsageError(
+                f"{flag}: bad value {raw!r} for key {key!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise UsageError(f"{flag}: {key} must be finite, got {raw!r}")
+        values.append(value)
     try:
-        value = kind(raw)
-    except ValueError:
-        raise UsageError(f"{name}: bad value {raw!r} for key {key!r}") from None
-    if not math.isfinite(value):
-        raise UsageError(f"{name}: {key} must be finite, got {raw!r}")
-    return value
-
-
-def parse_base_spec(
-    text: str,
-) -> GaussianCurve | EpsDeltaCurve | DpSgdConfig:
-    """Parses a base-curve spec string.
-
-    Accepted forms: "gdp:mu=<r>", "epsdelta:eps=<r>,delta=<r>", and
-    "dpsgd:sigma=<r>,tau=<r>,n=<int>".
-
-    Args:
-      text: the spec string.
-
-    Returns:
-      The corresponding curve or training configuration.
-    """
-    kind, fields = _parse_kv_spec(
-        text,
-        "--base",
-        {
-            "gdp": ("mu",),
-            "epsdelta": ("eps", "delta"),
-            "dpsgd": ("sigma", "tau", "n"),
-        },
-    )
-    try:
-        if kind == "gdp":
-            return GaussianCurve(_spec_number(fields["mu"], "--base", "mu"))
-        if kind == "epsdelta":
-            return EpsDeltaCurve(
-                _spec_number(fields["eps"], "--base", "eps"),
-                _spec_number(fields["delta"], "--base", "delta"),
-            )
-        return DpSgdConfig(
-            _spec_number(fields["sigma"], "--base", "sigma"),
-            _spec_number(fields["tau"], "--base", "tau"),
-            _spec_number(fields["n"], "--base", "n", int),
-        )
+        return build(*values)
     except ValueError as exc:
-        raise UsageError(f"--base: {exc}") from None
-
-
-def parse_xi_spec(text: str) -> RunCountDist:
-    """Parses a run-count spec string.
-
-    Accepted forms: "tnb:eta=<r>,nu=<r>" and "pointmass:k=<int>".
-
-    Args:
-      text: the spec string.
-
-    Returns:
-      The corresponding run-count distribution.
-    """
-    kind, fields = _parse_kv_spec(
-        text, "--xi", {"tnb": ("eta", "nu"), "pointmass": ("k",)}
-    )
-    try:
-        if kind == "tnb":
-            return TruncatedNegativeBinomial(
-                _spec_number(fields["eta"], "--xi", "eta"),
-                _spec_number(fields["nu"], "--xi", "nu"),
-            )
-        return PointMass(_spec_number(fields["k"], "--xi", "k", int))
-    except ValueError as exc:
-        raise UsageError(f"--xi: {exc}") from None
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _fmt_value(value: Any) -> str:
@@ -212,12 +157,7 @@ def _emit_report(payload: dict[str, Any], fmt: str, out: str | None) -> None:
     if fmt == "json":
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
     elif fmt == "csv":
-        keys = list(payload)
-        lines = [
-            ",".join(keys),
-            ",".join(_fmt_value(payload[key]) for key in keys),
-        ]
-        _emit("\n".join(lines) + "\n", out)
+        _emit_table(list(payload), [list(payload.values())], fmt, out)
     else:
         width = max(len(key) for key in payload)
         lines = [
@@ -259,70 +199,26 @@ def _emit_table(
 
 def cmd_accountant(args: argparse.Namespace) -> int:
     """Bounds the tuned protocol's privacy level for one configuration."""
-    base = parse_base_spec(args.base)
-    dist = parse_xi_spec(args.xi)
-    curve: TradeoffCurve
+    base = _parse_spec(args.base, "--base", _BASE_KINDS)
+    dist = _parse_spec(args.xi, "--xi", _XI_KINDS)
     if isinstance(base, DpSgdConfig):
-        curve = base_curve_for(base)
-    else:
-        curve = base
-    report = select_epsilon_fdp(curve, dist, args.delta_h)
+        base = base_curve_for(base)
+    report = select_epsilon_fdp(base, dist, args.delta_h)
     _emit_report(dataclasses.asdict(report), args.format, args.out)
     if math.isinf(report.eps_h):
         return _EXIT_INFINITE
     return _EXIT_OK
 
 
-def _compare_cell(
-    eps_b: float,
-    tau: float,
-    config: DpSgdConfig | str,
-    dist: RunCountDist,
-    delta_h: float,
-) -> dict[str, Any]:
-    """One comparison row; failures become NA cells with a reason.
-
-    config is the calibrated training configuration of the row's
-    (eps_b, tau), or the reason its calibration failed.
-    """
-    row: dict[str, Any] = {
-        "eps_b": eps_b,
-        "tau": tau,
-        "eta": None,
-        "nu": None,
-        "e_xi": dist.mean,
-        "eps_ours": None,
-        "eps_prior": None,
-        "reason": "",
-    }
-    if isinstance(dist, TruncatedNegativeBinomial):
-        row["eta"] = dist.eta
-        row["nu"] = dist.nu
-    if isinstance(config, str):
-        row["reason"] = config
-        return row
-    row["sigma"] = config.sigma
-    try:
-        bounds = compare_bounds(config, dist, delta_h)
-    except ValueError as exc:
-        row["reason"] = f"bound computation failed: {exc}"
-        return row
-    row["eps_ours"] = bounds["eps_ours"]
-    row["eps_prior"] = bounds["eps_prior"]
-    if bounds["eps_prior"] is None:
-        row["reason"] = "prior bound requires a tnb run count"
-    return row
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     """Tabulates our bound against the prior bound over a grid.
 
     Each (eps_b, tau) is calibrated once and shared by its run-count
-    columns.
+    columns; failures become NA cells with a reason.
     """
     eps_b_list = args.eps_b if args.eps_b else [1.0, 2.0, 4.0]
     tau_list = args.tau if args.tau else [1.0]
-    xi_list = [parse_xi_spec(text) for text in args.xi or ()]
+    xi_list = [_parse_spec(text, "--xi", _XI_KINDS) for text in args.xi or ()]
     header = ["eps_b", "tau", "eta", "nu", "e_xi", "eps_ours", "eps_prior"]
     if args.lower:
         header.append("eps_lower")
@@ -330,44 +226,51 @@ def cmd_compare(args: argparse.Namespace) -> int:
     grid = [(e, t) for e in eps_b_list for t in tau_list] if xi_list else []
     rows = []
     for eps_b, tau in grid:
-        config: DpSgdConfig | str
+        config: DpSgdConfig | None = None
+        reason = ""
         try:
             sigma = calibrate_sigma_rdp(eps_b, args.delta, tau, args.n_iters)
             config = DpSgdConfig(sigma=sigma, tau=tau, n_iters=args.n_iters)
         except ValueError as exc:
-            config = f"calibration failed: {exc}"
+            reason = f"calibration failed: {exc}"
         for dist in xi_list:
-            cell = _compare_cell(eps_b, tau, config, dist, args.delta_h)
-            if args.lower:
-                cell["eps_lower"] = _cell_lower_bound(cell, dist, args)
-            rows.append([cell.get(name) for name in header])
+            tnb = isinstance(dist, TruncatedNegativeBinomial)
+            row: dict[str, Any] = {
+                "eps_b": eps_b,
+                "tau": tau,
+                "eta": dist.eta if tnb else None,
+                "nu": dist.nu if tnb else None,
+                "e_xi": dist.mean,
+                "eps_ours": None,
+                "eps_prior": None,
+                "eps_lower": None,
+                "reason": reason,
+            }
+            if config is not None:
+                try:
+                    row.update(compare_bounds(config, dist, args.delta_h))
+                except ValueError as exc:
+                    row["reason"] = f"bound computation failed: {exc}"
+                else:
+                    if row["eps_prior"] is None:
+                        row["reason"] = "prior bound requires a tnb run count"
+                if args.lower:
+                    game = GameConfig(
+                        config=config,
+                        dist=dist,
+                        trials=args.trials,
+                        seed=args.seed,
+                        delta=args.delta,
+                    )
+                    row["eps_lower"] = run_audit(game).eps_lower
+            rows.append([row[name] for name in header])
     _emit_table(header, rows, args.format, args.out)
     return _EXIT_OK
 
 
-def _cell_lower_bound(
-    cell: dict[str, Any], dist: RunCountDist, args: argparse.Namespace
-) -> float | None:
-    """Audited lower bound for one comparison cell, sharing its sigma."""
-    if "sigma" not in cell:
-        return None
-    cfg = GameConfig(
-        config=DpSgdConfig(
-            sigma=cell["sigma"], tau=cell["tau"], n_iters=args.n_iters
-        ),
-        dist=dist,
-        trials=args.trials or 1,
-        seed=args.seed,
-        delta=args.delta,
-    )
-    return run_audit(cfg).eps_lower
-
-
 def cmd_tightness(args: argparse.Namespace) -> int:
     """Reproduces the near-worst-case selection example."""
-    pair = near_worst_case_pair(
-        _TIGHTNESS_SPREAD, _TIGHTNESS_RATIO, _TIGHTNESS_EPS
-    )
+    pair = near_worst_case_pair(epsilon=_TIGHTNESS_EPS)
     dist = TruncatedNegativeBinomial(*_TIGHTNESS_XI)
     tuned = selection_distribution(pair.p, pair.score_partition, dist)
     tuned_prime = selection_distribution(
@@ -402,47 +305,33 @@ def cmd_tightness(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     """Runs the distinguishing game and reports the concluded bound."""
-    base = parse_base_spec(args.base)
+    base = _parse_spec(args.base, "--base", _BASE_KINDS)
     if not isinstance(base, DpSgdConfig):
         raise UsageError(
             "--base: audit requires a dpsgd base, got "
             f"{args.base.split(':', 1)[0]!r}"
         )
-    dist = parse_xi_spec(args.xi)
-    try:
-        cfg = GameConfig(
-            config=base,
-            dist=dist,
-            trials=args.trials,
-            seed=args.seed,
-            confidence=args.confidence,
-            delta=args.delta,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = GameConfig(
+        config=base,
+        dist=_parse_spec(args.xi, "--xi", _XI_KINDS),
+        trials=args.trials,
+        seed=args.seed,
+        confidence=args.confidence,
+        delta=args.delta,
+    )
     if args.format == "csv":
         truth, scores = simulate_game(cfg)
         sweep = sweep_thresholds(truth, scores, cfg.confidence, cfg.delta)
-        header = [
-            "threshold",
-            "fp",
-            "fn",
-            "fp_upper",
-            "fn_upper",
-            "eps_lower",
-        ]
-        rows = [
-            [
-                float(sweep.thresholds[i]),
-                int(sweep.fp_counts[i]),
-                int(sweep.fn_counts[i]),
-                float(sweep.fp_upper[i]),
-                float(sweep.fn_upper[i]),
-                float(sweep.eps_lower[i]),
-            ]
-            for i in range(sweep.thresholds.size)
-        ]
-        _emit_table(header, rows, "csv", args.out)
+        columns = {
+            "threshold": sweep.thresholds,
+            "fp": sweep.fp_counts,
+            "fn": sweep.fn_counts,
+            "fp_upper": sweep.fp_upper,
+            "fn_upper": sweep.fn_upper,
+            "eps_lower": sweep.eps_lower,
+        }
+        rows = list(zip(*(column.tolist() for column in columns.values())))
+        _emit_table(list(columns), rows, "csv", args.out)
         return _EXIT_OK
     report = run_audit(cfg)
     payload = {
@@ -461,8 +350,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_theorem4(args: argparse.Namespace) -> int:
     """Runs the grouped-versus-refined divergence campaign."""
-    if args.instances < 1:
-        raise UsageError(f"--instances must be >= 1, got {args.instances}")
     passes, worst = theorem4_campaign(args.instances, args.seed)
     payload = {
         "instances": args.instances,

@@ -62,19 +62,19 @@ def _check_sums(rows: np.ndarray, name: str, tol: float) -> None:
         raise ValueError(f"{name} must sum to 1 within {tol}, got {sums[bad][0]}")
 
 
-def _check_probability_rows(rows: np.ndarray, name: str) -> None:
-    """Raises ValueError unless every row is a probability vector."""
+def _check_probability_rows(rows: np.ndarray, name: str, tol: float) -> None:
+    """Raises ValueError unless each row is nonnegative and sums to 1 within tol."""
     # NaN fails both checks; an infinite entry fails the sum.
     if not np.all(rows >= 0.0):
         raise ValueError(f"{name} must be nonnegative")
-    _check_sums(rows, name, _SUM_TOL)
+    _check_sums(rows, name, tol)
 
 
 def _validate_probability_vector(p: np.ndarray, name: str, size: int) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (size,):
         raise ValueError(f"{name} must have shape ({size},), got {arr.shape}")
-    _check_probability_rows(arr[None], name)
+    _check_probability_rows(arr[None], name, _SUM_TOL)
     return arr
 
 
@@ -134,14 +134,15 @@ class SelectionOutput:
     """Distribution of the selected symbol under best-of-k selection.
 
     Attributes:
-      q: probability vector over the alphabet; sums to 1 within 1e-10.
+      q: probability vector over the alphabet: nonnegative, and sums to
+        1 within 1e-10.
     """
 
     q: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.q, dtype=float)
-        _check_sums(arr[None], "selection output", _OUTPUT_SUM_TOL)
+        _check_probability_rows(arr[None], "selection output", _OUTPUT_SUM_TOL)
         object.__setattr__(self, "q", arr)
 
 
@@ -217,8 +218,8 @@ def _theorem4_rows(
         p[row, : len(order)] = p_row[order]
         p_prime[row, : len(order)] = p_prime_row[order]
         grouped[row, : len(order)] = ranks
-    _check_probability_rows(p, "p")
-    _check_probability_rows(p_prime, "p_prime")
+    _check_probability_rows(p, "p", _SUM_TOL)
+    _check_probability_rows(p_prime, "p_prime", _SUM_TOL)
     refined = np.broadcast_to(np.arange(width), p.shape)
     d_grouped = _renyi_rows(
         _selection_rows(p, grouped, dist),

@@ -115,6 +115,26 @@ def test_output_is_deterministic_given_flags(capsys):
             ["audit", "--base", "gdp:mu=1", "--xi", "pointmass:k=1"],
             "dpsgd",
         ),
+        (
+            ["accountant", "--base", "gdp:mu=1,mu=2", "--xi", "pointmass:k=1"],
+            "--base: duplicate key 'mu'",
+        ),
+        (
+            ["accountant", "--base", "gdp:sigma=1", "--xi", "pointmass:k=1"],
+            "--base: unexpected key 'sigma' for kind 'gdp'",
+        ),
+        (
+            ["accountant", "--base", "foo:mu=1", "--xi", "pointmass:k=1"],
+            "--base: unknown kind 'foo'",
+        ),
+        (
+            ["accountant", "--base", "gdp:mu=1", "--xi", "pointmass:k=2.5"],
+            "--xi: bad value '2.5' for key 'k'",
+        ),
+        (
+            ["accountant", "--base", "gdp:mu=1", "--xi", "pointmass:k=0"],
+            "--xi: k must be >= 1, got 0",
+        ),
     ],
 )
 def test_parse_errors_exit_2_and_name_the_token(capsys, argv, needle):
@@ -364,6 +384,31 @@ def test_out_flag_writes_the_stdout_bytes(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == stdout_text
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ["tightness", "--which", "pure"],
+            "base_p,base_p_prime,tuned_q,tuned_q_prime,eps_tuned,"
+            "generic_bound,gap\n"
+            "[0.897282 0.00271828 0.1],[0.727172 0.001 0.271828],"
+            "[0.00865972 0.000260003 0.99108],"
+            "[0.00265823 1.34122e-05 0.997328],2.96453,3,0.0354681\n",
+        ),
+        (
+            ["theorem4", "--instances", "5", "--seed", "7"],
+            "instances,passes,worst_margin,verdict\n"
+            "5,5,0.0249737,5/5 pass\n",
+        ),
+    ],
+    ids=["tightness-pure", "theorem4"],
+)
+def test_report_csv_is_byte_exact(capsys, argv, expected):
+    code, out, _ = _run(capsys, [*argv, "--format", "csv"])
+    assert code == 0
+    assert out == expected
+
+
 def test_audit_csv_emits_per_threshold_table(capsys):
     code, out, _ = _run(capsys, [*_AUDIT_SMALL, "--format", "csv"])
     assert code == 0
@@ -405,6 +450,8 @@ _GEOMETRIC = ["--xi", "tnb:eta=1,nu=1e-2"]
          "sigma"),
         (["theorem4", "--seed", "-1"], "seed"),
         (["theorem4", "--seed", str(2**64)], "seed"),
+        (["compare", "--eps-b", "1", *_GEOMETRIC, "--lower", "--trials", "0"],
+         "trials must be >= 1, got 0"),
     ],
 )
 def test_domain_errors_exit_2_with_a_message(capsys, argv, needle):

@@ -403,6 +403,8 @@ def test_mechanism_pair_validation():
         FiniteMechanismPair(("a", "b"), good_p, good_p, ((0, 0), (1,)))
     with pytest.raises(ValueError):
         SelectionOutput(np.array([0.5, 0.6]))
+    with pytest.raises(ValueError):
+        SelectionOutput(np.array([1.5, -0.5]))
 
 
 def test_near_worst_case_pair_rejects_impossible_shapes():
