@@ -81,7 +81,7 @@ class AccountantReport:
       eps_h: the final epsilon bound for the selection protocol.
       delta_h: the target delta the bound is stated at.
       eps_base: base-mechanism epsilon; for the trade-off route this is
-        the conversion at delta_h / omega(1), and eps_h = eps_base +
+        the conversion at delta_h / E[k], and eps_h = eps_base +
         log_ratio.
       log_ratio: run-count penalty; nonnegative for the trade-off route.
       argmax_a: maximizer of the log-ratio objective, or None for the
@@ -213,7 +213,7 @@ def select_epsilon_fdp(
     """Trade-off-function privacy bound for best-of-k selection.
 
     Converts the base curve to epsilon at the deflated level
-    delta_h / omega(1) and adds the run-count log-ratio penalty.
+    delta_h / E[k] and adds the run-count log-ratio penalty.
 
     Args:
       curve: base trade-off curve.
@@ -230,7 +230,7 @@ def select_epsilon_fdp(
     """
     if not 0.0 < delta_h < 1.0:
         raise ValueError(f"delta_h must lie in (0, 1), got {delta_h}")
-    per_run_delta = delta_h / float(dist.omega(1.0))
+    per_run_delta = delta_h / dist.mean
     if per_run_delta > 1.0:
         raise ValueError(
             f"delta_h={delta_h} deflates to {per_run_delta} > 1; "

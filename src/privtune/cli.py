@@ -219,6 +219,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     eps_b_list = args.eps_b if args.eps_b else [1.0, 2.0, 4.0]
     tau_list = args.tau if args.tau else [1.0]
     xi_list = [_parse_spec(text, "--xi", _XI_KINDS) for text in args.xi or ()]
+    if args.lower and args.trials < 1:
+        raise UsageError(f"trials must be >= 1, got {args.trials}")
     header = ["eps_b", "tau", "eta", "nu", "e_xi", "eps_ours", "eps_prior"]
     if args.lower:
         header.append("eps_lower")

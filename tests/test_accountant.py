@@ -205,7 +205,7 @@ def test_select_epsilon_fdp_composes_base_and_ratio():
     dist = TNB(1.0, 1e-2)
     report = select_epsilon_fdp(curve, dist, 1e-3)
     ratio, _ = log_ratio_max(curve, dist)
-    rescaled_delta = 1e-3 / float(dist.omega(1.0))
+    rescaled_delta = 1e-3 / dist.mean
     assert report.eps_base == pytest.approx(
         fdp_to_eps_delta(curve, rescaled_delta), rel=1e-12
     )
@@ -213,6 +213,26 @@ def test_select_epsilon_fdp_composes_base_and_ratio():
         report.eps_base + ratio, rel=1e-12
     )
     assert report.log_ratio == pytest.approx(ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [1e-8, 1e-10, 1e-15, 1e-17])
+def test_select_epsilon_fdp_deflates_by_the_mean(nu):
+    # TNB(1, nu) is geometric with mean 1/nu, so eps_base is the epsilon
+    # of 1-GDP at delta_h * nu: no lower than the root of the Dong-Roth-Su
+    # delta(eps) = delta_h nu / (1 - nu), found by bisection on math.erfc.
+    # Deflating by omega(1) instead forms 1 - (1 - nu), which cancels.
+    def phi(x: float) -> float:
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    target = 1e-5 * nu / (1.0 - nu)
+    lo, hi = 0.0, 100.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if phi(0.5 - mid) - math.exp(mid) * phi(-mid - 0.5) > target:
+            lo = mid
+        else:
+            hi = mid
+    report = select_epsilon_fdp(GaussianCurve(1.0), TNB(1.0, nu), 1e-5)
+    assert hi <= report.eps_base < math.inf
 
 
 def test_select_epsilon_fdp_point_mass_identity():

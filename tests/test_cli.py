@@ -452,6 +452,14 @@ _GEOMETRIC = ["--xi", "tnb:eta=1,nu=1e-2"]
         (["theorem4", "--seed", str(2**64)], "seed"),
         (["compare", "--eps-b", "1", *_GEOMETRIC, "--lower", "--trials", "0"],
          "trials must be >= 1, got 0"),
+        (["compare", "--eps-b", "1e-4", "--xi", "pointmass:k=2", "--lower",
+          "--trials", "0"], "trials must be >= 1, got 0"),
+        (["accountant", "--base", "gdp:mu=1", "--xi", "tnb:eta=1e300,nu=0.5"],
+         "eta=1e+300, nu=0.5"),
+        (["accountant", "--base", "gdp:mu=1", "--xi", "tnb:eta=1,nu=1e-320"],
+         "eta=1.0, nu=1e-320"),
+        (["accountant", "--base", "gdp:mu=1", "--xi",
+          "tnb:eta=-0.99,nu=1e-320"], "eta=-0.99, nu=1e-320"),
     ],
 )
 def test_domain_errors_exit_2_with_a_message(capsys, argv, needle):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,23 +85,16 @@ def test_point_mass_is_deterministic():
     assert PointMass(1).omega(0.3) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_pmf_series_matches_pointwise_pmf():
-    dist = TNB(1.7, 0.03)
-    series = dist.pmf_series(200)
-    assert series.shape == (200,)
-    assert np.allclose(series, dist.pmf(np.arange(1, 201)), rtol=1e-10)
-
-
 def test_pmf_sums_to_one_within_cap():
     for dist in (TNB(0.0, 1e-2), TNB(1.0, 1e-3), TNB(2.0, 1e-3)):
-        total = float(np.sum(dist.pmf_series(dist.k_max)))
+        total = float(np.sum(dist.pmf(np.arange(1, dist.k_max + 1))))
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pgf_matches_series_expansion():
     dist = TNB(0.5, 0.2)
     ks = np.arange(1, dist.k_max + 1)
-    pmf = dist.pmf_series(dist.k_max)
+    pmf = dist.pmf(ks)
     for y in (0.25, 0.6, 0.95):
         assert dist.pgf(y) == pytest.approx(
             float(np.sum(pmf * y**ks)), rel=1e-9
@@ -108,10 +104,132 @@ def test_pgf_matches_series_expansion():
 def test_omega_matches_series_expansion():
     dist = TNB(0.5, 0.2)
     ks = np.arange(1, dist.k_max + 1)
-    pmf = dist.pmf_series(dist.k_max)
+    pmf = dist.pmf(ks)
     for x in (0.0, 0.3, 0.8):
         series = float(np.sum(ks * pmf * x ** (ks - 1)))
         assert dist.omega(x) == pytest.approx(series, rel=1e-9)
+
+
+# The 40-digit oracle grid: masses at _ORACLE_KS (where they do not
+# underflow), the pgf at _ORACLE_YS, omega at _ORACLE_XS and
+# omega_complement at _ORACLE_AS.
+_ORACLE_KS = (1, 2, 5, 50, 500)
+_ORACLE_YS = (0.0, 0.3, 0.9, 0.999)
+_ORACLE_XS = (0.0, 0.5, 0.99)
+_ORACLE_AS = (0.0, 1e-9, 1e-3, 0.5, 1.0)
+# Worst relative errors on this grid of the implementation with separate
+# eta = 0 formulas that the single-normalizer one replaced, rounded up.
+# The pgf and omega errors come from rounding base = 1 - (1 - nu) y near
+# y = 1, the pmf error from the log-gamma terms at k = 500.
+_ORACLE_BOUNDS = {
+    "mean": 1.6e-15,
+    "pmf": 8.0e-13,
+    "pgf": 8.5e-13,
+    "omega": 8.5e-14,
+    "omega_complement": 1.9e-14,
+}
+
+
+def _oracle_params() -> list[tuple[float, float]]:
+    """400 seeded (eta, nu): 100 each of eta = 0, eta in [1e-14, 1e-3],
+    eta in [-1e-3, -1e-14] and eta in (-1, 12]; nu in [1e-8, 0.98]."""
+    rng = np.random.default_rng(0)
+    nus = 10.0 ** rng.uniform(-8.0, math.log10(0.98), 400)
+    small = 10.0 ** rng.uniform(-14.0, -3.0, 200)
+    wide = 12.0 - rng.uniform(0.0, 13.0, 100)
+    etas = np.concatenate([np.zeros(100), small[:100], -small[100:], wide])
+    return list(zip(etas.tolist(), nus.tolist()))
+
+
+def _oracle_worst_errors() -> dict[str, float]:
+    """Worst relative error of each TNB quantity against 40 digits."""
+    worst = dict.fromkeys(_ORACLE_BOUNDS, 0.0)
+    with mpmath.workdps(40):
+        for eta, nu in _oracle_params():
+            e, v = mpmath.mpf(eta), mpmath.mpf(nu)
+
+            def expm1_over_eta(t):
+                return t if eta == 0.0 else mpmath.expm1(e * t) / e
+
+            norm = expm1_over_eta(-mpmath.log(v))
+
+            def omega_at(base):
+                return (1 - v) * base ** (-e - 1) / norm
+
+            exact = {
+                "mean": [(1 - v) / (v * -expm1_over_eta(mpmath.log(v)))],
+                "pmf": [
+                    (1 - v) ** k
+                    * mpmath.gamma(k + e)
+                    / (mpmath.gamma(1 + e) * mpmath.factorial(k) * norm)
+                    for k in _ORACLE_KS
+                ],
+                "pgf": [
+                    expm1_over_eta(-mpmath.log(1 - (1 - v) * y)) / norm
+                    for y in _ORACLE_YS
+                ],
+                "omega": [omega_at(1 - (1 - v) * x) for x in _ORACLE_XS],
+                "omega_complement": [
+                    omega_at(v + (1 - v) * a) for a in _ORACLE_AS
+                ],
+            }
+            dist = TNB(eta, nu)
+            got = {
+                "mean": [dist.mean],
+                "pmf": dist.pmf(np.array(_ORACLE_KS)),
+                "pgf": dist.pgf(np.array(_ORACLE_YS)),
+                "omega": dist.omega(np.array(_ORACLE_XS)),
+                "omega_complement": dist.omega_complement(
+                    np.array(_ORACLE_AS)
+                ),
+            }
+            for name, values in exact.items():
+                for value, want in zip(got[name], values):
+                    if want < 1e-280:
+                        continue  # the float mass underflows
+                    err = float(abs(mpmath.mpf(float(value)) - want) / want)
+                    worst[name] = max(worst[name], err)
+    return worst
+
+
+def test_tnb_matches_a_40_digit_oracle():
+    worst = _oracle_worst_errors()
+    for name, bound in _ORACLE_BOUNDS.items():
+        assert worst[name] <= bound, (name, worst[name])
+
+
+@pytest.mark.parametrize("nu", [0.5, 1e-2, 1e-6])
+def test_tnb_tends_to_the_logarithmic_series_as_eta_vanishes(nu):
+    log_series = TNB(0.0, nu)
+    ks = np.array(_ORACLE_KS)
+    grid = np.array(_ORACLE_AS)
+    for eta in (1e-12, -1e-12):
+        dist = TNB(eta, nu)
+        assert dist.mean == pytest.approx(log_series.mean, rel=1e-10)
+        for name, arg in (
+            ("pmf", ks),
+            ("pgf", grid),
+            ("omega", grid),
+            ("omega_complement", grid),
+        ):
+            np.testing.assert_allclose(
+                getattr(dist, name)(arg),
+                getattr(log_series, name)(arg),
+                rtol=1e-10,
+                err_msg=name,
+            )
+
+
+@pytest.mark.parametrize("nu", [0.5, 1e-2, 1e-3, 6e-6])
+@pytest.mark.parametrize("eta", [-0.5, 0.0, 1.0, 8.0])
+def test_k_max_is_the_first_k_below_the_tail_tolerance(eta, nu):
+    dist = TNB(eta, nu)
+
+    def log_tail(k: int) -> float:
+        return k * math.log1p(-nu) + math.log((k + dist.mean) / nu)
+
+    k = dist.k_max
+    assert log_tail(k) < math.log(1e-12) <= log_tail(k - 1)
 
 
 def test_sampling_matches_distribution():
