@@ -16,7 +16,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "RunCountDist",
@@ -77,6 +76,14 @@ class RunCountDist:
         """
         raise NotImplementedError
 
+    @property
+    def omega_exponent(self) -> float:
+        """|p| in omega(x) = c (alpha + beta x)^p, the form both families have.
+
+        A relative error r in alpha + beta x moves log omega by |p| r.
+        """
+        raise NotImplementedError
+
     def omega_complement(self, a: np.ndarray | float) -> np.ndarray | float:
         """omega(1 - a) on [0, 1].
 
@@ -109,6 +116,10 @@ class PointMass(RunCountDist):
     @property
     def mean(self) -> float:
         return float(self.k)
+
+    @property
+    def omega_exponent(self) -> float:
+        return float(self.k - 1)
 
     def pmf(self, k: np.ndarray | int) -> np.ndarray | float:
         arr = _validate_counts(k)
@@ -158,10 +169,16 @@ class TruncatedNegativeBinomial(RunCountDist):
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         with np.errstate(over="ignore"):
             # An overflow in the mean's denominator shows as a zero mean.
-            finite = math.isfinite(self._norm) and 0.0 < self.mean < math.inf
+            # omega peaks at x = 1, where its base is nu.
+            finite = (
+                math.isfinite(self._norm)
+                and 0.0 < self.mean < math.inf
+                and math.isfinite(self._omega_at_base(np.float64(self.nu)))
+            )
         if not finite:
             raise ValueError(
-                f"eta={self.eta}, nu={self.nu} overflow the normalizer or mean"
+                f"eta={self.eta}, nu={self.nu} overflow the normalizer, "
+                "mean or omega"
             )
 
     @functools.cached_property
@@ -199,6 +216,12 @@ class TruncatedNegativeBinomial(RunCountDist):
         )
 
     def pmf(self, k: np.ndarray | int) -> np.ndarray | float:
+        # Only the sampler's table reaches scipy, so the bound commands do
+        # not load it. math.lgamma term by term loses the 40-digit oracle
+        # bound at k = 500 (8.7e-13 against 8e-13), and the table can hold
+        # 10^7 entries.
+        from scipy import special
+
         arr = _validate_counts(k).astype(float)
         log_mass = (
             arr * math.log1p(-self.nu)
@@ -208,6 +231,10 @@ class TruncatedNegativeBinomial(RunCountDist):
         )
         out = np.exp(log_mass)
         return float(out) if np.ndim(k) == 0 else out
+
+    @property
+    def omega_exponent(self) -> float:
+        return self.eta + 1.0
 
     def pgf(self, y: np.ndarray | float) -> np.ndarray | float:
         arr = np.asarray(y, dtype=float)

@@ -15,7 +15,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "TradeoffCurve",
@@ -27,6 +26,155 @@ __all__ = [
     "gdp_mu_from_eps_delta",
     "gdp_approx_mu",
 ]
+
+_ROUNDOFF = 2.0**-53
+_SQRT1_2 = math.sqrt(0.5)
+# 1/sqrt(2) - _SQRT1_2: the digits of 1/sqrt(2) that a double drops.
+_SQRT1_2_TAIL = -4.833646656726457e-17
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Veltkamp's splitter 2^27 + 1: a double times it splits into two halves
+# whose products with another split double are exact.
+_SPLITTER = 134217729.0
+# Below this, Phi(x) nears the subnormal range, and log_ndtr takes the
+# continued fraction, whose 8 terms are exact to rounding there.
+_LOG_NDTR_CF_BELOW = -37.0
+_LOG_NDTR_CF_TERMS = 8
+# Stated error bounds, above the largest errors measured against
+# 40-digit mpmath (tests/test_tradeoff.py re-measures them): Phi is
+# within _NDTR_REL_ERR relative (measured 5.1e-16), and log Phi within
+# _NDTR_REL_ERR + _ROUNDOFF |log Phi| absolute (measured 5.1e-16 +
+# 1.1e-16 |log Phi|; the second term is the rounding of the last sum).
+_NDTR_REL_ERR = 1.1e-15
+# Stated relative error of TradeoffCurve.complement where the log-ratio
+# maximum sits: measured 4.7e-16 for GaussianCurve (see _shifted), and a
+# few ulps for EpsDeltaCurve at its corner, where e^eps x is near 1.
+_COMPLEMENT_REL_ERR = 1e-15
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+# Coefficients of Wichura's AS241 (1988), highest degree first: numerator
+# and denominator for |p - 1/2| <= 0.425 in r = 0.180625 - (p - 1/2)^2,
+# then in r = sqrt(-log(min(p, 1 - p))) - 1.6 for r <= 5, else r - 5.
+_AS241 = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
+     4.6303378461565452959e0, 1.4234371107496835773e0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
+     2.0531916266377588219e0, 1.0),
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
+     5.4637849111641143699e0, 6.6579046435011037772e0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561329059e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0),
+)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi + lo = a exactly and each half of 26 bits."""
+    scaled = _SPLITTER * a
+    hi = scaled - (scaled - a)
+    return hi, a - hi
+
+
+def _two_product(a: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p, e
+
+
+def _two_sum(a: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _pdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal density phi(x); 0 at +-inf."""
+    return np.exp(-0.5 * x * x - _LOG_SQRT_2PI)
+
+
+def _ndtr(x: np.ndarray | float) -> np.ndarray:
+    """Standard normal cdf Phi(x) = erfc(-x / sqrt(2)) / 2.
+
+    The rounding of -x / sqrt(2) alone would cost Phi a relative error
+    near x^2 ulps (1.9e-13 at x = -37.5); it is split off exactly
+    (Dekker's product on Veltkamp halves, plus the tail of 1/sqrt(2))
+    and added back through the derivative of erfc. Within _NDTR_REL_ERR
+    relative of 40-digit mpmath wherever Phi(x) lies in [1e-300,
+    1 - 1e-16] (worst measured 5.1e-16, on 2e4 points of [-37.5, 8.3]);
+    further down it leaves the normal range and loses relative digits.
+    """
+    x = np.asarray(x, dtype=float)
+    # Past |x| = 40 erfc is flat; zeroing x there keeps inf out of the split.
+    near = np.where(np.abs(x) < 40.0, x, 0.0)
+    _, low = _two_product(near, _SQRT1_2)
+    # -x / sqrt(2) = fl(-x / sqrt(2)) + residual, exact to the tail's
+    # last digit, and erfc' = -2 sqrt(2) phi(x) there.
+    residual = -(low + near * _SQRT1_2_TAIL)
+    cdf = np.asarray(_erfc(-x * _SQRT1_2), dtype=float)
+    return 0.5 * cdf - math.sqrt(2.0) * _pdf(near) * residual
+
+
+def _log_ndtr(x: np.ndarray | float) -> np.ndarray:
+    """log Phi(x), finite for every finite x.
+
+    log1p(-Phi(-x)) for x > 0 and log Phi(x) down to x = -37. Below,
+    where Phi leaves the normal range, it is -x^2/2 - log(sqrt(2 pi))
+    - log(-x + 1/(-x + 2/(-x + 3/(...)))), Laplace's continued fraction
+    for the Mills ratio, cut at 8 terms. Within _NDTR_REL_ERR +
+    _ROUNDOFF |log Phi(x)| absolute, from 1.1e4 points of [-1e5, 38]
+    against 40-digit mpmath.
+    """
+    x = np.asarray(x, dtype=float)
+    upper = x > 0.0
+    cdf = _ndtr(np.where(upper, -x, x))
+    with np.errstate(divide="ignore"):
+        out = np.where(upper, np.log1p(-cdf), np.log(cdf))
+    tail = x < _LOG_NDTR_CF_BELOW
+    if np.any(tail):
+        t = -x[tail]
+        fraction = np.zeros_like(t)
+        for k in range(_LOG_NDTR_CF_TERMS, 0, -1):
+            fraction = k / (t + fraction)
+        # t^2 = square + low exactly, so only the last sum rounds.
+        square, low = _two_product(t, t)
+        out[tail] = -0.5 * square - (
+            _LOG_SQRT_2PI + np.log(t + fraction) + 0.5 * low
+        )
+    return out
+
+
+def _ndtri(p: np.ndarray | float) -> np.ndarray:
+    """Standard normal quantile Phi^-1(p), with 0 and 1 mapped to -inf, inf.
+
+    Wichura's AS241, the algorithm of the stdlib's NormalDist.inv_cdf,
+    on arrays. Against 40-digit mpmath on 1e4 points of [1e-300,
+    1 - 1e-16] the error is within 7e-16 max(1, |Phi^-1(p)|).
+    """
+    p = np.asarray(p, dtype=float)
+    q = p - 0.5
+    r = 0.180625 - q * q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = q * np.polyval(_AS241[0], r) / np.polyval(_AS241[1], r)
+        # 1 - p is exact for p > 1/2.
+        t = np.sqrt(-np.log(np.where(q <= 0.0, p, 1.0 - p)))
+        tail = np.where(
+            t <= 5.0,
+            np.polyval(_AS241[2], t - 1.6) / np.polyval(_AS241[3], t - 1.6),
+            np.polyval(_AS241[4], t - 5.0) / np.polyval(_AS241[5], t - 5.0),
+        )
+    z = np.where(np.abs(q) <= 0.425, z, np.where(q < 0.0, -tail, tail))
+    return np.where(p <= 0.0, -np.inf, np.where(p >= 1.0, np.inf, z))
 
 
 def _bisect(
@@ -154,10 +302,32 @@ class GaussianCurve(TradeoffCurve):
         return self._shifted(x, 1.0)
 
     def _shifted(self, x: np.ndarray, sign: float) -> np.ndarray:
-        """Phi(sign (Phi^-1(x) + mu)); Phi^-1 maps 0 and 1 to -inf and inf."""
+        """Phi(sign (Phi^-1(x) + mu)); Phi^-1 maps 0 and 1 to -inf and inf.
+
+        z = Phi^-1(x) is rounded, and Phi(z + mu) would carry z's
+        relative error multiplied by about |z| |z + mu| (5e-13 near
+        x = 1e-300). So the error of z, (x - Phi(z)) / phi(z) taken in
+        the tail that holds x's digits, and the rounding of z + mu are
+        added back through phi at the shifted point, one Newton step.
+        Against 40-digit mpmath on 3e3 pairs (x in [1e-300, 1 - 1e-16],
+        mu in [0.01, 20]) the relative error is within
+        _COMPLEMENT_REL_ERR for the complement (sign 1; worst measured
+        4.7e-16) and within 3e-15 for f (worst 1.7e-15).
+        """
         if self.mu == 0.0:
             return x.copy() if sign > 0.0 else 1.0 - x
-        return special.ndtr(sign * (special.ndtri(x) + self.mu))
+        z = _ndtri(x)
+        lower = x <= 0.5
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            # Phi(z_tail) is x below 1/2 and 1 - x above, both exact.
+            z_tail = np.where(lower, z, -z)
+            error = (np.where(lower, x, 1.0 - x) - _ndtr(z_tail)) / _pdf(z_tail)
+            error = np.where(np.isfinite(error), error, 0.0)
+            shifted, rounding = _two_sum(z, self.mu)
+            step = sign * (rounding + np.where(lower, error, -error))
+            v = sign * shifted
+            out = _ndtr(v) + np.where(np.isfinite(v), _pdf(v) * step, 0.0)
+        return np.clip(out, 0.0, 1.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,7 +357,8 @@ def gdp_delta_of_eps(mu: float, epsilon: float) -> float:
     """Smallest delta for which mu-GDP implies (epsilon, delta)-DP.
 
     delta(eps) = Phi(-eps/mu + mu/2) - e^eps * Phi(-eps/mu - mu/2),
-    evaluated in log space so large epsilon cannot overflow.
+    evaluated in log space so large epsilon cannot overflow, with the
+    rounding of both arguments compensated (see _gdp_terms).
 
     Args:
       mu: Gaussian-DP parameter, positive.
@@ -201,9 +372,52 @@ def gdp_delta_of_eps(mu: float, epsilon: float) -> float:
         raise ValueError(f"mu must be > 0, got {mu}")
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    first = special.ndtr(-epsilon / mu + mu / 2.0)
-    log_second = epsilon + special.log_ndtr(-epsilon / mu - mu / 2.0)
-    return max(0.0, float(first - np.exp(log_second)))
+    first, log_phi = _gdp_terms(mu, epsilon)
+    return max(0.0, first - math.exp(epsilon + log_phi))
+
+
+def _gdp_terms(mu: float, epsilon: float) -> tuple[float, float]:
+    """(Phi(a1), log Phi(a2)) at a1,2 = -eps/mu +- mu/2, for gdp_delta_of_eps.
+
+    Rounding a1 and a2 would move log Phi by up to (|a| + 1) times their
+    error, about a^2 ulps. The division's and the sums' rounding errors
+    are formed exactly and added back through the derivatives phi and
+    phi / Phi.
+    """
+    ratio = epsilon / mu
+    product, low = _two_product(ratio, mu)
+    # epsilon - product is exact, the two being within an ulp.
+    ratio_error = ((epsilon - product) - low) / mu
+    a1, a1_error = _two_sum(-ratio, mu / 2.0)
+    a2, a2_error = _two_sum(-ratio, -mu / 2.0)
+    first = float(_ndtr(a1)) + float(_pdf(a1)) * (a1_error - ratio_error)
+    log_phi = float(_log_ndtr(a2))
+    if math.isfinite(log_phi):
+        mills = math.exp(-0.5 * a2 * a2 - _LOG_SQRT_2PI - log_phi)
+        log_phi += mills * (a2_error - ratio_error)
+    return first, log_phi
+
+
+def _gdp_eps_rounding(mu: float, epsilon: float) -> float:
+    """How far float rounding may put the root of delta(eps) above epsilon.
+
+    gdp_delta_of_eps forms Phi(a1) - e^(eps + log Phi(a2)). Each term
+    carries the stated error of _ndtr or _log_ndtr, plus the rounding
+    of the exponent's sum, the exponential and the difference; the
+    argument errors are compensated in _gdp_terms. As
+    d delta / d eps = -e^eps Phi(a2), that bound on delta's error over
+    the second term bounds the error in epsilon, to first order.
+    """
+    u = _ROUNDOFF
+    first, log_phi = _gdp_terms(mu, epsilon)
+    second = math.exp(epsilon + log_phi)
+    exponent_error = (
+        _NDTR_REL_ERR
+        + u * abs(log_phi)
+        + u * (abs(epsilon + log_phi) + 1.0)
+    )
+    error = first * (_NDTR_REL_ERR + u) + second * exponent_error
+    return (error + u * abs(first - second)) / second
 
 
 def gdp_mu_from_eps_delta(epsilon: float, delta: float) -> float:
@@ -262,8 +476,8 @@ def gdp_approx_mu(config: DpSgdConfig) -> float:
             f"sigma={config.sigma} is out of range: e^(sigma^-2) overflows"
         )
     inner = (
-        math.exp(inv_sq) * special.ndtr(1.5 / config.sigma)
-        + 3.0 * special.ndtr(-0.5 / config.sigma)
+        math.exp(inv_sq) * float(_ndtr(1.5 / config.sigma))
+        + 3.0 * float(_ndtr(-0.5 / config.sigma))
         - 2.0
     )
     return math.sqrt(2.0 * inner) * config.tau * math.sqrt(config.n_iters)
@@ -274,7 +488,9 @@ def fdp_to_eps_delta(curve: TradeoffCurve, delta: float) -> float:
 
     Returns max(0, inf{a : f(x) >= 1 - delta - e^a x for all x}). Gaussian
     curves bisect the closed-form conversion delta(eps) down to adjacent
-    floats and return the larger end, whose delta(eps) is at most delta.
+    floats and return the larger end, whose delta(eps) is at most delta,
+    rounded up by the bound _gdp_eps_rounding puts on its float error,
+    so that it is never below the exact root.
     For an (eps0, delta0) curve the gap between the line and the curve is
     concave, so it peaks at a vertex; only the corner
     x* = (1 - delta0) / (1 + e^eps0), where f(x*) = x*, binds, giving
@@ -303,11 +519,13 @@ def fdp_to_eps_delta(curve: TradeoffCurve, delta: float) -> float:
         if delta >= gdp_delta_of_eps(curve.mu, 0.0):
             return 0.0
         # delta(eps) <= Phi(-eps/mu + mu/2), which is delta at the top end.
-        top = curve.mu * (curve.mu / 2.0 - float(special.ndtri(delta)))
+        top = curve.mu * (curve.mu / 2.0 - float(_ndtri(delta)))
         _, eps = _bisect(
             lambda e: gdp_delta_of_eps(curve.mu, e) - delta, 0.0, top
         )
-        return eps
+        margin = _gdp_eps_rounding(curve.mu, eps)
+        upper = eps + margin
+        return upper if upper - eps >= margin else math.nextafter(upper, math.inf)
     if not isinstance(curve, EpsDeltaCurve):
         raise TypeError(
             f"no (epsilon, delta) conversion for {type(curve).__name__}"

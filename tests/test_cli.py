@@ -281,20 +281,23 @@ def test_compare_point_mass_row_reports_reason_not_crash(capsys):
 
 # `compare` over 2 eps_b x 2 tau x 3 xi, as printed when every cell
 # calibrated its own sigma.
+# The pointmass rows' eps_ours is the best objective value the search
+# evaluated, not a bound (see accountant.log_ratio_max), so it moves with
+# the search's points.
 _COMPARE_GRID_CSV = """\
 eps_b,tau,eta,nu,e_xi,eps_ours,eps_prior,reason
 1,1,0,0.01,21.4976,1.51334,1.88947,
 1,1,1,0.01,100,2.01632,2.68583,
-1,1,NA,NA,10,14.6061,NA,prior bound requires a tnb run count
+1,1,NA,NA,10,14.6143,NA,prior bound requires a tnb run count
 1,0.1,0,0.01,21.4976,1.55467,1.88892,
 1,0.1,1,0.01,100,2.07057,2.68493,
-1,0.1,NA,NA,10,14.9943,NA,prior bound requires a tnb run count
+1,0.1,NA,NA,10,15.0027,NA,prior bound requires a tnb run count
 2,1,0,0.01,21.4976,2.95216,3.61912,
 2,1,1,0.01,100,3.8906,5.06628,
-2,1,NA,NA,10,28.0486,NA,prior bound requires a tnb run count
+2,1,NA,NA,10,28.064,NA,prior bound requires a tnb run count
 2,0.1,0,0.01,21.4976,3.10218,3.61879,
 2,0.1,1,0.01,100,4.0845,5.06243,
-2,0.1,NA,NA,10,29.4458,NA,prior bound requires a tnb run count
+2,0.1,NA,NA,10,29.4619,NA,prior bound requires a tnb run count
 """
 
 
@@ -460,6 +463,9 @@ _GEOMETRIC = ["--xi", "tnb:eta=1,nu=1e-2"]
          "eta=1.0, nu=1e-320"),
         (["accountant", "--base", "gdp:mu=1", "--xi",
           "tnb:eta=-0.99,nu=1e-320"], "eta=-0.99, nu=1e-320"),
+        # The mean, 1e300, is finite, but omega(1) = nu^-2 / Z overflows.
+        (["accountant", "--base", "gdp:mu=1", "--xi", "tnb:eta=1,nu=1e-300"],
+         "eta=1.0, nu=1e-300"),
     ],
 )
 def test_domain_errors_exit_2_with_a_message(capsys, argv, needle):
@@ -493,22 +499,57 @@ def test_calibration_failures_name_the_budget(capsys):
         assert all(row["eps_ours"] is None for row in rows)
 
 
-def test_imports_load_only_what_they_use():
+_SCIPY_FREE_COMMANDS = [
+    ["accountant", "--base", "gdp:mu=1", *_GEOMETRIC],
+    ["accountant", "--base", "epsdelta:eps=1,delta=1e-9", *_GEOMETRIC],
+    ["accountant", "--base", "dpsgd:sigma=60,tau=1,n=1000", *_GEOMETRIC],
+    ["accountant", "--base", "dpsgd:sigma=2,tau=0.1,n=500", *_GEOMETRIC],
+    ["compare", "--eps-b", "1", "--tau", "1", "--tau", "0.1", *_GEOMETRIC],
+    ["tightness", "--which", "pure"],
+    ["tightness", "--which", "approx"],
+    ["theorem4", "--instances", "50", "--seed", "7"],
+]
+_SCIPY_COMMANDS = [
+    ["audit", "--base", "dpsgd:sigma=60,tau=1,n=1000", *_GEOMETRIC,
+     "--trials", "1000"],
+    ["compare", "--eps-b", "1", *_GEOMETRIC, "--lower", "--trials", "1000"],
+]
+
+
+def _modules_after(script: str, *args: str) -> str:
+    """Standard output of a script run in a fresh interpreter on src."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
-    script = (
-        "import sys\n"
-        "import privtune\n"
-        "print(sorted(m for m in sys.modules if m.startswith('privtune.')))\n"
-        "import privtune.cli\n"
-        "print('scipy.stats' in sys.modules)\n"
-        "print('scipy.optimize' in sys.modules)\n"
-    )
     result = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=120,
     )
-    assert result.stdout == "[]\nFalse\nFalse\n"
+    return result.stdout
+
+
+def test_imports_load_only_what_they_use():
+    script = (
+        "import sys\n"
+        "import privtune\n"
+        "print(sorted(m for m in sys.modules if m.startswith('privtune.')))\n"
+        "import privtune.cli\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    assert _modules_after(script) == "[]\nFalse\n"
+    # Each command prints its exit code and whether scipy was loaded by
+    # then. Only audit and compare --lower simulate, and load it.
+    run = (
+        "import contextlib, io, json, sys\n"
+        "from privtune import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    out = _modules_after(run, json.dumps(_SCIPY_FREE_COMMANDS))
+    assert out == "0 False\n" * len(_SCIPY_FREE_COMMANDS)
+    for argv in _SCIPY_COMMANDS:
+        assert _modules_after(run, json.dumps([argv])) == "0 True\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -12,11 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privtune.tradeoff import (
+    _COMPLEMENT_REL_ERR,
+    _NDTR_REL_ERR,
+    _ROUNDOFF,
     DpSgdConfig,
     EpsDeltaCurve,
     GaussianCurve,
     TradeoffCurve,
     _bisect,
+    _gdp_eps_rounding,
+    _log_ndtr,
+    _ndtr,
+    _ndtri,
     fdp_to_eps_delta,
     gdp_approx_mu,
     gdp_delta_of_eps,
@@ -32,6 +40,10 @@ from privtune.tradeoff import (
 _GDP_1_AT_HALF = 0.15865525393145707
 _EPSDELTA_1_01_AT_02 = 0.35634363430819094
 _EPS_OF_G1_AT_1E5 = 4.377178095681225
+# What fdp_to_eps_delta returns there: the bisection's safe end rounded
+# up by the stated float error of delta(eps), 6.4e-15 above the 40-digit
+# root 4.37717809568122460861.
+_EPS_OF_G1_AT_1E5_ROUNDED_UP = 4.377178095681231
 _DELTA_OF_MU_HALF_EPS_1 = 0.006829594983114584
 _MU_OF_EPS1_DELTA_1E5 = 0.26805112321147506
 _APPROX_MU_UNIT = 1.7101424755953307
@@ -91,6 +103,103 @@ def test_curve_complements_keep_their_digits_where_f_is_near_one():
     assert GaussianCurve(1.0).complement(1e-20) == pytest.approx(want, rel=1e-13)
 
 
+@functools.cache
+def _normal_oracle() -> tuple[np.ndarray, ...]:
+    """(p, z = _ndtri(p), and at 40 digits Phi^-1(p), Phi(z), log Phi(z)).
+
+    1e4 probabilities across [1e-300, 1 - 1e-16]: 4000 log-uniform in
+    each tail, 2000 uniform, and the ends. The exact quantile is one
+    Newton step from z in mpmath, which squares z's relative error.
+    """
+    rng = np.random.default_rng(20261018)
+    p = np.concatenate([
+        [1e-300, 0.5, 1.0 - 1e-16],
+        10.0 ** rng.uniform(-300.0, math.log10(0.5), 4000),
+        1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.5), 4000),
+        rng.uniform(0.0, 1.0, 1997),
+    ])
+    z = _ndtri(p)
+    quantiles, cdfs, log_cdfs = [], [], []
+    with mpmath.workdps(40):
+        for p_i, z_i in zip(p.tolist(), z.tolist()):
+            z_mp = mpmath.mpf(z_i)
+            cdf = mpmath.ncdf(z_mp)
+            quantiles.append(z_mp + (mpmath.mpf(p_i) - cdf) / mpmath.npdf(z_mp))
+            cdfs.append(cdf)
+            log_cdfs.append(mpmath.log(cdf))
+    return p, z, quantiles, cdfs, log_cdfs
+
+
+def test_ndtri_matches_a_40_digit_oracle():
+    _, z, quantiles, _, _ = _normal_oracle()
+    with mpmath.workdps(40):
+        worst = max(
+            float(abs(mpmath.mpf(got) - want) / max(1, abs(want)))
+            for got, want in zip(z.tolist(), quantiles)
+        )
+    assert worst <= 7e-16, worst
+    assert z[0] < -37.0 and z[-1] > 0.0
+    np.testing.assert_array_equal(
+        _ndtri(np.array([0.0, 1.0])), [-math.inf, math.inf]
+    )
+
+
+def test_ndtr_matches_a_40_digit_oracle():
+    _, z, _, cdfs, _ = _normal_oracle()
+    got = _ndtr(z)
+    with mpmath.workdps(40):
+        worst = max(
+            float(abs(mpmath.mpf(g) - want) / want)
+            for g, want in zip(got.tolist(), cdfs)
+        )
+    assert worst <= _NDTR_REL_ERR, worst
+    np.testing.assert_array_equal(_ndtr(np.array([-math.inf, math.inf])), [0, 1])
+
+
+def test_log_ndtr_matches_a_40_digit_oracle():
+    # The oracle grid plus 2000 points of [-1e5, -37], where Phi(x)
+    # leaves the normal range and the continued fraction takes over.
+    _, z, _, _, log_cdfs = _normal_oracle()
+    tail = -(10.0 ** np.random.default_rng(5).uniform(math.log10(37.0), 5.0, 2000))
+    with mpmath.workdps(40):
+        log_cdfs = log_cdfs + [mpmath.log(mpmath.ncdf(x)) for x in tail.tolist()]
+        x = np.concatenate([z, tail])
+        got = _log_ndtr(x)
+        excess = max(
+            float(abs(mpmath.mpf(g) - want)) - (_NDTR_REL_ERR + _ROUNDOFF * abs(g))
+            for g, want in zip(got.tolist(), log_cdfs)
+        )
+    assert excess <= 0.0, excess
+    assert np.all(np.isfinite(got))
+
+
+def test_gaussian_curve_matches_a_40_digit_oracle():
+    # 1 - G_mu(x) = Phi(Phi^-1(x) + mu) and G_mu(x) on 3000 pairs, x
+    # across [1e-300, 1 - 1e-16] as in _normal_oracle, mu in [0.01, 20].
+    p, _, quantiles, _, _ = _normal_oracle()
+    rng = np.random.default_rng(11)
+    pick = rng.choice(p.size, 3000, replace=False)
+    mus = 10.0 ** rng.uniform(-2.0, math.log10(20.0), pick.size)
+    worst_complement = worst_f = 0.0
+    with mpmath.workdps(40):
+        for i, mu in zip(pick.tolist(), mus.tolist()):
+            curve = GaussianCurve(mu)
+            shifted = quantiles[i] + mpmath.mpf(mu)
+            for got, want, is_f in (
+                (curve.complement(p[i]), mpmath.ncdf(shifted), False),
+                (curve(p[i]), mpmath.ncdf(-shifted), True),
+            ):
+                if want < 1e-300:
+                    continue  # the float value leaves the normal range
+                err = float(abs(mpmath.mpf(got) - want) / want)
+                if is_f:
+                    worst_f = max(worst_f, err)
+                else:
+                    worst_complement = max(worst_complement, err)
+    assert worst_complement <= _COMPLEMENT_REL_ERR, worst_complement
+    assert worst_f <= 3e-15, worst_f
+
+
 def test_fdp_to_eps_delta_frozen_value():
     assert fdp_to_eps_delta(GaussianCurve(1.0), 1e-5) == pytest.approx(
         _EPS_OF_G1_AT_1E5, rel=1e-10
@@ -124,7 +233,42 @@ def test_fdp_to_eps_delta_gaussian_is_no_lower_than_root():
                 hi = mid
         eps = fdp_to_eps_delta(GaussianCurve(mu), delta)
         assert hi - 1e-13 <= eps <= hi + 1e-13, (mu, delta, eps, hi)
-    assert fdp_to_eps_delta(GaussianCurve(1.0), 1e-5) == _EPS_OF_G1_AT_1E5
+    eps = fdp_to_eps_delta(GaussianCurve(1.0), 1e-5)
+    assert _EPS_OF_G1_AT_1E5 <= eps == _EPS_OF_G1_AT_1E5_ROUNDED_UP
+
+
+def _mp_gdp_eps_root(mu: float, delta: float) -> mpmath.mpf:
+    """Root of the Dong-Roth-Su delta(eps) = delta, bisected at 40 digits."""
+    with mpmath.workdps(40):
+        m, target = mpmath.mpf(mu), mpmath.mpf(delta)
+        lo, hi = mpmath.mpf(0), mpmath.mpf(2000)
+        for _ in range(160):
+            mid = (lo + hi) / 2
+            gap = (
+                mpmath.ncdf(-mid / m + m / 2)
+                - mpmath.exp(mid) * mpmath.ncdf(-mid / m - m / 2)
+                - target
+            )
+            lo, hi = (mid, hi) if gap > 0 else (lo, mid)
+        return hi
+
+
+def test_fdp_to_eps_delta_gaussian_is_above_the_40_digit_root():
+    # Rounded up by its stated float error m, the conversion never lies
+    # below the exact root, and above it by at most 2 m plus 2 ulps: the
+    # bisection's end is within m below and an ulp above.
+    rng = random.Random(20261018)
+    cases = [(1.0, 1e-5), (14.0, 1e-5), (0.18674739187735792, 1e-10)]
+    cases += [
+        (10.0 ** rng.uniform(-1.0, 1.3), 10.0 ** rng.uniform(-12.0, -2.0))
+        for _ in range(60)
+    ]
+    for mu, delta in cases:
+        eps = fdp_to_eps_delta(GaussianCurve(mu), delta)
+        root = _mp_gdp_eps_root(mu, delta)
+        excess = float(mpmath.mpf(eps) - root)
+        allowed = 2.0 * _gdp_eps_rounding(mu, eps) + 2.0 * math.ulp(eps)
+        assert 0.0 <= excess <= allowed, (mu, delta, eps, excess)
 
 
 def test_fdp_to_eps_delta_round_trip_on_eps_delta_curve():
@@ -255,10 +399,13 @@ def test_gaussian_solves_return_their_safe_end():
     # fdp_to_eps_delta returns the larger eps and gdp_mu_from_eps_delta the
     # smaller mu of an adjacent pair: delta is met there, and one float
     # further toward the root it is not.
+    # fdp_to_eps_delta then rounds its end up by the stated float error
+    # of delta(eps), so delta is missed twice that bound below it.
     for mu, delta in ((0.3, 1e-3), (1.0, 1e-5), (14.0, 1e-5), (6.0, 1e-10)):
         eps = fdp_to_eps_delta(GaussianCurve(mu), delta)
         assert gdp_delta_of_eps(mu, eps) <= delta
-        assert gdp_delta_of_eps(mu, math.nextafter(eps, 0.0)) > delta
+        below = eps - 2.0 * _gdp_eps_rounding(mu, eps)
+        assert gdp_delta_of_eps(mu, math.nextafter(below, 0.0)) > delta
     for eps, delta in ((0.5, 1e-3), (1.0, 1e-5), (4.0, 1e-5)):
         mu = gdp_mu_from_eps_delta(eps, delta)
         assert gdp_delta_of_eps(mu, eps) <= delta
