@@ -105,13 +105,15 @@ def log_ratio_max(
 ) -> tuple[float, float]:
     """Upper value of the maximum of log(omega(1 - a) / omega(f(a))) on [0, 1].
 
-    The objective is unimodal. Both run-count families have
-    omega(x) = c (alpha + beta x)^p:
-      - a truncated negative binomial has omega proportional to
-        (1 - (1 - nu) x)^-(eta + 1), so the objective is
-        (eta + 1) log(v / u) with v = 1 - (1 - nu) f(a) concave and
+    Both run-count families have omega(x) = c (alpha + beta x)^p
+    (``RunCountDist.omega_form``), so c cancels and the objective is
+    p log(u / v) with u = (alpha + beta) - beta a and v the base at f(a),
+    formed as (alpha + beta) - beta (1 - f(a)) to keep its digits where f
+    is near 1, or as alpha + beta f(a) where alpha = 0:
+      - a truncated negative binomial has p = -(eta + 1), so the objective
+        is (eta + 1) log(v / u) with v = 1 - (1 - nu) f(a) concave and
         u = nu + (1 - nu) a affine and positive;
-      - a point mass at k has omega = k x^(k - 1), so the objective is
+      - a point mass at k has p = k - 1, so the objective is
         (k - 1) log((1 - a) / f(a)), an affine function over a convex one.
     Both ratios have convex superlevel sets {r >= t}, as v - t u and
     1 - a - t f(a) are concave, and r is constant on a stretch only at its
@@ -125,43 +127,49 @@ def log_ratio_max(
     spaced points of the bracket and keeps the neighbours of the best,
     until the bracket [lo, hi] stops shrinking, within 2 ulps. Since
     omega(1 - a) and omega(f(a)) are both nonincreasing in a, the
-    objective on [lo, hi] is at most log(omega(1 - lo) / omega(f(hi))).
-    That value, rounded up by its float error (the complement's stated
-    error and the roundings in omega, scaled by omega's power), is
-    returned: never below the supremum, and a few ulps above the
-    objective at the maximizer. As omega(0) > 0 bounds the objective,
-    omega(f) is evaluated as omega_complement(1 - f), which keeps its
-    digits where f is near 1.
+    objective on [lo, hi] is at most p (log u(lo) - log v(hi)). That
+    value is rounded up by its float error and returned, a few ulps above
+    the objective at the maximizer. The error is three roundings in each
+    base (beta, the product and the sum), the complement's stated error
+    in v and one rounding in each log, relative to its size, all times
+    |p|, plus one rounding each in p, the difference and the product.
+    Each point the search evaluates carries the same error, so where the
+    objective is flat within it the bracket can settle beside the
+    maximizer. The round-up has covered that too: against a 40-digit
+    supremum, no value came out below it, on the 64 inputs of
+    tests/test_accountant.py or on 29,472 random ones.
 
-    A run count with omega(0) = pmf(1) = 0, as a point mass at k >= 2,
-    is the exception. Near a = 1 its objective is unbounded (a Gaussian
-    curve) or infinite past the point where an (eps, delta) curve
-    reaches 0, and omega(f) needs f itself. Its search stops at a
-    bracket 1e-8 wide and returns the best value it evaluated, which is
-    not an upper bound.
+    A point mass at k >= 2, where omega(0) = pmf(1) = 0, is the
+    exception. Near a = 1 its objective is unbounded (a Gaussian curve)
+    or infinite past the point where an (eps, delta) curve reaches 0.
+    Its search stops at a bracket 1e-8 wide and returns the best value
+    it evaluated, which is not an upper bound.
 
     The objective is 0 at both endpoints for curves with f(0) = 1 and
     f(1) = 0, and the maximum is always nonnegative.
 
     Args:
       curve: base trade-off curve f.
-      dist: run-count distribution supplying omega.
+      dist: run-count distribution supplying omega's form.
 
     Returns:
       A pair (maximum value, maximizer a); the value is infinite when the
       objective is infinite at a grid point.
     """
-    vanishes = float(dist.omega(0.0)) == 0.0
+    _, alpha, beta, total, p = dist.omega_form
+    if p == 0.0:
+        return 0.0, 0.0
+    vanishes = alpha == 0.0
 
-    def terms(a: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    def bases(a: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
         if vanishes:
-            return dist.omega_complement(a), dist.omega(curve(a))
-        return dist.omega_complement(a), dist.omega_complement(curve.complement(a))
+            return total - beta * a, alpha + beta * curve(a)
+        return total - beta * a, total - beta * curve.complement(a)
 
     def objective(a: np.ndarray) -> np.ndarray:
-        top, bottom = terms(a)
+        u, v = bases(a)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.log(top) - np.log(bottom)
+            vals = p * (np.log(u) - np.log(v))
         return np.where(np.isnan(vals), -np.inf, vals)
 
     points = np.concatenate(
@@ -182,15 +190,12 @@ def log_ratio_max(
             break
         lo, hi = bracket
         points = np.linspace(lo, hi, _REFINE_POINTS)
-    power = dist.omega_exponent
-    if not vanishes and power > 0.0:
-        value = math.log(terms(lo)[0] / terms(hi)[1])
-        # Round up by the float error: the complement's stated error and
-        # about 6 roundings in each omega base and power, magnified by the
-        # power, and about 8 in the constant factors, the ratio and the log.
-        value += power * (_COMPLEMENT_REL_ERR + 6.0 * _ROUNDOFF) + 8.0 * (
-            _ROUNDOFF * (1.0 + abs(value))
-        )
+    if not vanishes:
+        logs = math.log(bases(lo)[0]), math.log(bases(hi)[1])
+        value = p * (logs[0] - logs[1])
+        value += abs(p) * (
+            _COMPLEMENT_REL_ERR + _ROUNDOFF * (6.0 + abs(logs[0]) + abs(logs[1]))
+        ) + 3.0 * _ROUNDOFF * abs(value)
     return max(value, 0.0), float(arg)
 
 

@@ -50,7 +50,7 @@ def _validate_counts(k: np.ndarray | int) -> np.ndarray:
 class RunCountDist:
     """Base class for distributions over the number of runs k >= 1.
 
-    Subclasses provide ``pmf``, ``mean``, ``pgf``, ``omega``, and
+    Subclasses provide ``pmf``, ``mean``, ``pgf``, ``omega_form``, and
     ``sample``. Instances are immutable and safe to share across threads;
     ``sample`` mutates only the caller-supplied generator.
     """
@@ -68,29 +68,36 @@ class RunCountDist:
         """Probability generating function S(y) = sum_k Pr(k) y^k on [0, 1]."""
         raise NotImplementedError
 
+    @property
+    def omega_form(self) -> tuple[float, float, float, float, float]:
+        """(c, alpha, beta, alpha + beta, p) with omega(x) = c (alpha + beta x)^p.
+
+        Both families have this form. alpha + beta is stored exactly, so
+        omega(1 - a) = c ((alpha + beta) - beta a)^p does not form 1 - a.
+        """
+        raise NotImplementedError
+
     def omega(self, x: np.ndarray | float) -> np.ndarray | float:
         """Derivative of the pgf: omega(x) = sum_k k Pr(k) x^(k-1) on [0, 1].
 
         Nondecreasing and convex on [0, 1], with omega(0) = pmf(1) and
         omega(1) = mean.
         """
-        raise NotImplementedError
-
-    @property
-    def omega_exponent(self) -> float:
-        """|p| in omega(x) = c (alpha + beta x)^p, the form both families have.
-
-        A relative error r in alpha + beta x moves log omega by |p| r.
-        """
-        raise NotImplementedError
+        c, alpha, beta, _, p = self.omega_form
+        arr = np.asarray(x, dtype=float)
+        out = c * (alpha + beta * arr) ** p
+        return float(out) if np.ndim(x) == 0 else out
 
     def omega_complement(self, a: np.ndarray | float) -> np.ndarray | float:
-        """omega(1 - a) on [0, 1].
+        """omega(1 - a) on [0, 1], without the cancellation of 1 - a.
 
-        Subclasses whose omega loses precision near x = 1 evaluate this
-        without forming 1 - a.
+        Forming 1 - a costs a relative error of about 1e-16 / (nu + a)
+        under a truncated negative binomial.
         """
-        return self.omega(1.0 - np.asarray(a, dtype=float))
+        c, _, beta, total, p = self.omega_form
+        arr = np.asarray(a, dtype=float)
+        out = c * (total - beta * arr) ** p
+        return float(out) if np.ndim(a) == 0 else out
 
     def sample(
         self, rng: np.random.Generator, size: int | None = None
@@ -118,8 +125,9 @@ class PointMass(RunCountDist):
         return float(self.k)
 
     @property
-    def omega_exponent(self) -> float:
-        return float(self.k - 1)
+    def omega_form(self) -> tuple[float, float, float, float, float]:
+        # omega(x) = k x^(k - 1).
+        return float(self.k), 0.0, 1.0, 1.0, float(self.k - 1)
 
     def pmf(self, k: np.ndarray | int) -> np.ndarray | float:
         arr = _validate_counts(k)
@@ -130,11 +138,6 @@ class PointMass(RunCountDist):
         arr = np.asarray(y, dtype=float)
         out = arr**self.k
         return float(out) if np.ndim(y) == 0 else out
-
-    def omega(self, x: np.ndarray | float) -> np.ndarray | float:
-        arr = np.asarray(x, dtype=float)
-        out = self.k * arr ** (self.k - 1)
-        return float(out) if np.ndim(x) == 0 else out
 
     def sample(
         self, rng: np.random.Generator, size: int | None = None
@@ -173,7 +176,7 @@ class TruncatedNegativeBinomial(RunCountDist):
             finite = (
                 math.isfinite(self._norm)
                 and 0.0 < self.mean < math.inf
-                and math.isfinite(self._omega_at_base(np.float64(self.nu)))
+                and math.isfinite(self.omega_complement(0.0))
             )
         if not finite:
             raise ValueError(
@@ -197,6 +200,17 @@ class TruncatedNegativeBinomial(RunCountDist):
         )
 
     @functools.cached_property
+    def omega_form(self) -> tuple[float, float, float, float, float]:
+        # omega(x) = (1 - nu) (1 - (1 - nu) x)^-(eta + 1) / Z.
+        scale = 1.0 - self.nu
+        return scale / self._norm, 1.0, -scale, self.nu, -(self.eta + 1.0)
+
+    def _tail_small(self, k: int) -> bool:
+        """Whether the geometric tail bound past k is below 1e-12."""
+        log_tail = k * math.log1p(-self.nu) + math.log((k + self.mean) / self.nu)
+        return log_tail < math.log(_TAIL_TOL)
+
+    @functools.cached_property
     def k_max(self) -> int:
         """Smallest k whose geometric tail bound drops below 1e-12.
 
@@ -204,15 +218,8 @@ class TruncatedNegativeBinomial(RunCountDist):
         k = 1 unless nu is within about 1e-12 of 1, where it decreases
         from k = 1, so the predicate flips at most once. Capped at 1e7.
         """
-
-        def tail_small(k: int) -> bool:
-            log_tail = k * math.log1p(-self.nu) + math.log(
-                (k + self.mean) / self.nu
-            )
-            return log_tail < math.log(_TAIL_TOL)
-
         return 1 + bisect.bisect_left(
-            range(1, _K_MAX_CAP), True, key=tail_small
+            range(1, _K_MAX_CAP), True, key=self._tail_small
         )
 
     def pmf(self, k: np.ndarray | int) -> np.ndarray | float:
@@ -232,35 +239,21 @@ class TruncatedNegativeBinomial(RunCountDist):
         out = np.exp(log_mass)
         return float(out) if np.ndim(k) == 0 else out
 
-    @property
-    def omega_exponent(self) -> float:
-        return self.eta + 1.0
-
     def pgf(self, y: np.ndarray | float) -> np.ndarray | float:
         arr = np.asarray(y, dtype=float)
         base = 1.0 - (1.0 - self.nu) * arr
         out = _expm1_over_eta(self.eta, -np.log(base)) / self._norm
         return float(out) if np.ndim(y) == 0 else out
 
-    def _omega_at_base(self, base: np.ndarray) -> np.ndarray:
-        """omega(x) as a function of base = 1 - (1 - nu) x."""
-        return (1.0 - self.nu) * base ** (-self.eta - 1.0) / self._norm
-
-    def omega(self, x: np.ndarray | float) -> np.ndarray | float:
-        arr = np.asarray(x, dtype=float)
-        out = self._omega_at_base(1.0 - (1.0 - self.nu) * arr)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def omega_complement(self, a: np.ndarray | float) -> np.ndarray | float:
-        # 1 - (1 - nu)(1 - a) = nu + (1 - nu) a, without the cancellation
-        # that costs omega(1 - a) a relative error of about 1e-16 / (nu + a).
-        arr = np.asarray(a, dtype=float)
-        out = self._omega_at_base(self.nu + (1.0 - self.nu) * arr)
-        return float(out) if np.ndim(a) == 0 else out
-
     @functools.cached_property
     def _cumulative(self) -> np.ndarray:
         """Cumulative masses for k = 1..k_max, used by inverse-CDF sampling."""
+        if not self._tail_small(self.k_max):
+            raise ValueError(
+                f"eta={self.eta}, nu={self.nu} cannot be sampled: more than "
+                f"{_TAIL_TOL:g} of the mass may lie past the sampler's cap "
+                f"of {_K_MAX_CAP} runs"
+            )
         return np.cumsum(self.pmf(np.arange(1, self.k_max + 1)))
 
     def sample(

@@ -47,8 +47,10 @@ _LOG_NDTR_CF_TERMS = 8
 _NDTR_REL_ERR = 1.1e-15
 # Stated relative error of TradeoffCurve.complement where the log-ratio
 # maximum sits: measured 4.7e-16 for GaussianCurve (see _shifted), and a
-# few ulps for EpsDeltaCurve at its corner, where e^eps x is near 1.
+# few ulps for EpsDeltaCurve's delta + e^eps x (see _scaled).
 _COMPLEMENT_REL_ERR = 1e-15
+# Below this epsilon, e^eps is a finite double.
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 # Coefficients of Wichura's AS241 (1988), highest degree first: numerator
 # and denominator for |p - 1/2| <= 0.425 in r = 0.180625 - (p - 1/2)^2,
@@ -262,7 +264,13 @@ class EpsDeltaCurve(TradeoffCurve):
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
 
     def _scaled(self, x: np.ndarray) -> np.ndarray:
-        """e^eps x as exp(eps + log x): no overflow at large eps, 0 at x = 0."""
+        """e^eps x, a plain product (two roundings) while e^eps is finite.
+
+        Past eps = log(DBL_MAX) it is exp(eps + log x), which does not
+        overflow and is 0 at x = 0.
+        """
+        if self.epsilon < _LOG_DBL_MAX:
+            return math.exp(self.epsilon) * x
         with np.errstate(divide="ignore", over="ignore"):
             return np.exp(self.epsilon + np.log(x))
 

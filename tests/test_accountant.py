@@ -163,7 +163,7 @@ _SOUNDNESS_CURVES = [
 
 
 def test_log_ratio_max_is_a_tight_upper_value():
-    # 61 inputs against a 40-digit maximization: never below the supremum
+    # 64 inputs against a 40-digit maximization: never below the supremum
     # by more than float rounding, and at most 1e-12 above it. The last
     # input forms 1 - (1-nu) f(a) from an f(a) near 1 with nu tiny, where
     # 1 - f(a) must be computed directly (the supremum is 5.684623090596002).
@@ -181,6 +181,15 @@ def test_log_ratio_max_is_a_tight_upper_value():
     cases += [
         (GaussianCurve(0.18674739187735792), TNB(0.0, 3.2977531545025466e-08)),
         (GaussianCurve(0.1792246545310207), TNB(-0.8766564763169384, 0.0018753189009016293)),
+    ]
+    # With the objective formed as log(c u^p) - log(c v^p), its rounding
+    # led the search beside the corner of these small-eps curves, 1.2e-13
+    # and 1.0e-13 relative below; the third is 4.9e-15 below when the
+    # round-up leaves out the rounding of each log.
+    cases += [
+        (EpsDeltaCurve(0.012591969254720167, 0.0), TNB(3.162640483789076, 5.628865777706559e-07)),
+        (EpsDeltaCurve(0.013201971882499509, 0.0), TNB(8.945656280207647, 4.965158987705035e-08)),
+        (GaussianCurve(0.036678993603073105), TNB(1.0, 3.2889302024772854e-09)),
     ]
     for curve, dist in cases:
         value, _ = log_ratio_max(curve, dist)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,27 @@ def test_sweep_thresholds_matches_scalar_recomputation():
         assert sweep.fn_upper[i] == pytest.approx(fn_up, rel=1e-12)
         expected_eps = eps_lower_bound(fp_up, fn_up, cfg.delta)
         assert sweep.eps_lower[i] == pytest.approx(expected_eps, rel=1e-12)
+
+
+def test_sweep_thresholds_peak_memory_and_bool_truth():
+    cfg = GameConfig(
+        config=DpSgdConfig(60.0, 1.0, 1000),
+        dist=TNB(1.0, 1e-2),
+        trials=1 << 21,
+        seed=13,
+    )
+    truth, scores = simulate_game(cfg)
+    assert truth.dtype == bool
+    sweep_thresholds(truth[:1000], scores[:1000], cfg.confidence, cfg.delta)
+    tracemalloc.start()
+    try:
+        sweep_thresholds(truth, scores, cfg.confidence, cfg.delta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The two sorted classes plus one class's unsorted copy: 1.5 times
+    # the scores (2.0 when the quantiles' copy was still alive).
+    assert peak <= 1.6 * scores.nbytes
 
 
 def test_run_audit_reports_the_best_sweep_row():

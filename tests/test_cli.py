@@ -466,6 +466,9 @@ _GEOMETRIC = ["--xi", "tnb:eta=1,nu=1e-2"]
         # The mean, 1e300, is finite, but omega(1) = nu^-2 / Z overflows.
         (["accountant", "--base", "gdp:mu=1", "--xi", "tnb:eta=1,nu=1e-300"],
          "eta=1.0, nu=1e-300"),
+        # The accountant takes this run count; the sampler's table cannot.
+        (["audit", "--base", "dpsgd:sigma=60,tau=1,n=1000", "--xi",
+          "tnb:eta=1,nu=1e-8", "--trials", "1000"], "eta=1.0, nu=1e-08"),
     ],
 )
 def test_domain_errors_exit_2_with_a_message(capsys, argv, needle):

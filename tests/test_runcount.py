@@ -232,6 +232,26 @@ def test_k_max_is_the_first_k_below_the_tail_tolerance(eta, nu):
     assert log_tail(k) < math.log(1e-12) <= log_tail(k - 1)
 
 
+def test_omega_forms():
+    assert PointMass(4).omega_form == (4.0, 0.0, 1.0, 1.0, 3.0)
+    # The geometric omega is nu / (1 - (1 - nu) x)^2, and its base at
+    # x = 1 is nu itself, not 1 - (1 - nu).
+    c, alpha, beta, total, p = TNB(1.0, 1e-2).omega_form
+    assert (alpha, beta, total, p) == (1.0, -(1.0 - 1e-2), 1e-2, -2.0)
+    assert c == pytest.approx(1e-2, rel=1e-15)
+
+
+def test_sampling_refuses_a_tail_past_the_cap():
+    # TNB(1, 1e-8)'s tail bound is still 0.9 at the table's 1e7 cap, and
+    # 911 of 1000 seeded draws once returned the cap itself.
+    with pytest.raises(ValueError, match=r"eta=1.0, nu=1e-08 .* 10000000 runs"):
+        TNB(1.0, 1e-8).sample(np.random.default_rng(0), size=1000)
+    dist = TNB(1.0, 1e-5)
+    assert dist.k_max == 5_467_616
+    draws = dist.sample(np.random.default_rng(0), size=1000)
+    assert draws.min() >= 1 and draws.max() < dist.k_max
+
+
 def test_sampling_matches_distribution():
     dist = TNB(1.0, 0.1)
     rng = np.random.default_rng(6)

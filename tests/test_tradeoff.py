@@ -103,6 +103,15 @@ def test_curve_complements_keep_their_digits_where_f_is_near_one():
     assert GaussianCurve(1.0).complement(1e-20) == pytest.approx(want, rel=1e-13)
 
 
+def test_eps_delta_complement_keeps_its_stated_bound_at_tiny_x():
+    # e^eps x formed as exp(eps + log x) was up to 2.4e-14 relative off.
+    curve = EpsDeltaCurve(1.0, 0.0)
+    with mpmath.workdps(40):
+        for x in (1e-300, 1e-200, 1e-100):
+            want = mpmath.e * mpmath.mpf(x)
+            assert abs(curve.complement(x) - want) <= _COMPLEMENT_REL_ERR * want
+
+
 @functools.cache
 def _normal_oracle() -> tuple[np.ndarray, ...]:
     """(p, z = _ndtri(p), and at 40 digits Phi^-1(p), Phi(z), log Phi(z)).
