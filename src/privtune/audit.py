@@ -23,7 +23,6 @@ from .tradeoff import DpSgdConfig
 
 __all__ = [
     "GameConfig",
-    "AuditReport",
     "ThresholdSweep",
     "THREADS_ENV_VAR",
     "thread_count",
@@ -75,34 +74,6 @@ class GameConfig:
             raise ValueError(
                 f"seed must be a 64-bit unsigned integer, got {self.seed}"
             )
-
-
-@dataclasses.dataclass(frozen=True)
-class AuditReport:
-    """Outcome of a threshold-swept distinguishing experiment.
-
-    Attributes:
-      best_threshold: score threshold maximizing the concluded bound.
-      counts: (true positive, false positive, true negative, false
-        negative) trial counts at the best threshold; sums to trials.
-      fp_upper: upper confidence limit on the false-positive rate.
-      fn_upper: upper confidence limit on the false-negative rate.
-      eps_lower: concluded lower confidence bound, nonnegative.
-    """
-
-    best_threshold: float
-    counts: tuple[int, int, int, int]
-    fp_upper: float
-    fn_upper: float
-    eps_lower: float
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != 4 or any(c < 0 for c in self.counts):
-            raise ValueError(
-                f"counts must be four nonnegative integers, got {self.counts}"
-            )
-        if self.eps_lower < 0.0:
-            raise ValueError(f"eps_lower must be >= 0, got {self.eps_lower}")
 
 
 def thread_count() -> int:
@@ -299,6 +270,11 @@ class ThresholdSweep:
     n_null: int
     n_alternative: int
 
+    @property
+    def best(self) -> int:
+        """Row of the concluded bound: the largest eps_lower, first on a tie."""
+        return int(np.argmax(self.eps_lower))
+
 
 def sweep_thresholds(
     truth: np.ndarray,
@@ -360,30 +336,14 @@ def sweep_thresholds(
     )
 
 
-def run_audit(cfg: GameConfig) -> AuditReport:
-    """Simulates the game and concludes the best threshold's lower bound.
-
-    Sweeps the threshold grid of ``sweep_thresholds`` over the simulated
-    max scores and reports the threshold maximizing the implied bound.
+def run_audit(cfg: GameConfig) -> ThresholdSweep:
+    """Simulates the game and sweeps the thresholds over its max scores.
 
     Args:
       cfg: game parameters.
 
     Returns:
-      The report at the maximizing threshold.
+      The per-threshold summary; its ``best`` row is the concluded bound.
     """
     truth, scores = simulate_game(cfg)
-    sweep = sweep_thresholds(truth, scores, cfg.confidence, cfg.delta)
-    best = int(np.argmax(sweep.eps_lower))
-    return AuditReport(
-        best_threshold=float(sweep.thresholds[best]),
-        counts=(
-            sweep.n_alternative - int(sweep.fn_counts[best]),
-            int(sweep.fp_counts[best]),
-            sweep.n_null - int(sweep.fp_counts[best]),
-            int(sweep.fn_counts[best]),
-        ),
-        fp_upper=float(sweep.fp_upper[best]),
-        fn_upper=float(sweep.fn_upper[best]),
-        eps_lower=float(sweep.eps_lower[best]),
-    )
+    return sweep_thresholds(truth, scores, cfg.confidence, cfg.delta)

@@ -28,12 +28,7 @@ from .accountant import (
     select_epsilon_fdp,
     select_epsilon_rdp_pure,
 )
-from .audit import (
-    GameConfig,
-    run_audit,
-    simulate_game,
-    sweep_thresholds,
-)
+from .audit import GameConfig, run_audit
 from .discrete import (
     approx_dp_epsilon,
     near_worst_case_pair,
@@ -118,11 +113,12 @@ def _parse_spec(text: str, flag: str, kinds: _SpecKinds) -> Any:
         raw = fields[key]
         try:
             value = convert(raw)
-        except ValueError:
+            finite = math.isfinite(value)
+        except (ValueError, OverflowError):
             raise UsageError(
                 f"{flag}: bad value {raw!r} for key {key!r}"
             ) from None
-        if not math.isfinite(value):
+        if not finite:
             raise UsageError(f"{flag}: {key} must be finite, got {raw!r}")
         values.append(value)
     try:
@@ -264,7 +260,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                         seed=args.seed,
                         delta=args.delta,
                     )
-                    row["eps_lower"] = run_audit(game).eps_lower
+                    sweep = run_audit(game)
+                    row["eps_lower"] = float(sweep.eps_lower[sweep.best])
             rows.append([row[name] for name in header])
     _emit_table(header, rows, args.format, args.out)
     return _EXIT_OK
@@ -321,9 +318,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         confidence=args.confidence,
         delta=args.delta,
     )
+    sweep = run_audit(cfg)
     if args.format == "csv":
-        truth, scores = simulate_game(cfg)
-        sweep = sweep_thresholds(truth, scores, cfg.confidence, cfg.delta)
         columns = {
             "threshold": sweep.thresholds,
             "fp": sweep.fp_counts,
@@ -335,16 +331,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
         rows = list(zip(*(column.tolist() for column in columns.values())))
         _emit_table(list(columns), rows, "csv", args.out)
         return _EXIT_OK
-    report = run_audit(cfg)
+    best = sweep.best
+    fp, fn = int(sweep.fp_counts[best]), int(sweep.fn_counts[best])
     payload = {
-        "best_threshold": report.best_threshold,
-        "tp": report.counts[0],
-        "fp": report.counts[1],
-        "tn": report.counts[2],
-        "fn": report.counts[3],
-        "fp_upper": report.fp_upper,
-        "fn_upper": report.fn_upper,
-        "eps_lower": report.eps_lower,
+        "best_threshold": float(sweep.thresholds[best]),
+        "tp": sweep.n_alternative - fn,
+        "fp": fp,
+        "tn": sweep.n_null - fp,
+        "fn": fn,
+        "fp_upper": float(sweep.fp_upper[best]),
+        "fn_upper": float(sweep.fn_upper[best]),
+        "eps_lower": float(sweep.eps_lower[best]),
     }
     _emit_report(payload, args.format, args.out)
     return _EXIT_OK

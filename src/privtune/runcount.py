@@ -88,17 +88,6 @@ class RunCountDist:
         out = c * (alpha + beta * arr) ** p
         return float(out) if np.ndim(x) == 0 else out
 
-    def omega_complement(self, a: np.ndarray | float) -> np.ndarray | float:
-        """omega(1 - a) on [0, 1], without the cancellation of 1 - a.
-
-        Forming 1 - a costs a relative error of about 1e-16 / (nu + a)
-        under a truncated negative binomial.
-        """
-        c, _, beta, total, p = self.omega_form
-        arr = np.asarray(a, dtype=float)
-        out = c * (total - beta * arr) ** p
-        return float(out) if np.ndim(a) == 0 else out
-
     def sample(
         self, rng: np.random.Generator, size: int | None = None
     ) -> np.ndarray | int:
@@ -172,11 +161,12 @@ class TruncatedNegativeBinomial(RunCountDist):
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         with np.errstate(over="ignore"):
             # An overflow in the mean's denominator shows as a zero mean.
-            # omega peaks at x = 1, where its base is nu.
+            # omega peaks at x = 1, where its base is the exact total nu.
+            c, _, _, total, p = self.omega_form
             finite = (
                 math.isfinite(self._norm)
                 and 0.0 < self.mean < math.inf
-                and math.isfinite(self.omega_complement(0.0))
+                and math.isfinite(c * np.power(total, p))
             )
         if not finite:
             raise ValueError(

@@ -39,6 +39,8 @@ _SPLITTER = 134217729.0
 # continued fraction, whose 8 terms are exact to rounding there.
 _LOG_NDTR_CF_BELOW = -37.0
 _LOG_NDTR_CF_TERMS = 8
+# Below this, Phi(x) < 1e-330, under half the smallest subnormal double.
+_NDTR_ZERO_BELOW = -39.0
 # Stated error bounds, above the largest errors measured against
 # 40-digit mpmath (tests/test_tradeoff.py re-measures them): Phi is
 # within _NDTR_REL_ERR relative (measured 5.1e-16), and log Phi within
@@ -49,6 +51,14 @@ _NDTR_REL_ERR = 1.1e-15
 # maximum sits: measured 4.7e-16 for GaussianCurve (see _shifted), and a
 # few ulps for EpsDeltaCurve's delta + e^eps x (see _scaled).
 _COMPLEMENT_REL_ERR = 1e-15
+# The largest Gaussian-DP mu taken. gdp_delta_of_eps adds the roundings
+# of a2 = -eps/mu - mu/2 back through phi(a2) / Phi(a2), which is formed
+# from a2^2 rounded by about a2^2 ulps; the product's error, about
+# (a2^2 ulps)^2, outgrows the stated bound near |a2| = 7e7, and at
+# mu = 2e8 the conversion fell below the exact root. Here it is about
+# 1e-8 of that bound (tests/test_tradeoff.py checks the conversion
+# against 40-digit mpmath up to it).
+_GDP_MU_MAX = 1e6
 # Below this epsilon, e^eps is a finite double.
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -293,14 +303,16 @@ class GaussianCurve(TradeoffCurve):
     mapped exactly to 1 and 0.
 
     Attributes:
-      mu: Gaussian-DP parameter, nonnegative.
+      mu: Gaussian-DP parameter in [0, 1e6].
     """
 
     mu: float
 
     def __post_init__(self) -> None:
-        if not self.mu >= 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        if not 0.0 <= self.mu <= _GDP_MU_MAX:
+            raise ValueError(
+                f"mu must lie in [0, {_GDP_MU_MAX:g}], got {self.mu}"
+            )
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
         return self._shifted(x, -1.0)
@@ -359,6 +371,12 @@ class DpSgdConfig:
             raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
         if self.n_iters < 1:
             raise ValueError(f"n_iters must be >= 1, got {self.n_iters}")
+        # The full-batch mean shift; the game and the tau = 1 curve use it.
+        if not math.isfinite(math.sqrt(self.n_iters) / self.sigma):
+            raise ValueError(
+                f"sigma={self.sigma} is too small: sqrt(n_iters) / sigma "
+                "overflows"
+            )
 
 
 def gdp_delta_of_eps(mu: float, epsilon: float) -> float:
@@ -369,17 +387,24 @@ def gdp_delta_of_eps(mu: float, epsilon: float) -> float:
     rounding of both arguments compensated (see _gdp_terms).
 
     Args:
-      mu: Gaussian-DP parameter, positive.
+      mu: Gaussian-DP parameter in (0, 1e6].
       epsilon: privacy parameter, nonnegative.
 
     Returns:
       The conversion delta, a value in [0, 1], strictly decreasing in
       epsilon.
+
+    Raises:
+      ValueError: if an argument is outside its range.
     """
-    if not mu > 0.0:
-        raise ValueError(f"mu must be > 0, got {mu}")
+    if not 0.0 < mu <= _GDP_MU_MAX:
+        raise ValueError(f"mu must lie in (0, {_GDP_MU_MAX:g}], got {mu}")
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    # delta < Phi(a1) < 1e-330 rounds to 0. Returning here also keeps a
+    # large eps/mu from overflowing the terms into NaN.
+    if mu / 2.0 - epsilon / mu < _NDTR_ZERO_BELOW:
+        return 0.0
     first, log_phi = _gdp_terms(mu, epsilon)
     return max(0.0, first - math.exp(epsilon + log_phi))
 

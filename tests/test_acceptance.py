@@ -170,8 +170,9 @@ def audit_results():
             delta=_DELTA,
         )
         bounds = compare_bounds(config, case["dist"], _DELTA)
+        sweep = run_audit(game)
         cells[eps_b] = {
-            "eps_l": run_audit(game).eps_lower,
+            "eps_l": float(sweep.eps_lower[sweep.best]),
             "eps_ours": bounds["eps_ours"],
             "eps_prior": bounds["eps_prior"],
             "expected": case["expected"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from privtune.audit import (
-    AuditReport,
     GameConfig,
     clopper_pearson_upper,
     eps_lower_bound,
@@ -153,8 +153,6 @@ def test_game_config_validation():
         GameConfig(config=config, dist=dist, trials=100, delta=1.0)
     with pytest.raises(ValueError):
         GameConfig(config=config, dist=dist, trials=100, seed=-1)
-    with pytest.raises(ValueError):
-        AuditReport(1.0, (1, -1, 1, 1), 0.1, 0.1, 0.5)
 
 
 def test_simulate_game_splits_truth_evenly():
@@ -217,12 +215,15 @@ def test_run_audit_frozen_game_and_thread_invariance(monkeypatch):
     serial = run_audit(cfg)
     monkeypatch.setenv("PRIVTUNE_THREADS", "4")
     parallel = run_audit(cfg)
-    for report in (serial, parallel):
-        assert report.best_threshold == _GAME_SEED7["best_threshold"]
-        assert report.counts == _GAME_SEED7["counts"]
-        assert report.fp_upper == _GAME_SEED7["fp_upper"]
-        assert report.fn_upper == _GAME_SEED7["fn_upper"]
-        assert report.eps_lower == _GAME_SEED7["eps_lower"]
+    for sweep in (serial, parallel):
+        best = sweep.best
+        fp, fn = int(sweep.fp_counts[best]), int(sweep.fn_counts[best])
+        counts = (sweep.n_alternative - fn, fp, sweep.n_null - fp, fn)
+        assert sweep.thresholds[best] == _GAME_SEED7["best_threshold"]
+        assert counts == _GAME_SEED7["counts"]
+        assert sweep.fp_upper[best] == _GAME_SEED7["fp_upper"]
+        assert sweep.fn_upper[best] == _GAME_SEED7["fn_upper"]
+        assert sweep.eps_lower[best] == _GAME_SEED7["eps_lower"]
 
 
 def test_run_audit_no_signal_concludes_nothing():
@@ -232,7 +233,8 @@ def test_run_audit_no_signal_concludes_nothing():
         trials=10**6,
         seed=5,
     )
-    assert run_audit(cfg).eps_lower <= 0.05
+    sweep = run_audit(cfg)
+    assert sweep.eps_lower[sweep.best] <= 0.05
 
 
 def test_sweep_thresholds_matches_scalar_recomputation():
@@ -294,12 +296,17 @@ def test_run_audit_reports_the_best_sweep_row():
         seed=13,
     )
     truth, scores = simulate_game(cfg)
-    sweep = sweep_thresholds(truth, scores, cfg.confidence, cfg.delta)
-    report = run_audit(cfg)
-    assert report.eps_lower == float(np.max(sweep.eps_lower))
-    tp, fp, tn, fn = report.counts
-    assert tp + fn == sweep.n_alternative
-    assert fp + tn == sweep.n_null
+    sweep = run_audit(cfg)
+    expected = sweep_thresholds(truth, scores, cfg.confidence, cfg.delta)
+    np.testing.assert_array_equal(sweep.eps_lower, expected.eps_lower)
+    best = sweep.best
+    assert isinstance(best, int)
+    peak = np.max(sweep.eps_lower)
+    assert sweep.eps_lower[best] == peak
+    assert np.all(sweep.eps_lower[:best] < peak)
+    # A tie goes to the first row.
+    tied = dataclasses.replace(sweep, eps_lower=np.array([0.0, 2.0, 1.0, 2.0]))
+    assert tied.best == 1
 
 
 def test_thread_count_env_override(monkeypatch):

@@ -469,6 +469,27 @@ _GEOMETRIC = ["--xi", "tnb:eta=1,nu=1e-2"]
         # The accountant takes this run count; the sampler's table cannot.
         (["audit", "--base", "dpsgd:sigma=60,tau=1,n=1000", "--xi",
           "tnb:eta=1,nu=1e-8", "--trials", "1000"], "eta=1.0, nu=1e-08"),
+        # Above mu = 1e6 the Gaussian conversion's error bound fails; these
+        # printed eps_h 0, a traceback, an internal message or NaN.
+        (["accountant", "--base", "gdp:mu=1e200", "--xi", "pointmass:k=1"],
+         "mu must lie in [0, 1e+06], got 1e+200"),
+        (["accountant", "--base", "dpsgd:sigma=1e-200,tau=1,n=1000", "--xi",
+          "pointmass:k=1"], "mu must lie in [0, 1e+06], got 3.16"),
+        (["accountant", "--base", "gdp:mu=1e10", *_GEOMETRIC],
+         "mu must lie in [0, 1e+06], got 10000000000.0"),
+        (["accountant", "--base", "gdp:mu=1e100", *_GEOMETRIC],
+         "mu must lie in [0, 1e+06], got 1e+100"),
+        (["accountant", "--base", "gdp:mu=2e154", *_GEOMETRIC],
+         "mu must lie in [0, 1e+06], got 2e+154"),
+        # sqrt(n) / sigma overflows: the game's shift and the curve's mu.
+        (["audit", "--base", "dpsgd:sigma=1e-310,tau=1,n=1000", "--xi",
+          "pointmass:k=3", "--trials", "100", "--format", "json"],
+         "sigma=1e-310 is too small"),
+        (["accountant", "--base", "dpsgd:sigma=1e-310,tau=1,n=1000",
+          *_GEOMETRIC], "sigma=1e-310 is too small"),
+        # An integer too large for a float.
+        (["accountant", "--base", "dpsgd:sigma=1,tau=1,n=1" + "0" * 400,
+          *_GEOMETRIC], "bad value"),
     ],
 )
 def test_domain_errors_exit_2_with_a_message(capsys, argv, needle):

@@ -47,22 +47,6 @@ def test_omega_frozen_value_and_closed_form():
     assert dist.omega(0.5) == pytest.approx(
         0.1 / (1.0 - 0.9 * 0.5) ** 2, rel=1e-12
     )
-    # omega(1 - a) from the closed form in a, base nu + (1-nu) a: forming
-    # 1 - a first would cost a relative error of about 1e-16 / (nu + a).
-    nu = 1e-6
-    for a in (0.0, 5e-9, 0.3, 1.0):
-        base = nu + (1.0 - nu) * a
-        assert TNB(1.0, nu).omega_complement(a) == pytest.approx(
-            nu / base**2, rel=1e-14
-        )
-        assert TNB(0.0, nu).omega_complement(a) == pytest.approx(
-            (1.0 - nu) / (base * np.log(1.0 / nu)), rel=1e-14
-        )
-    for d in (TNB(0.5, 1e-3), PointMass(3)):
-        xs = np.array([0.0, 0.25, 0.9])
-        assert np.allclose(
-            d.omega_complement(xs), d.omega(1.0 - xs), rtol=1e-12
-        )
 
 
 def test_omega_at_one_is_the_mean():
@@ -111,12 +95,10 @@ def test_omega_matches_series_expansion():
 
 
 # The 40-digit oracle grid: masses at _ORACLE_KS (where they do not
-# underflow), the pgf at _ORACLE_YS, omega at _ORACLE_XS and
-# omega_complement at _ORACLE_AS.
+# underflow), the pgf at _ORACLE_YS and omega at _ORACLE_XS.
 _ORACLE_KS = (1, 2, 5, 50, 500)
 _ORACLE_YS = (0.0, 0.3, 0.9, 0.999)
 _ORACLE_XS = (0.0, 0.5, 0.99)
-_ORACLE_AS = (0.0, 1e-9, 1e-3, 0.5, 1.0)
 # Worst relative errors on this grid of the implementation with separate
 # eta = 0 formulas that the single-normalizer one replaced, rounded up.
 # The pgf and omega errors come from rounding base = 1 - (1 - nu) y near
@@ -126,7 +108,6 @@ _ORACLE_BOUNDS = {
     "pmf": 8.0e-13,
     "pgf": 8.5e-13,
     "omega": 8.5e-14,
-    "omega_complement": 1.9e-14,
 }
 
 
@@ -169,9 +150,6 @@ def _oracle_worst_errors() -> dict[str, float]:
                     for y in _ORACLE_YS
                 ],
                 "omega": [omega_at(1 - (1 - v) * x) for x in _ORACLE_XS],
-                "omega_complement": [
-                    omega_at(v + (1 - v) * a) for a in _ORACLE_AS
-                ],
             }
             dist = TNB(eta, nu)
             got = {
@@ -179,9 +157,6 @@ def _oracle_worst_errors() -> dict[str, float]:
                 "pmf": dist.pmf(np.array(_ORACLE_KS)),
                 "pgf": dist.pgf(np.array(_ORACLE_YS)),
                 "omega": dist.omega(np.array(_ORACLE_XS)),
-                "omega_complement": dist.omega_complement(
-                    np.array(_ORACLE_AS)
-                ),
             }
             for name, values in exact.items():
                 for value, want in zip(got[name], values):
@@ -202,7 +177,7 @@ def test_tnb_matches_a_40_digit_oracle():
 def test_tnb_tends_to_the_logarithmic_series_as_eta_vanishes(nu):
     log_series = TNB(0.0, nu)
     ks = np.array(_ORACLE_KS)
-    grid = np.array(_ORACLE_AS)
+    grid = np.array([0.0, 1e-9, 1e-3, 0.5, 1.0])
     for eta in (1e-12, -1e-12):
         dist = TNB(eta, nu)
         assert dist.mean == pytest.approx(log_series.mean, rel=1e-10)
@@ -210,7 +185,6 @@ def test_tnb_tends_to_the_logarithmic_series_as_eta_vanishes(nu):
             ("pmf", ks),
             ("pgf", grid),
             ("omega", grid),
-            ("omega_complement", grid),
         ):
             np.testing.assert_allclose(
                 getattr(dist, name)(arg),

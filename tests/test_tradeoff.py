@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from privtune.tradeoff import (
     _COMPLEMENT_REL_ERR,
+    _GDP_MU_MAX,
     _NDTR_REL_ERR,
     _ROUNDOFF,
     DpSgdConfig,
@@ -244,11 +245,16 @@ def test_fdp_to_eps_delta_gaussian_is_no_lower_than_root():
 
 
 def _mp_gdp_eps_root(mu: float, delta: float) -> mpmath.mpf:
-    """Root of the Dong-Roth-Su delta(eps) = delta, bisected at 40 digits."""
+    """Root of the Dong-Roth-Su delta(eps) = delta, bisected at 40 digits.
+
+    delta(eps) < Phi(-eps/mu + mu/2), which is below delta at the top end
+    mu (mu/2 + sqrt(2 log(1/delta))).
+    """
     with mpmath.workdps(40):
         m, target = mpmath.mpf(mu), mpmath.mpf(delta)
-        lo, hi = mpmath.mpf(0), mpmath.mpf(2000)
-        for _ in range(160):
+        lo = mpmath.mpf(0)
+        hi = m * (m / 2 + mpmath.sqrt(2 * mpmath.log(1 / target)))
+        for _ in range(200):
             mid = (lo + hi) / 2
             gap = (
                 mpmath.ncdf(-mid / m + m / 2)
@@ -275,6 +281,54 @@ def test_fdp_to_eps_delta_gaussian_is_above_the_40_digit_root():
         excess = float(mpmath.mpf(eps) - root)
         allowed = 2.0 * _gdp_eps_rounding(mu, eps) + 2.0 * math.ulp(eps)
         assert 0.0 <= excess <= allowed, (mu, delta, eps, excess)
+
+
+def test_fdp_to_eps_delta_gaussian_is_above_the_root_up_to_the_mu_limit():
+    # mu in [100, 1e6], delta in [1e-300, 0.5): the same bound as above.
+    # 3,000 such inputs drawn the same way all passed; at mu = 2e8 the
+    # conversion fell below the root at each of the four fixed deltas.
+    rng = random.Random(20261019)
+    fixed = (1e-300, 1e-30, 1e-7, 0.3, 0.49)
+    cases = [(mu, delta) for mu in (100.0, _GDP_MU_MAX) for delta in fixed]
+    cases += [
+        (
+            10.0 ** rng.uniform(2.0, 6.0),
+            10.0 ** rng.uniform(-300.0, math.log10(0.5)),
+        )
+        for _ in range(30)
+    ]
+    for mu, delta in cases:
+        eps = fdp_to_eps_delta(GaussianCurve(mu), delta)
+        root = _mp_gdp_eps_root(mu, delta)
+        excess = float(mpmath.mpf(eps) - root)
+        allowed = 2.0 * _gdp_eps_rounding(mu, eps) + 2.0 * math.ulp(eps)
+        assert 0.0 <= excess <= allowed, (mu, delta, eps, excess)
+
+
+def test_gaussian_mu_above_the_limit_is_refused():
+    above = math.nextafter(_GDP_MU_MAX, math.inf)
+    for mu in (above, 2e8, 1e200, math.inf, math.nan):
+        with pytest.raises(ValueError, match="mu must lie in"):
+            GaussianCurve(mu)
+        with pytest.raises(ValueError, match="mu must lie in"):
+            gdp_delta_of_eps(mu, 1.0)
+    GaussianCurve(_GDP_MU_MAX)
+
+
+def test_gdp_delta_of_eps_is_zero_where_it_underflows():
+    # Past eps/mu of 1.3e154 the terms overflow; delta < Phi(-39) rounds
+    # to 0 there, and is returned without forming them.
+    with np.errstate(all="raise"):
+        for mu, eps in (
+            (1e-300, 1.0),
+            (1.0, 1e300),
+            (1e-12, 1e150),
+            (5e-324, 1e-320),
+            (1.0, math.inf),
+            (_GDP_MU_MAX, 1e15),
+        ):
+            assert gdp_delta_of_eps(mu, eps) == 0.0
+    assert 0.0 < gdp_delta_of_eps(1.0, 38.0) < 1e-300
 
 
 def test_fdp_to_eps_delta_round_trip_on_eps_delta_curve():
@@ -460,6 +514,8 @@ def test_gdp_approx_mu_scales_with_iterations():
         lambda: DpSgdConfig(1.0, 0.0, 1),
         lambda: DpSgdConfig(1.0, 1.5, 1),
         lambda: DpSgdConfig(1.0, 1.0, 0),
+        # sqrt(1000) / sigma overflows.
+        lambda: DpSgdConfig(1e-310, 1.0, 1000),
     ],
 )
 def test_invalid_parameters_raise(build):
