@@ -51,13 +51,12 @@ _NDTR_REL_ERR = 1.1e-15
 # maximum sits: measured 4.7e-16 for GaussianCurve (see _shifted), and a
 # few ulps for EpsDeltaCurve's delta + e^eps x (see _scaled).
 _COMPLEMENT_REL_ERR = 1e-15
-# The largest Gaussian-DP mu taken. gdp_delta_of_eps adds the roundings
-# of a2 = -eps/mu - mu/2 back through phi(a2) / Phi(a2), which is formed
-# from a2^2 rounded by about a2^2 ulps; the product's error, about
-# (a2^2 ulps)^2, outgrows the stated bound near |a2| = 7e7, and at
-# mu = 2e8 the conversion fell below the exact root. Here it is about
-# 1e-8 of that bound (tests/test_tradeoff.py checks the conversion
-# against 40-digit mpmath up to it).
+# The largest Gaussian-DP mu taken. _gdp_terms adds the rounding of
+# a2 = -eps/mu - mu/2 back through phi(a2) / Phi(a2), formed from a
+# rounded a2^2, so its relative error grows as a2^2 ulps. Near the root,
+# that term's error is 1e-6 of log Phi's stated error at mu = 1e6, half
+# of it at 1e8 and 3 times it at 2e8, where the conversion fell below
+# the exact root.
 _GDP_MU_MAX = 1e6
 # Below this epsilon, e^eps is a finite double.
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
