@@ -471,15 +471,24 @@ def select_epsilon_rdp_pure(
 
 
 def _out_of_reach(
-    eps_b: float, sigmas: tuple[float, float], eps_at: Callable[[float], float]
+    eps_b: float,
+    n_iters: int,
+    sigmas: tuple[float, float],
+    eps_at: Callable[[float], float],
 ) -> ValueError:
     """The error for an eps_b that no sigma in the search bracket meets."""
-    ends = sorted(eps_at(s) for s in sigmas)
-    return ValueError(
+    where = (
         f"eps_b={eps_b} is out of reach: sigma in "
-        f"[{sigmas[0]:.6g}, {sigmas[1]:.6g}] gives eps_b in "
-        f"[{ends[0]:.6g}, {ends[1]:.6g}]"
+        f"[{sigmas[0]:.6g}, {sigmas[1]:.6g}]"
     )
+    try:
+        ends = sorted(eps_at(s) for s in sigmas)
+    except ValueError as exc:
+        return ValueError(
+            f"{where} at n_iters={n_iters} leaves the base curve's domain "
+            f"({exc})"
+        )
+    return ValueError(f"{where} gives eps_b in [{ends[0]:.6g}, {ends[1]:.6g}]")
 
 
 def calibrate_sigma_rdp(
@@ -534,7 +543,7 @@ def calibrate_sigma_rdp(
     try:
         return _bisect(lambda s: eps_at(s) - eps_b, *bracket)[1]
     except ValueError:
-        raise _out_of_reach(eps_b, bracket, eps_at) from None
+        raise _out_of_reach(eps_b, n_iters, bracket, eps_at) from None
 
 
 def calibrate_sigma_gdp(
@@ -572,7 +581,7 @@ def calibrate_sigma_gdp(
     try:
         return _bisect(lambda s: mu_at(s) - mu_target, 1.0, 1e5)[1]
     except ValueError:
-        raise _out_of_reach(eps_b, (1.0, 1e5), eps_at) from None
+        raise _out_of_reach(eps_b, n_iters, (1.0, 1e5), eps_at) from None
 
 
 def base_curve_for(config: DpSgdConfig) -> GaussianCurve:

@@ -6,14 +6,17 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, special, stats
 
 from privtune.audit import (
+    _QUANTILE_TOL,
     GameConfig,
+    _mixture_quantile,
     clopper_pearson_upper,
     eps_lower_bound,
     run_audit,
@@ -46,8 +49,8 @@ _GAME_SEED7 = {
     "fn_upper": 0.9996767771306432,
     "eps_lower": 2.388412314220744,
 }
-_SMOKE_MEAN_NULL = 0.617454999269097
-_SMOKE_MEAN_ALT = 1.6381889160225713
+_SMOKE_MEAN_NULL = 0.6467114123812678
+_SMOKE_MEAN_ALT = 1.6308496735066116
 
 
 def test_clopper_pearson_upper_frozen_values():
@@ -140,6 +143,13 @@ def test_calibrate_sigma_gdp_names_an_unreachable_budget():
     # gdp_mu_from_eps_delta is named by its epsilon and delta.
     with pytest.raises(ValueError, match=r"delta=1e-05 at epsilon=10000\.0"):
         calibrate_sigma_gdp(1e4, 1e-5, 1.0, 1000)
+    # The small-sigma end's mu lies above the Gaussian-DP limit.
+    with pytest.raises(
+        ValueError,
+        match=r"eps_b=1\.0 is out of reach: sigma in \[1, 100000\] at "
+        r"n_iters=1000000000000000000 ",
+    ):
+        calibrate_sigma_gdp(1.0, 1e-5, 1.0, 10**18)
 
 
 def test_game_config_validation():
@@ -155,6 +165,24 @@ def test_game_config_validation():
         GameConfig(config=config, dist=dist, trials=100, seed=-1)
 
 
+def _mixture(config: DpSgdConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and means of one tau < 1 run's truth-1 score mixture."""
+    n = config.n_iters
+    b = np.arange(n + 1)
+    shift = math.sqrt(n) / config.sigma
+    return stats.binom.pmf(b, n, config.tau), shift * b / n
+
+
+def _max_score_mean(config: DpSgdConfig, dist, alternative: bool) -> float:
+    """E[max of K run scores], the integral of s d(S(F(s))), by Simpson."""
+    weights, means = _mixture(config) if alternative else ([1.0], [0.0])
+    s = np.linspace(-15.0, means[-1] + 15.0, 200_001)
+    gap = s[:, None] - np.asarray(means)
+    cdf = special.ndtr(gap) @ weights
+    pdf = stats.norm.pdf(gap) @ weights
+    return float(integrate.simpson(s * dist.omega(cdf) * pdf, x=s))
+
+
 def test_simulate_game_splits_truth_evenly():
     cfg = GameConfig(
         config=DpSgdConfig(5.0, 0.5, 100),
@@ -166,12 +194,131 @@ def test_simulate_game_splits_truth_evenly():
     assert truth.shape == scores.shape == (20_000,)
     assert int((truth == 0).sum()) == 10_033
     assert int((truth == 1).sum()) == 9_967
-    assert float(scores[truth == 0].mean()) == pytest.approx(
-        _SMOKE_MEAN_NULL, rel=1e-12
+    # The frozen means lie within 4 standard errors of the analytic ones.
+    for bit, frozen in ((0, _SMOKE_MEAN_NULL), (1, _SMOKE_MEAN_ALT)):
+        sample = scores[truth == bit]
+        exact = _max_score_mean(cfg.config, cfg.dist, bool(bit))
+        error = float(np.std(sample, ddof=1)) / math.sqrt(sample.size)
+        assert abs(frozen - exact) <= 4.0 * error
+        assert float(sample.mean()) == pytest.approx(frozen, rel=1e-12)
+
+
+def _mp_mixture_root(config: DpSgdConfig, log_level: float, start: float):
+    """F^-1(exp(log_level)) by Newton steps on log F or log S in mpmath."""
+    n = config.n_iters
+    tau = mpmath.mpf(config.tau)
+    shift = mpmath.sqrt(n) / mpmath.mpf(config.sigma)
+    parts = [
+        (mpmath.binomial(n, b) * tau**b * (1 - tau) ** (n - b), shift * b / n)
+        for b in range(n + 1)
+    ]
+    lower = log_level <= -math.log(2.0)
+    y = mpmath.mpf(log_level)
+    target = y if lower else mpmath.log(-mpmath.expm1(y))
+    sign = 1 if lower else -1
+    s = mpmath.mpf(start)
+    for _ in range(8):
+        mass = mpmath.fsum(w * mpmath.ncdf(sign * (s - m)) for w, m in parts)
+        density = mpmath.fsum(w * mpmath.npdf(s - m) for w, m in parts)
+        s -= (mpmath.log(mass) - target) * mass / (sign * density)
+    return s
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        DpSgdConfig(0.5, 0.5, 1),  # two components
+        DpSgdConfig(0.05, 0.01, 1),  # two separated, unequal components
+        DpSgdConfig(1.0, 0.01, 20),
+        DpSgdConfig(2.0, 0.5, 10),
+        # Neighbouring means 8 apart: separated components.
+        DpSgdConfig(1.0 / (8.0 * math.sqrt(3.0)), 0.5, 3),
+    ],
+)
+def test_mixture_quantile_matches_a_40_digit_root(config):
+    k_max = 1000
+    quantile = _mixture_quantile(config, k_max)
+    # Levels from 2^-53 to 1 - 2^-53 / k_max, log-uniform in -log y.
+    rng = np.random.default_rng(11)
+    spans = np.log([2.0**-53 / k_max, 53.0 * math.log(2.0)])
+    log_levels = -np.exp(
+        np.concatenate([spans, rng.uniform(*spans, size=208)])
     )
-    assert float(scores[truth == 1].mean()) == pytest.approx(
-        _SMOKE_MEAN_ALT, rel=1e-12
+    scores = quantile(log_levels)
+    with mpmath.workdps(40):
+        for log_level, score in zip(log_levels, scores):
+            root = float(_mp_mixture_root(config, float(log_level), score))
+            assert abs(score - root) <= _QUANTILE_TOL * max(1.0, abs(root))
+
+
+def test_mixture_quantile_refuses_levels_outside_its_table():
+    quantile = _mixture_quantile(DpSgdConfig(2.0, 0.5, 10), 4)
+    assert quantile(np.array([-np.inf])).tolist() == [-np.inf]
+    with pytest.raises(ValueError, match="outside the quantile table"):
+        quantile(np.array([-60.0]))
+    with pytest.raises(ValueError, match="outside the quantile table"):
+        quantile(np.array([-1e-30]))
+
+
+def test_mixture_quantile_caps_its_table():
+    with pytest.raises(ValueError, match=r"n_iters=10000000 at tau=0\.5"):
+        _mixture_quantile(DpSgdConfig(1.0, 0.5, 10**7), 1)
+
+
+def test_subsampled_best_scores_follow_the_exact_cdf():
+    cfg = GameConfig(
+        config=DpSgdConfig(2.0, 0.3, 20),
+        dist=PointMass(4),
+        trials=10**5,
+        seed=21,
     )
+    truth, scores = simulate_game(cfg)
+    weights, means = _mixture(cfg.config)
+
+    def best_of_four_cdf(s):
+        return (special.ndtr(np.subtract.outer(s, means)) @ weights) ** 4
+
+    assert stats.kstest(scores[truth == 1], best_of_four_cdf).pvalue > 0.01
+
+
+def _per_run_scores(cfg: GameConfig) -> np.ndarray:
+    """Truth-1 max scores drawn run by run: the sampler before the table."""
+    rng = np.random.default_rng(cfg.seed)
+    counts = cfg.dist.sample(rng, cfg.trials)
+    mech = cfg.config
+    shift = math.sqrt(mech.n_iters) / mech.sigma
+    scores = np.empty(cfg.trials)
+    for k in np.unique(counts):
+        rows = np.nonzero(counts == k)[0]
+        normals = rng.standard_normal((rows.size, int(k)))
+        hits = rng.binomial(mech.n_iters, mech.tau, size=(rows.size, int(k)))
+        scores[rows] = np.max(normals + hits / mech.n_iters * shift, axis=1)
+    return scores
+
+
+@pytest.mark.parametrize("dist", [PointMass(4), TNB(0.0, 0.1)])
+def test_subsampled_game_matches_the_per_run_sampler(dist):
+    cfg = GameConfig(
+        config=DpSgdConfig(5.0, 0.5, 100), dist=dist, trials=10**5, seed=9
+    )
+    truth, scores = simulate_game(cfg)
+    reference = _per_run_scores(cfg)
+    assert stats.ks_2samp(scores[truth == 1], reference).pvalue > 0.01
+
+
+def test_subsampled_game_is_thread_invariant(monkeypatch):
+    cfg = GameConfig(
+        config=DpSgdConfig(5.0, 0.5, 100),
+        dist=TNB(1.0, 1e-2),
+        trials=(1 << 20) + 5,
+        seed=6,
+    )
+    monkeypatch.setenv("PRIVTUNE_THREADS", "1")
+    serial = simulate_game(cfg)
+    monkeypatch.setenv("PRIVTUNE_THREADS", "4")
+    parallel = simulate_game(cfg)
+    for a, b in zip(serial, parallel):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_simulate_game_single_run_scores_are_standard_normal():

@@ -490,6 +490,9 @@ _GEOMETRIC = ["--xi", "tnb:eta=1,nu=1e-2"]
         # An integer too large for a float.
         (["accountant", "--base", "dpsgd:sigma=1,tau=1,n=1" + "0" * 400,
           *_GEOMETRIC], "bad value"),
+        # Too many binomial components for the tau < 1 score table.
+        (["audit", "--base", "dpsgd:sigma=1,tau=0.5,n=1" + "0" * 30, "--xi",
+          "pointmass:k=1", "--trials", "10"], "n_iters=1" + "0" * 30),
     ],
 )
 def test_domain_errors_exit_2_with_a_message(capsys, argv, needle):
@@ -536,6 +539,8 @@ _SCIPY_FREE_COMMANDS = [
 _SCIPY_COMMANDS = [
     ["audit", "--base", "dpsgd:sigma=60,tau=1,n=1000", *_GEOMETRIC,
      "--trials", "1000"],
+    ["audit", "--base", "dpsgd:sigma=10.4,tau=0.5,n=100", *_GEOMETRIC,
+     "--trials", "1000"],
     ["compare", "--eps-b", "1", *_GEOMETRIC, "--lower", "--trials", "1000"],
 ]
 
@@ -563,17 +568,19 @@ def test_imports_load_only_what_they_use():
         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
     )
     assert _modules_after(script) == "[]\nFalse\n"
-    # Each command prints its exit code and whether scipy was loaded by
-    # then. Only audit and compare --lower simulate, and load it.
+    # Each command prints its exit code, whether scipy was loaded by then,
+    # and whether scipy.stats was. Only audit and compare --lower
+    # simulate, and load scipy; none loads scipy.stats.
     run = (
         "import contextlib, io, json, sys\n"
         "from privtune import cli\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cli.main(argv)\n"
-        "    print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+        "    print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules),\n"
+        "          'scipy.stats' in sys.modules)\n"
     )
     out = _modules_after(run, json.dumps(_SCIPY_FREE_COMMANDS))
-    assert out == "0 False\n" * len(_SCIPY_FREE_COMMANDS)
+    assert out == "0 False False\n" * len(_SCIPY_FREE_COMMANDS)
     for argv in _SCIPY_COMMANDS:
-        assert _modules_after(run, json.dumps([argv])) == "0 True\n"
+        assert _modules_after(run, json.dumps([argv])) == "0 True False\n"
