@@ -50,8 +50,8 @@ def _validate_counts(k: np.ndarray | int) -> np.ndarray:
 class RunCountDist:
     """Base class for distributions over the number of runs k >= 1.
 
-    Subclasses provide ``pmf``, ``mean``, ``pgf``, ``omega_form``,
-    ``k_max`` and ``sample``. Instances are immutable and safe to share across threads;
+    Subclasses provide ``pmf``, ``mean``, ``pgf``, ``omega_form``, and
+    ``sample``. Instances are immutable and safe to share across threads;
     ``sample`` mutates only the caller-supplied generator.
     """
 
@@ -88,11 +88,6 @@ class RunCountDist:
         out = c * (alpha + beta * arr) ** p
         return float(out) if np.ndim(x) == 0 else out
 
-    @property
-    def k_max(self) -> int:
-        """Largest run count that ``sample`` returns."""
-        raise NotImplementedError
-
     def sample(
         self, rng: np.random.Generator, size: int | None = None
     ) -> np.ndarray | int:
@@ -117,10 +112,6 @@ class PointMass(RunCountDist):
     @property
     def mean(self) -> float:
         return float(self.k)
-
-    @property
-    def k_max(self) -> int:
-        return self.k
 
     @property
     def omega_form(self) -> tuple[float, float, float, float, float]:

@@ -236,11 +236,10 @@ def _mp_mixture_root(config: DpSgdConfig, log_level: float, start: float):
     ],
 )
 def test_mixture_quantile_matches_a_40_digit_root(config):
-    k_max = 1000
-    quantile = _mixture_quantile(config, k_max)
-    # Levels from 2^-53 to 1 - 2^-53 / k_max, log-uniform in -log y.
+    quantile = _mixture_quantile(config)
+    # Levels from 2^-53 to 1 - 2^-53 / k at k = 1000, log-uniform in -log y.
     rng = np.random.default_rng(11)
-    spans = np.log([2.0**-53 / k_max, 53.0 * math.log(2.0)])
+    spans = np.log([2.0**-53 / 1000, 53.0 * math.log(2.0)])
     log_levels = -np.exp(
         np.concatenate([spans, rng.uniform(*spans, size=208)])
     )
@@ -252,17 +251,19 @@ def test_mixture_quantile_matches_a_40_digit_root(config):
 
 
 def test_mixture_quantile_refuses_levels_outside_its_table():
-    quantile = _mixture_quantile(DpSgdConfig(2.0, 0.5, 10), 4)
+    quantile = _mixture_quantile(DpSgdConfig(2.0, 0.5, 10))
     assert quantile(np.array([-np.inf])).tolist() == [-np.inf]
     with pytest.raises(ValueError, match="outside the quantile table"):
         quantile(np.array([-60.0]))
     with pytest.raises(ValueError, match="outside the quantile table"):
-        quantile(np.array([-1e-30]))
+        quantile(np.array([-1e-40]))
 
 
 def test_mixture_quantile_caps_its_table():
-    with pytest.raises(ValueError, match=r"n_iters=10000000 at tau=0\.5"):
-        _mixture_quantile(DpSgdConfig(1.0, 0.5, 10**7), 1)
+    # The docstring's largest n_iters at sigma = 1, tau = 0.5, and one more.
+    _mixture_quantile(DpSgdConfig(1.0, 0.5, 206_126))
+    with pytest.raises(ValueError, match=r"n_iters=206127 at tau=0\.5"):
+        _mixture_quantile(DpSgdConfig(1.0, 0.5, 206_127))
 
 
 def test_subsampled_best_scores_follow_the_exact_cdf():
