@@ -45,11 +45,12 @@ _N_BULK_LEVELS = 256
 _N_TAIL_LEVELS = 256
 _TAIL_FLOOR = 1e-5
 # The tau < 1 score table: grid step, entries (components x grid points)
-# at most, entries evaluated at once, Newton steps a level, and the
-# stated inversion error relative to max(1, |s|).
+# at most, entries evaluated at once, levels inverted at once, Newton
+# steps a level, and the stated inversion error relative to max(1, |s|).
 _GRID_STEP = 1.0 / 128.0
 _TABLE_CAP = 1 << 24
-_TABLE_CHUNK = 1 << 16
+_TABLE_CHUNK = 1 << 13
+_LEVEL_CHUNK = 1 << 13
 _NEWTON_STEPS = 4
 _QUANTILE_TOL = 1e-10
 
@@ -216,12 +217,14 @@ def _mixture_quantile(mech: DpSgdConfig) -> Callable[[np.ndarray], np.ndarray]:
 
     def quantile(log_level: np.ndarray) -> np.ndarray:
         scores = np.full(log_level.shape, -np.inf)
-        lower = (log_level <= -math.log(2.0)) & (log_level > -np.inf)
-        upper = log_level > -math.log(2.0)
-        scores[lower] = invert(*tables[0], log_level[lower])
-        scores[upper] = invert(
-            *tables[1], -np.log(-np.expm1(log_level[upper]))
-        )
+        # In slices, which bound the Newton steps' temporaries.
+        for lo in range(0, log_level.size, _LEVEL_CHUNK):
+            level = log_level[lo : lo + _LEVEL_CHUNK]
+            score = scores[lo : lo + _LEVEL_CHUNK]
+            lower = (level <= -math.log(2.0)) & (level > -np.inf)
+            upper = level > -math.log(2.0)
+            score[lower] = invert(*tables[0], level[lower])
+            score[upper] = invert(*tables[1], -np.log(-np.expm1(level[upper])))
         return scores
 
     return quantile
@@ -244,20 +247,25 @@ def _simulate_block(
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
     truth = rng.integers(0, 2, size=size)
     counts = cfg.dist.sample(rng, size)
-    mech = cfg.config
-    shift = math.sqrt(mech.n_iters) / mech.sigma
     from scipy import special  # loaded by simulate_game
 
     uniform = rng.random(size)
-    with np.errstate(divide="ignore"):
-        top = special.ndtri(np.exp(np.log(uniform) / counts))
     if quantile is None:
+        mech = cfg.config
+        shift = math.sqrt(mech.n_iters) / mech.sigma
+        with np.errstate(divide="ignore"):
+            top = special.ndtri(np.exp(np.log(uniform) / counts))
         scores = top + shift * truth
     else:
-        alt = truth == 1
+        # log U^(1/k), then the same closed form for truth 0, in place:
+        # three more arrays of the block would raise an audit's peak RSS.
         with np.errstate(divide="ignore"):
-            top[alt] = quantile(np.log(uniform[alt]) / counts[alt])
-        scores = top
+            np.log(uniform, out=uniform)
+            level = np.divide(uniform, counts, out=uniform)
+        alt = truth == 1
+        best = quantile(level[alt])
+        scores = special.ndtri(np.exp(level, out=level), out=level)
+        scores[alt] = best
     truth_out[lo:hi] = truth
     score_out[lo:hi] = scores
 
