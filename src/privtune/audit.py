@@ -45,12 +45,11 @@ _N_BULK_LEVELS = 256
 _N_TAIL_LEVELS = 256
 _TAIL_FLOOR = 1e-5
 # The tau < 1 score table: grid step, entries (components x grid points)
-# at most, entries evaluated at once, levels inverted at once, Newton
-# steps a level, and the stated inversion error relative to max(1, |s|).
+# at most, entries or levels handled at once, Newton steps a level, and
+# the stated inversion error relative to max(1, |s|).
 _GRID_STEP = 1.0 / 128.0
 _TABLE_CAP = 1 << 24
-_TABLE_CHUNK = 1 << 13
-_LEVEL_CHUNK = 1 << 13
+_CHUNK = 1 << 13
 _NEWTON_STEPS = 4
 _QUANTILE_TOL = 1e-10
 
@@ -120,10 +119,9 @@ def _mixture_quantile(mech: DpSgdConfig) -> Callable[[np.ndarray], np.ndarray]:
     step _GRID_STEP, from Phi^-1(2^-53) below the smallest component mean
     (the least positive uniform draw at one run) to Phi^-1(1 - 2^-116)
     above the largest (below the largest draw at 2^63 runs, the largest
-    int64 count). A level is
-    inverted by Newton steps on the cubic Hermite interpolant of log F
-    (y <= 1/2) or of log S (y > 1/2) in its bracketing cell, so both tails
-    keep relative precision. Against 40-digit mpmath roots the error is
+    int64 count). A level is inverted by Newton steps on the cubic Hermite
+    interpolant of log F (y <= 1/2) or of log S (y > 1/2) in its
+    bracketing cell, so both tails keep relative precision. Against 40-digit mpmath roots the error is
     within _QUANTILE_TOL max(1, |s|) wherever F is not flat to within its
     rounding. A level outside the grid raises.
 
@@ -169,7 +167,7 @@ def _mixture_quantile(mech: DpSgdConfig) -> Callable[[np.ndarray], np.ndarray]:
     means = shift * (b / n)
     grid = start + _GRID_STEP * np.arange(points)
     log_cdf, log_sf, log_pdf = np.empty((3, points))
-    rows = max(1, _TABLE_CHUNK // b.size)
+    rows = max(1, _CHUNK // b.size)
     for lo in range(0, points, rows):
         part = slice(lo, lo + rows)
         gap = grid[part, None] - means
@@ -218,9 +216,9 @@ def _mixture_quantile(mech: DpSgdConfig) -> Callable[[np.ndarray], np.ndarray]:
     def quantile(log_level: np.ndarray) -> np.ndarray:
         scores = np.full(log_level.shape, -np.inf)
         # In slices, which bound the Newton steps' temporaries.
-        for lo in range(0, log_level.size, _LEVEL_CHUNK):
-            level = log_level[lo : lo + _LEVEL_CHUNK]
-            score = scores[lo : lo + _LEVEL_CHUNK]
+        for lo in range(0, log_level.size, _CHUNK):
+            level = log_level[lo : lo + _CHUNK]
+            score = scores[lo : lo + _CHUNK]
             lower = (level <= -math.log(2.0)) & (level > -np.inf)
             upper = level > -math.log(2.0)
             score[lower] = invert(*tables[0], level[lower])
