@@ -41,9 +41,13 @@ __all__ = [
 
 THREADS_ENV_VAR = "PRIVTUNE_THREADS"
 _BLOCK_SIZE = 1 << 20
-_N_BULK_LEVELS = 256
-_N_TAIL_LEVELS = 256
-_TAIL_FLOOR = 1e-5
+# The threshold sweep's quantile levels: 256 uniform over the bulk and
+# 256 log-spaced in the upper tail, down to 1e-5 below 1.
+_SWEEP_LEVELS = np.sort(
+    np.concatenate(
+        [np.arange(1, 257) / 257.0, 1.0 - np.geomspace(1.0 / 257.0, 1e-5, 256)]
+    )
+)
 # The tau < 1 score table: grid step, entries (components x grid points)
 # at most, entries or levels handled at once, Newton steps a level, and
 # the stated inversion error relative to max(1, |s|).
@@ -228,6 +232,25 @@ def _mixture_quantile(mech: DpSgdConfig) -> Callable[[np.ndarray], np.ndarray]:
     return quantile
 
 
+def _normal_best(level: np.ndarray) -> np.ndarray:
+    """The normal quantile at exp(level), computed in place over level.
+
+    level holds log levels in [-inf, 0). Where exp(level) rounds to 1.0
+    (run counts above about 1e16), Phi^-1 would give +inf; there the
+    quantile is taken as -Phi^-1(-expm1(level)), which stays finite.
+    """
+    from scipy import special  # loaded by simulate_game
+
+    # Levels above -1e-15 (9 ulps below 1.0 after exp) hold every one whose
+    # exp rounds to 1.0; they are saved before being overwritten.
+    edge = np.flatnonzero(level > -1e-15)
+    near = level[edge]
+    scores = special.ndtri(np.exp(level, out=level), out=level)
+    at_one = scores[edge] == np.inf
+    scores[edge[at_one]] = -special.ndtri(-np.expm1(near[at_one]))
+    return scores
+
+
 def _simulate_block(
     cfg: GameConfig,
     quantile: Callable[[np.ndarray], np.ndarray] | None,
@@ -245,24 +268,20 @@ def _simulate_block(
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
     truth = rng.integers(0, 2, size=size)
     counts = cfg.dist.sample(rng, size)
-    from scipy import special  # loaded by simulate_game
-
     uniform = rng.random(size)
+    # log U^(1/k), in place: more arrays of the block would raise an
+    # audit's peak RSS.
+    with np.errstate(divide="ignore"):
+        np.log(uniform, out=uniform)
+        level = np.divide(uniform, counts, out=uniform)
     if quantile is None:
         mech = cfg.config
         shift = math.sqrt(mech.n_iters) / mech.sigma
-        with np.errstate(divide="ignore"):
-            top = special.ndtri(np.exp(np.log(uniform) / counts))
-        scores = top + shift * truth
+        scores = _normal_best(level) + shift * truth
     else:
-        # log U^(1/k), then the same closed form for truth 0, in place:
-        # three more arrays of the block would raise an audit's peak RSS.
-        with np.errstate(divide="ignore"):
-            np.log(uniform, out=uniform)
-            level = np.divide(uniform, counts, out=uniform)
         alt = truth == 1
         best = quantile(level[alt])
-        scores = special.ndtri(np.exp(level, out=level), out=level)
+        scores = _normal_best(level)
         scores[alt] = best
     truth_out[lo:hi] = truth
     score_out[lo:hi] = scores
@@ -426,6 +445,55 @@ class ThresholdSweep:
         return int(np.argmax(self.eps_lower))
 
 
+def _pooled_quantiles(
+    s0: np.ndarray, s1: np.ndarray, levels: np.ndarray
+) -> np.ndarray:
+    """np.quantile(np.concatenate([s0, s1]), levels) from the sorted s0, s1.
+
+    Follows numpy's default 'linear' rule bit for bit. Of n pooled values,
+    level q has virtual index v = (n - 1) q, and interpolates the order
+    statistics a and b of ranks floor(v) and floor(v) + 1 with weight
+    g = v - floor(v) as a + (b - a) g, or as b - (b - a) (1 - g) where
+    g >= 1/2. Where v >= n - 1 numpy takes the largest value for both,
+    with g = v + 1. The scores must hold no NaN; as in np.quantile, of
+    tied 0.0 and -0.0 either may be taken.
+
+    The value of rank r is the larger of s0[i - 1] and s1[r - i], where i
+    values of the r + 1 smallest come from s0: i is the least count in
+    its feasible range that is the range's top or has s0[i] >= s1[r - i],
+    found by bisection for every rank at once.
+    """
+    n0, n1 = s0.size, s1.size
+    n = n0 + n1
+    virtual = (n - 1) * levels
+    top = virtual >= n - 1
+    below = np.where(top, -1.0, np.floor(virtual))
+    gamma = virtual - below
+    rank = np.where(top, n - 1, below).astype(np.intp)
+    ranks = np.concatenate([rank, np.where(top, rank, rank + 1)])
+    if n0 == 0 or n1 == 0:
+        values = (s1 if n0 == 0 else s0)[ranks]
+    else:
+        lo = np.maximum(ranks + 1 - n1, 0)
+        hi = np.minimum(ranks + 1, n0)
+        while np.any(lo < hi):
+            mid = (lo + hi) // 2
+            # Clipped only where lo == hi, whose comparison is not used.
+            enough = (mid == hi) | (
+                s0[np.minimum(mid, n0 - 1)] >= s1[np.maximum(ranks - mid, 0)]
+            )
+            lo = np.where(enough, lo, mid + 1)
+            hi = np.where(enough, mid, hi)
+        from1 = ranks + 1 - lo
+        values = np.maximum(
+            np.where(lo > 0, s0[np.maximum(lo - 1, 0)], -np.inf),
+            np.where(from1 > 0, s1[np.maximum(from1 - 1, 0)], -np.inf),
+        )
+    a, b = np.split(values, 2)
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
 def sweep_thresholds(
     truth: np.ndarray,
     scores: np.ndarray,
@@ -437,7 +505,9 @@ def sweep_thresholds(
     Candidate thresholds are 512 empirical quantiles of the pooled
     max-score sample: 256 uniform levels covering the bulk plus 256
     log-spaced levels resolving the upper tail, where the
-    bound-maximizing threshold of a max-score game sits. A trial
+    bound-maximizing threshold of a max-score game sits. They are taken
+    from the two sorted classes (_pooled_quantiles), bit for bit the
+    np.quantile of the pooled scores, without pooling them. A trial
     guesses truth 1 when its score exceeds the threshold.
     False-positive and false-negative counts at each threshold receive
     one-sided Clopper-Pearson upper limits at the level matching the
@@ -452,22 +522,14 @@ def sweep_thresholds(
     Returns:
       The per-threshold summary.
     """
-    levels = np.sort(
-        np.concatenate(
-            [
-                np.arange(1, _N_BULK_LEVELS + 1) / (_N_BULK_LEVELS + 1),
-                1.0
-                - np.geomspace(
-                    1.0 / (_N_BULK_LEVELS + 1), _TAIL_FLOOR, _N_TAIL_LEVELS
-                ),
-            ]
-        )
-    )
-    # The quantiles' copy of the scores is freed before the sorted classes
-    # exist, which keeps the sweep's peak at 1.5 times the scores.
-    thresholds = np.unique(np.quantile(scores, levels))
-    s0 = np.sort(scores[truth == 0])
-    s1 = np.sort(scores[truth == 1])
+    # Each class is sorted in place, so no unsorted copy outlives its
+    # sort: the sweep peaks at the two classes and one mask, 1.125 times
+    # the scores.
+    s0 = scores[truth == 0]
+    s0.sort()
+    s1 = scores[truth == 1]
+    s1.sort()
+    thresholds = np.unique(_pooled_quantiles(s0, s1, _SWEEP_LEVELS))
     n0, n1 = s0.size, s1.size
     fp_cnt = n0 - np.searchsorted(s0, thresholds, side="right")
     fn_cnt = np.searchsorted(s1, thresholds, side="right")

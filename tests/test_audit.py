@@ -15,8 +15,11 @@ from scipy import integrate, special, stats
 
 from privtune.audit import (
     _QUANTILE_TOL,
+    _SWEEP_LEVELS,
     GameConfig,
     _mixture_quantile,
+    _normal_best,
+    _pooled_quantiles,
     clopper_pearson_upper,
     eps_lower_bound,
     run_audit,
@@ -431,9 +434,56 @@ def test_sweep_thresholds_peak_memory_and_bool_truth():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The two sorted classes plus one class's unsorted copy: 1.5 times
-    # the scores (2.0 when the quantiles' copy was still alive).
-    assert peak <= 1.6 * scores.nbytes
+    # The two classes, each sorted in place, plus the mask of the second:
+    # 1.125 times the scores (1.5 when np.sort left an unsorted copy and
+    # np.quantile partitioned a copy of every score).
+    assert peak <= 1.15 * scores.nbytes
+
+
+def _class_pairs(rng: np.random.Generator):
+    """Seeded (s0, s1) pairs: ties within and across classes, -inf, sizes 0-2."""
+    sizes = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 1), (1, 2), (2, 2)]
+    sizes += [(0, 50), (1, 50), (2, 50), (50, 0), (50, 1), (50, 2)]
+    sizes += [tuple(rng.integers(0, 400, size=2)) for _ in range(300)]
+    for n0, n1 in sizes:
+        if n0 + n1 == 0:
+            continue
+        # One decimal (+ 0.0 drops the signed zeros, whose order a sort
+        # leaves open) gives a few dozen values shared by the classes.
+        s0, s1 = (
+            np.round(rng.normal(size=n), 1) + 0.0 for n in (int(n0), int(n1))
+        )
+        for part in (s0, s1):
+            part[rng.random(part.size) < 0.05] = -np.inf
+        yield s0, s1
+
+
+def test_pooled_quantiles_equal_numpy_quantile_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for s0, s1 in _class_pairs(rng):
+        pooled = np.concatenate([s0, s1])
+        s0.sort()
+        s1.sort()
+        # The dyadic levels put some weights at exactly 1/2.
+        dyadic = np.arange(1, 64) / 64.0
+        for levels in (_SWEEP_LEVELS, np.sort(rng.random(64)), dyadic):
+            with np.errstate(invalid="ignore"):
+                want = np.quantile(pooled, levels)
+                got = _pooled_quantiles(s0, s1, levels)
+            # Bit for bit, NaN (from -inf neighbours) included.
+            assert got.tobytes() == want.tobytes()
+
+
+def test_normal_best_stays_finite_where_exp_rounds_to_one():
+    level = np.array([-np.inf, -0.5, -1e-15, -2.0**-56, -1e-17, -1e-300])
+    expected = np.array(
+        [-np.inf, special.ndtri(np.exp(-0.5)), special.ndtri(np.exp(-1e-15))]
+        + [-special.ndtri(-np.expm1(x)) for x in level[3:]]
+    )
+    assert np.all(np.exp(level[3:]) == 1.0)
+    scores = _normal_best(level.copy())
+    assert scores.tobytes() == expected.tobytes()
+    assert np.all(np.diff(scores) > 0)
 
 
 def test_run_audit_reports_the_best_sweep_row():

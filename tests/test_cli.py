@@ -504,6 +504,26 @@ def test_domain_errors_exit_2_with_a_message(capsys, argv, needle):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tau", ["1", "0.5"])
+def test_audit_of_a_huge_run_count_prints_a_finite_threshold(tau):
+    # Above about 1e16 runs, U^(1/k) rounds to 1, where the normal
+    # quantile is +inf.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "privtune.cli", "audit", "--base",
+         f"dpsgd:sigma=60,tau={tau},n=1000", "--xi",
+         "pointmass:k=100000000000000000", "--trials", "10", "--format",
+         "json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert math.isfinite(json.loads(result.stdout)["best_threshold"])
+
+
 def test_calibration_failures_name_the_budget(capsys):
     expected = {
         "1e-4": [
