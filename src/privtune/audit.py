@@ -41,13 +41,9 @@ __all__ = [
 
 THREADS_ENV_VAR = "PRIVTUNE_THREADS"
 _BLOCK_SIZE = 1 << 20
-# The threshold sweep's quantile levels: 256 uniform over the bulk and
-# 256 log-spaced in the upper tail, down to 1e-5 below 1.
-_SWEEP_LEVELS = np.sort(
-    np.concatenate(
-        [np.arange(1, 257) / 257.0, 1.0 - np.geomspace(1.0 / 257.0, 1e-5, 256)]
-    )
-)
+_N_BULK_LEVELS = 256
+_N_TAIL_LEVELS = 256
+_TAIL_FLOOR = 1e-5
 # The tau < 1 score table: grid step, entries (components x grid points)
 # at most, entries or levels handled at once, Newton steps a level, and
 # the stated inversion error relative to max(1, |s|).
@@ -445,6 +441,25 @@ class ThresholdSweep:
         return int(np.argmax(self.eps_lower))
 
 
+def _sweep_levels() -> np.ndarray:
+    """The sweep's quantile levels, uniform in the bulk, log-spaced above.
+
+    Built per call: at import they would cost the bound commands, which
+    never sweep, about 1 MB of resident memory.
+    """
+    return np.sort(
+        np.concatenate(
+            [
+                np.arange(1, _N_BULK_LEVELS + 1) / (_N_BULK_LEVELS + 1),
+                1.0
+                - np.geomspace(
+                    1.0 / (_N_BULK_LEVELS + 1), _TAIL_FLOOR, _N_TAIL_LEVELS
+                ),
+            ]
+        )
+    )
+
+
 def _pooled_quantiles(
     s0: np.ndarray, s1: np.ndarray, levels: np.ndarray
 ) -> np.ndarray:
@@ -529,7 +544,7 @@ def sweep_thresholds(
     s0.sort()
     s1 = scores[truth == 1]
     s1.sort()
-    thresholds = np.unique(_pooled_quantiles(s0, s1, _SWEEP_LEVELS))
+    thresholds = np.unique(_pooled_quantiles(s0, s1, _sweep_levels()))
     n0, n1 = s0.size, s1.size
     fp_cnt = n0 - np.searchsorted(s0, thresholds, side="right")
     fn_cnt = np.searchsorted(s1, thresholds, side="right")

@@ -15,11 +15,11 @@ from scipy import integrate, special, stats
 
 from privtune.audit import (
     _QUANTILE_TOL,
-    _SWEEP_LEVELS,
     GameConfig,
     _mixture_quantile,
     _normal_best,
     _pooled_quantiles,
+    _sweep_levels,
     clopper_pearson_upper,
     eps_lower_bound,
     run_audit,
@@ -466,7 +466,7 @@ def test_pooled_quantiles_equal_numpy_quantile_bit_for_bit():
         s1.sort()
         # The dyadic levels put some weights at exactly 1/2.
         dyadic = np.arange(1, 64) / 64.0
-        for levels in (_SWEEP_LEVELS, np.sort(rng.random(64)), dyadic):
+        for levels in (_sweep_levels(), np.sort(rng.random(64)), dyadic):
             with np.errstate(invalid="ignore"):
                 want = np.quantile(pooled, levels)
                 got = _pooled_quantiles(s0, s1, levels)
