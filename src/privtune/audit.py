@@ -2,12 +2,13 @@
 
 Simulates the univariate Gaussian distinguishing game that best-of-many
 selection over a noisy-gradient mechanism reduces to: each trial flips a
-fair truth bit, draws a run count k, and reports the maximum of k
+fair truth bit and reports the maximum of a random number K of
 unit-variance run scores whose means encode the truth bit. The runs are
-i.i.d., so the maximum is drawn at once as F^-1(U^(1/k)) from one uniform
-U and the per-run CDF F: the normal quantile, or at sampling rate
-tau < 1 and truth 1 the tabulated quantile of a binomial mixture of
-normals. Thresholding the maxima gives false-positive and false-negative
+i.i.d. with some CDF F, so the maximum has CDF S(F(s)), where S is the
+run count's probability generating function, and it is drawn at once as
+F^-1(S^-1(U)) from one uniform U, with no draw of K: F^-1 is the normal
+quantile, or at sampling rate tau < 1 and truth 1 the tabulated quantile
+of a binomial mixture of normals. Thresholding the maxima gives false-positive and false-negative
 rates; upper confidence limits on those rates convert into a lower
 confidence bound on the privacy parameter that any valid guarantee must
 exceed.
@@ -106,7 +107,9 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def _mixture_quantile(mech: DpSgdConfig) -> Callable[[np.ndarray], np.ndarray]:
+def _mixture_quantile(
+    mech: DpSgdConfig, dist: RunCountDist
+) -> Callable[[np.ndarray], np.ndarray]:
     """Quantile function of one tau < 1 run's truth-1 score, by log level.
 
     The score is Z + shift B / N with Z standard normal, B ~ Binomial(N,
@@ -117,9 +120,11 @@ def _mixture_quantile(mech: DpSgdConfig) -> Callable[[np.ndarray], np.ndarray]:
 
     log F, log S = log(1 - F) and their slopes are tabulated on a grid of
     step _GRID_STEP, from Phi^-1(2^-53) below the smallest component mean
-    (the least positive uniform draw at one run) to Phi^-1(1 - 2^-116)
-    above the largest (below the largest draw at 2^63 runs, the largest
-    int64 count). A level is inverted by Newton steps on the cubic Hermite
+    to Phi^-1(1 - t) above the largest, where t is the least upper-tail
+    mass of the run count dist's levels, -expm1(log S^-1(1 - 2^-53)) at
+    the largest uniform draw. The least positive draw, 2^-53, has level
+    log S^-1(2^-53) >= log 2^-53 because S(y) <= y, so the lower end holds
+    every run count. A level is inverted by Newton steps on the cubic Hermite
     interpolant of log F (y <= 1/2) or of log S (y > 1/2) in its
     bracketing cell, so both tails keep relative precision. Against 40-digit mpmath roots the error is
     within _QUANTILE_TOL max(1, |s|) wherever F is not flat to within its
@@ -132,9 +137,9 @@ def _mixture_quantile(mech: DpSgdConfig) -> Callable[[np.ndarray], np.ndarray]:
     at 10^9 runs). For N of about 100 or less nothing is dropped.
 
     The table holds at most _TABLE_CAP entries (components times grid
-    points). At sigma = 1 that admits n_iters up to 206,126 at tau = 0.5
-    and 9,379,334 at tau = 0.01, and a table at the cap builds in about
-    1.2 s (2 vCPUs).
+    points). At sigma = 1 and the largest int64 point mass (t = 2^-116)
+    that admits n_iters up to 206,126 at tau = 0.5 and 9,379,334 at
+    tau = 0.01, and a table at the cap builds in about 1.2 s (2 vCPUs).
 
     Raises:
       ValueError: if the table would exceed _TABLE_CAP, naming n_iters.
@@ -149,8 +154,9 @@ def _mixture_quantile(mech: DpSgdConfig) -> Callable[[np.ndarray], np.ndarray]:
     b_hi = min(n, math.floor(n * tau + spread))
     from scipy import special  # loaded by simulate_game
 
+    (top,) = dist.log_inverse_pgf(np.array([1.0 - 2.0**-53]))
     start = shift * (b_lo / n) + special.ndtri(2.0**-53) - _GRID_STEP
-    stop = shift * (b_hi / n) - special.ndtri(2.0**-116) + _GRID_STEP
+    stop = shift * (b_hi / n) - special.ndtri(-np.expm1(top)) + _GRID_STEP
     points = math.ceil((stop - start) / _GRID_STEP) + 1
     if (b_hi - b_lo + 1) * points > _TABLE_CAP:
         raise ValueError(
@@ -231,9 +237,11 @@ def _mixture_quantile(mech: DpSgdConfig) -> Callable[[np.ndarray], np.ndarray]:
 def _normal_best(level: np.ndarray) -> np.ndarray:
     """The normal quantile at exp(level), computed in place over level.
 
-    level holds log levels in [-inf, 0). Where exp(level) rounds to 1.0
-    (run counts above about 1e16), Phi^-1 would give +inf; there the
-    quantile is taken as -Phi^-1(-expm1(level)), which stays finite.
+    level holds log levels in [-inf, 0). Where exp(level) rounds to 1.0,
+    that is where 1 - exp(level) is below about 1.1e-16, Phi^-1 would give
+    +inf; there the quantile is taken as -Phi^-1(-expm1(level)), which
+    stays finite. The top draws reach it at any mean run count E[K] above
+    1: 1 - S^-1(1 - v) is about v / E[K], and v can be 2^-53.
     """
     from scipy import special  # loaded by simulate_game
 
@@ -263,13 +271,9 @@ def _simulate_block(
     size = hi - lo
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
     truth = rng.integers(0, 2, size=size)
-    counts = cfg.dist.sample(rng, size)
-    uniform = rng.random(size)
-    # log U^(1/k), in place: more arrays of the block would raise an
-    # audit's peak RSS.
-    with np.errstate(divide="ignore"):
-        np.log(uniform, out=uniform)
-        level = np.divide(uniform, counts, out=uniform)
+    # log S^-1(U), in the uniform's buffer: more arrays of the block would
+    # raise an audit's peak RSS.
+    level = cfg.dist.log_inverse_pgf(rng.random(size))
     if quantile is None:
         mech = cfg.config
         shift = math.sqrt(mech.n_iters) / mech.sigma
@@ -286,15 +290,17 @@ def _simulate_block(
 def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     """Runs the distinguishing game for every trial.
 
-    Each trial flips a fair truth bit, draws a run count k and one
-    uniform U, and reports the maximum of k unit-variance run scores.
-    Run scores have mean zero when the truth bit is 0. When it is 1 their
-    mean is (Binomial(N, tau) / N) * sqrt(N) / sigma, drawn independently
-    per run, which at tau = 1 is exactly sqrt(N) / sigma. The runs are
-    i.i.d. with some CDF F, so their maximum is drawn as F^-1(U^(1/k)):
-    through the normal quantile for truth 0 and at tau = 1, and through
-    the tabulated quantile of the binomial mixture of normals
-    (_mixture_quantile) for truth 1 at tau < 1.
+    Each trial flips a fair truth bit, draws one uniform U, and reports
+    the maximum of K unit-variance run scores, K from the run count
+    distribution with pgf S. Run scores have mean zero when the truth bit
+    is 0. When it is 1 their mean is (Binomial(N, tau) / N) *
+    sqrt(N) / sigma, drawn independently per run, which at tau = 1 is
+    exactly sqrt(N) / sigma. The runs are i.i.d. with some CDF F, so
+    their maximum has CDF S(F(s)) and is drawn as F^-1(S^-1(U)), with no
+    draw of K: S^-1 by the run count's log_inverse_pgf, F^-1 through the
+    normal quantile for truth 0 and at tau = 1, and through the tabulated
+    quantile of the binomial mixture of normals (_mixture_quantile) for
+    truth 1 at tau < 1.
 
     Trials are partitioned into fixed-size blocks, each driven by a
     stream keyed by (seed, block index), so results are bit-identical
@@ -308,8 +314,7 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
       trials.
 
     Raises:
-      ValueError: if the run count cannot be sampled, or a tau < 1 score
-        table would exceed its cap.
+      ValueError: if a tau < 1 score table would exceed its cap.
     """
     # scipy.special is loaded here, on the calling thread, before the
     # arrays and the pool. Loaded by the two workers instead, a 1e7-trial
@@ -319,7 +324,7 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
 
     quantile = None
     if cfg.config.tau < 1.0:
-        quantile = _mixture_quantile(cfg.config)
+        quantile = _mixture_quantile(cfg.config, cfg.dist)
     # One byte a trial; the blocks still draw int64 bits, so the random
     # stream is unchanged.
     truth = np.empty(cfg.trials, dtype=bool)

@@ -5,7 +5,9 @@ executes its base mechanism k times, and releases the highest-scoring
 run. This module models xi: probability mass, mean, sampling, the
 probability generating function S(y) = sum_k Pr(k) y^k, and its
 derivative omega(x) = sum_k k Pr(k) x^(k-1), the weight function that
-drives the selection privacy accounting.
+drives the selection privacy accounting. ``log_inverse_pgf`` maps a
+uniform u to log S^-1(u): the best of K run scores with per-run CDF F has
+CDF S(F(s)), so it is drawn as F^-1(S^-1(U)) with no draw of K.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ _K_MAX_CAP = 10**7
 # Below this |eta|, (e^(eta t) - 1) / eta underflows in eta t, and the
 # distribution is indistinguishable from its logarithmic-series limit.
 _ETA_ZERO_TOL = 1e-300
+# log(1/2) (log1p(-1/2) rounds to the same double) and the least positive
+# double: the bounds that keep log_inverse_pgf's branches in order and
+# its levels below 0.
+_LOG_HALF = math.log(0.5)
+_TINY = 5e-324
 
 
 def _expm1_over_eta(eta: float, t: np.ndarray | float) -> np.ndarray | float:
@@ -50,9 +57,10 @@ def _validate_counts(k: np.ndarray | int) -> np.ndarray:
 class RunCountDist:
     """Base class for distributions over the number of runs k >= 1.
 
-    Subclasses provide ``pmf``, ``mean``, ``pgf``, ``omega_form``, and
-    ``sample``. Instances are immutable and safe to share across threads;
-    ``sample`` mutates only the caller-supplied generator.
+    Subclasses provide ``pmf``, ``mean``, ``pgf``, ``log_inverse_pgf``,
+    ``omega_form``, and ``sample``. Instances are immutable and safe to
+    share across threads; ``sample`` mutates only the caller-supplied
+    generator.
     """
 
     @property
@@ -66,6 +74,16 @@ class RunCountDist:
 
     def pgf(self, y: np.ndarray | float) -> np.ndarray | float:
         """Probability generating function S(y) = sum_k Pr(k) y^k on [0, 1]."""
+        raise NotImplementedError
+
+    def log_inverse_pgf(self, u: np.ndarray) -> np.ndarray:
+        """log S^-1(u) for u in [0, 1), computed in place over u.
+
+        Nondecreasing in u, -inf at u = 0, below 0 everywhere, and finite
+        at every u > 0 that rng.random returns. For U uniform, S^-1(U) is
+        distributed as V^(1/K) with V uniform and K a run count, so F^-1
+        of it is the best of K scores with CDF F.
+        """
         raise NotImplementedError
 
     @property
@@ -127,6 +145,12 @@ class PointMass(RunCountDist):
         arr = np.asarray(y, dtype=float)
         out = arr**self.k
         return float(out) if np.ndim(y) == 0 else out
+
+    def log_inverse_pgf(self, u: np.ndarray) -> np.ndarray:
+        # log(u) / k: S^-1(u) = u^(1/k).
+        with np.errstate(divide="ignore"):
+            np.log(u, out=u)
+        return np.divide(u, self.k, out=u)
 
     def sample(
         self, rng: np.random.Generator, size: int | None = None
@@ -234,6 +258,63 @@ class TruncatedNegativeBinomial(RunCountDist):
         base = 1.0 - (1.0 - self.nu) * arr
         out = _expm1_over_eta(self.eta, -np.log(base)) / self._norm
         return float(out) if np.ndim(y) == 0 else out
+
+    @functools.cached_property
+    def _pgf_half(self) -> float:
+        """S(1/2): below it S^-1(u) <= 1/2."""
+        return float(self.pgf(0.5))
+
+    def log_inverse_pgf(self, u: np.ndarray) -> np.ndarray:
+        # With b = 1 - (1 - nu) y, S(y) = u reads b^-eta = 1 + eta Z u,
+        # and (b / nu)^-eta = D with D = 1 - (1 - nu^eta)(1 - u). Each side
+        # of y = 1/2 takes a form without cancellation:
+        # - y <= 1/2 (u below S(1/2)): log b = -log1p(eta Z u) / eta, and
+        #   the level is log y with y = -expm1(log b) / (1 - nu).
+        # - y > 1/2: M = log(b / nu) = -log(D) / eta, which is Z (1 - u)
+        #   at eta = 0, and the level is log1p(-(1 - y)) with
+        #   1 - y = nu expm1(M) / (1 - nu). log D is log1p(D - 1) where
+        #   D >= 1/2, and log(nu^eta (1 - u) + u), a sum of two positive
+        #   terms, below.
+        # 1 - u is exact for rng.random output. Each branch is clipped at
+        # its side of log(1/2), so the whole stays nondecreasing.
+        eta, nu = self.eta, self.nu
+        low = np.flatnonzero(u < self._pgf_half)
+        # log1p(x) / eta = (log1p(x) / x) Z u for x = eta Z u, whose ratio
+        # is 1 where x is 0: at eta = 0, or where x underflows.
+        z_u = self._norm * u[low]
+        x = math.expm1(-eta * math.log(nu)) * u[low]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_b = -z_u * np.where(x == 0.0, 1.0, np.log1p(x) / x)
+            log_y = np.log(-np.expm1(log_b) / (1.0 - nu))
+        log_y = np.minimum(log_y, _LOG_HALF, out=log_y)
+        if abs(eta) < _ETA_ZERO_TOL:
+            m = np.multiply(np.subtract(1.0, u, out=u), self._norm, out=u)
+        else:
+            # D - 1 = -(1 - nu^eta)(1 - u), then log D in its place.
+            log_d = np.subtract(u, 1.0)
+            log_d *= -math.expm1(eta * math.log(nu))
+            small = np.flatnonzero(log_d < -0.5)
+            u_small = u[small]
+            power = math.exp(eta * math.log(nu))
+            d_small = power * (1.0 - u_small) + u_small
+            # Where nu^eta rounds below 2^-53, D - 1 can round to -1.
+            with np.errstate(divide="ignore"):
+                np.log1p(log_d, out=log_d)
+                log_d[small] = np.minimum(np.log(d_small), _LOG_HALF)
+            m = np.divide(log_d, -eta, out=u)
+        scale = -nu / (1.0 - nu)
+        if nu < 1e-300:
+            # M nears -log(nu), past expm1's range where nu is subnormal;
+            # the excess over 700 is carried as the factor e^excess.
+            excess = np.maximum(m - 700.0, 0.0)
+            m -= excess
+            scale = scale * np.exp(excess)
+        np.expm1(m, out=m)
+        m *= scale
+        np.clip(m, -0.5, -_TINY, out=m)
+        level = np.log1p(m, out=m)
+        level[low] = log_y
+        return level
 
     @functools.cached_property
     def _cumulative(self) -> np.ndarray:

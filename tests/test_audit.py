@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from privtune.audit import (
+    _BLOCK_SIZE,
     _QUANTILE_TOL,
     GameConfig,
     _mixture_quantile,
@@ -46,14 +47,14 @@ _CP_ZERO_OF_TEN = 0.3084971078187608
 _EPS_RATES_EXAMPLE = 2.0794290416017103
 _SIGMA_GDP_EPS2 = 63.44900768023062
 _GAME_SEED7 = {
-    "best_threshold": 5.022118695873438,
-    "counts": (554, 32, 1571459, 1573683),
-    "fp_upper": 2.8746116090436562e-05,
-    "fn_upper": 0.9996767771306432,
-    "eps_lower": 2.388412314220744,
+    "best_threshold": 4.830276432171212,
+    "counts": (1326, 98, 1571393, 1572911),
+    "fp_upper": 7.5997760050674e-05,
+    "fn_upper": 0.9992024016523159,
+    "eps_lower": 2.338284382015781,
 }
-_SMOKE_MEAN_NULL = 0.6467114123812678
-_SMOKE_MEAN_ALT = 1.6308496735066116
+_SMOKE_MEAN_NULL = 0.6322608549280475
+_SMOKE_MEAN_ALT = 1.6309669714378408
 
 
 def test_clopper_pearson_upper_frozen_values():
@@ -239,7 +240,7 @@ def _mp_mixture_root(config: DpSgdConfig, log_level: float, start: float):
     ],
 )
 def test_mixture_quantile_matches_a_40_digit_root(config):
-    quantile = _mixture_quantile(config)
+    quantile = _mixture_quantile(config, PointMass(1000))
     # Levels from 2^-53 to 1 - 2^-53 / k at k = 1000, log-uniform in -log y.
     rng = np.random.default_rng(11)
     spans = np.log([2.0**-53 / 1000, 53.0 * math.log(2.0)])
@@ -254,7 +255,7 @@ def test_mixture_quantile_matches_a_40_digit_root(config):
 
 
 def test_mixture_quantile_refuses_levels_outside_its_table():
-    quantile = _mixture_quantile(DpSgdConfig(2.0, 0.5, 10))
+    quantile = _mixture_quantile(DpSgdConfig(2.0, 0.5, 10), PointMass(1000))
     assert quantile(np.array([-np.inf])).tolist() == [-np.inf]
     with pytest.raises(ValueError, match="outside the quantile table"):
         quantile(np.array([-60.0]))
@@ -263,10 +264,28 @@ def test_mixture_quantile_refuses_levels_outside_its_table():
 
 
 def test_mixture_quantile_caps_its_table():
-    # The docstring's largest n_iters at sigma = 1, tau = 0.5, and one more.
-    _mixture_quantile(DpSgdConfig(1.0, 0.5, 206_126))
+    # The docstring's largest n_iters at sigma = 1, tau = 0.5 and the
+    # largest int64 point mass, and one more.
+    largest = PointMass(2**63 - 1)
+    _mixture_quantile(DpSgdConfig(1.0, 0.5, 206_126), largest)
     with pytest.raises(ValueError, match=r"n_iters=206127 at tau=0\.5"):
-        _mixture_quantile(DpSgdConfig(1.0, 0.5, 206_127))
+        _mixture_quantile(DpSgdConfig(1.0, 0.5, 206_127), largest)
+
+
+@pytest.mark.parametrize("nu", [1e-40, 1e-150])
+def test_mixture_quantile_covers_the_run_counts_top_level(nu):
+    # The table's top comes from the run count: at these nu the top level
+    # lies far above a table built for every int64 point mass.
+    config = DpSgdConfig(2.0, 0.5, 10)
+    dist = TNB(1.0, nu)
+    (top,) = dist.log_inverse_pgf(np.array([1.0 - 2.0**-53]))
+    assert -np.expm1(top) < 1e-50
+    (score,) = _mixture_quantile(config, dist)(np.array([top]))
+    with mpmath.workdps(40):
+        root = float(_mp_mixture_root(config, float(top), score))
+    assert abs(score - root) <= _QUANTILE_TOL * max(1.0, abs(root))
+    with pytest.raises(ValueError, match="outside the quantile table"):
+        _mixture_quantile(config, PointMass(2**63 - 1))(np.array([top]))
 
 
 def test_subsampled_best_scores_follow_the_exact_cdf():
@@ -300,7 +319,7 @@ def _per_run_scores(cfg: GameConfig) -> np.ndarray:
     return scores
 
 
-@pytest.mark.parametrize("dist", [PointMass(4), TNB(0.0, 0.1)])
+@pytest.mark.parametrize("dist", [PointMass(4), TNB(0.0, 0.1), TNB(1.0, 1e-2)])
 def test_subsampled_game_matches_the_per_run_sampler(dist):
     cfg = GameConfig(
         config=DpSgdConfig(5.0, 0.5, 100), dist=dist, trials=10**5, seed=9
@@ -323,6 +342,65 @@ def test_subsampled_game_is_thread_invariant(monkeypatch):
     parallel = simulate_game(cfg)
     for a, b in zip(serial, parallel):
         assert a.tobytes() == b.tobytes()
+
+
+_EXACT_TNB = [TNB(1.0, 1e-2), TNB(0.0, 1e-5), TNB(-0.5, 1e-3), TNB(8.0, 0.3)]
+
+
+@pytest.mark.parametrize("dist", _EXACT_TNB)
+def test_exact_game_follows_the_best_score_cdf(dist):
+    # At tau = 1 the best of K scores has CDF S(Phi(s)), shifted by
+    # sqrt(N) / sigma under truth 1.
+    cfg = GameConfig(
+        config=DpSgdConfig(60.0, 1.0, 1000), dist=dist, trials=10**5, seed=17
+    )
+    truth, scores = simulate_game(cfg)
+    shift = math.sqrt(1000.0) / 60.0
+    for bit in (0, 1):
+        sample = scores[truth == bit] - shift * bit
+        cdf = lambda s: dist.pgf(special.ndtr(s))  # noqa: E731
+        assert stats.kstest(sample, cdf).pvalue > 0.01
+
+
+@pytest.mark.parametrize("dist", _EXACT_TNB)
+def test_exact_game_matches_explicit_run_count_draws(dist):
+    # The reference draws K by the sampler's table and takes the best of
+    # K scores as Phi^-1(V^(1/K)) for a second uniform V.
+    cfg = GameConfig(
+        config=DpSgdConfig(60.0, 1.0, 1000), dist=dist, trials=10**5, seed=18
+    )
+    truth, scores = simulate_game(cfg)
+    rng = np.random.default_rng(19)
+    counts = dist.sample(rng, cfg.trials)
+    reference = special.ndtri(np.exp(np.log(rng.random(cfg.trials)) / counts))
+    shift = math.sqrt(1000.0) / 60.0
+    for bit in (0, 1):
+        sample = scores[truth == bit] - shift * bit
+        assert stats.ks_2samp(sample, reference).pvalue > 0.01
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_point_mass_game_is_log_u_over_k_bit_for_bit(monkeypatch, threads):
+    # Each block's level is log(U) / k from its keyed stream, as before
+    # the inverse pgf, so point-mass audits keep every bit.
+    cfg = GameConfig(
+        config=DpSgdConfig(60.0, 1.0, 1000),
+        dist=PointMass(10),
+        trials=(1 << 20) + 5,
+        seed=12,
+    )
+    monkeypatch.setenv("PRIVTUNE_THREADS", threads)
+    truth, scores = simulate_game(cfg)
+    shift = math.sqrt(1000.0) / 60.0
+    for block, lo in enumerate(range(0, cfg.trials, _BLOCK_SIZE)):
+        size = min(_BLOCK_SIZE, cfg.trials - lo)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
+        bits = rng.integers(0, 2, size=size)
+        with np.errstate(divide="ignore"):
+            level = np.log(rng.random(size)) / 10
+        expected = _normal_best(level) + shift * bits
+        np.testing.assert_array_equal(truth[lo : lo + size], bits == 1)
+        assert scores[lo : lo + size].tobytes() == expected.tobytes()
 
 
 def test_simulate_game_single_run_scores_are_standard_normal():

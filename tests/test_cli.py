@@ -466,9 +466,9 @@ _GEOMETRIC = ["--xi", "tnb:eta=1,nu=1e-2"]
         # The mean, 1e300, is finite, but omega(1) = nu^-2 / Z overflows.
         (["accountant", "--base", "gdp:mu=1", "--xi", "tnb:eta=1,nu=1e-300"],
          "eta=1.0, nu=1e-300"),
-        # The accountant takes this run count; the sampler's table cannot.
-        (["audit", "--base", "dpsgd:sigma=60,tau=1,n=1000", "--xi",
-          "tnb:eta=1,nu=1e-8", "--trials", "1000"], "eta=1.0, nu=1e-08"),
+        # Too many binomial components for the tau < 1 score table.
+        (["audit", "--base", "dpsgd:sigma=1,tau=0.5,n=1" + "0" * 30, "--xi",
+          "pointmass:k=1", "--trials", "10"], "n_iters=1" + "0" * 30),
         # Above mu = 1e6 the Gaussian conversion's error bound fails; these
         # printed eps_h 0, a traceback, an internal message or NaN.
         (["accountant", "--base", "gdp:mu=1e200", "--xi", "pointmass:k=1"],
@@ -490,9 +490,6 @@ _GEOMETRIC = ["--xi", "tnb:eta=1,nu=1e-2"]
         # An integer too large for a float.
         (["accountant", "--base", "dpsgd:sigma=1,tau=1,n=1" + "0" * 400,
           *_GEOMETRIC], "bad value"),
-        # Too many binomial components for the tau < 1 score table.
-        (["audit", "--base", "dpsgd:sigma=1,tau=0.5,n=1" + "0" * 30, "--xi",
-          "pointmass:k=1", "--trials", "10"], "n_iters=1" + "0" * 30),
     ],
 )
 def test_domain_errors_exit_2_with_a_message(capsys, argv, needle):
@@ -502,6 +499,22 @@ def test_domain_errors_exit_2_with_a_message(capsys, argv, needle):
     assert err.startswith("error:")
     assert needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("nu", ["1e-8", "1e-150"])
+def test_audit_runs_every_run_count_the_accountant_takes(capsys, nu):
+    # More than 1e-12 of these run counts' mass lies past the 10^7-entry
+    # table of TruncatedNegativeBinomial.sample, which the audit does not
+    # use: it draws each best score through the inverse pgf.
+    spec = ["--base", "dpsgd:sigma=60,tau=1,n=1000", "--xi", f"tnb:eta=1,nu={nu}"]
+    code, out, err = _run(
+        capsys, ["audit", *spec, "--trials", "10000", "--format", "json"]
+    )
+    assert (code, err) == (0, "")
+    eps_lower = json.loads(out)["eps_lower"]
+    code, out, _ = _run(capsys, ["accountant", *spec, "--format", "json"])
+    assert code == 0
+    assert 0.0 < eps_lower <= json.loads(out)["eps_h"]
 
 
 @pytest.mark.parametrize("tau", ["1", "0.5"])

@@ -173,6 +173,82 @@ def test_tnb_matches_a_40_digit_oracle():
         assert worst[name] <= bound, (name, worst[name])
 
 
+# Uniforms from 2^-53 to 1 - 2^-53: both tails, log-spaced, and the bulk.
+_INVERSE_US = sorted(
+    {2.0**-53, 0.5, 1.0 - 2.0**-53}
+    | {float(t) for t in np.geomspace(2.0**-52, 0.25, 12)}
+    | {float(1.0 - t) for t in np.geomspace(2.0**-52, 0.25, 12)}
+    | {0.3, 0.7, 0.9}
+)
+
+
+def _mp_pgf_error(eta: float, nu: float, u: float, level: float) -> float:
+    """|S(exp(level)) - u| relative to min(u, 1 - u), in 40 digits.
+
+    S(y) = expm1(-eta log b) / expm1(-eta log nu) with b = 1 - (1 - nu) y,
+    and 1 - S(y) = expm1(-eta M) / expm1(eta log nu) with M = log(b / nu);
+    at eta = 0 they are log(b) / log(nu) and M / log(1 / nu). y and 1 - y
+    come from the level by exp and -expm1, so neither tail cancels.
+    """
+    e, v, x = mpmath.mpf(eta), mpmath.mpf(nu), mpmath.mpf(level)
+    y, w = mpmath.exp(x), -mpmath.expm1(x)
+    log_b = mpmath.log1p(-(1 - v) * y) if y < 0.5 else mpmath.log(v + (1 - v) * w)
+    m = mpmath.log1p((1 - v) * w / v)
+    if eta == 0.0:
+        pgf, tail = log_b / mpmath.log(v), m / -mpmath.log(v)
+    else:
+        pgf = mpmath.expm1(-e * log_b) / mpmath.expm1(-e * mpmath.log(v))
+        tail = mpmath.expm1(-e * m) / mpmath.expm1(e * mpmath.log(v))
+    if u <= 0.5:
+        return float(abs(pgf - u) / u)
+    return float(abs(tail - (1 - mpmath.mpf(u))) / (1 - mpmath.mpf(u)))
+
+
+@pytest.mark.parametrize("eta", [-0.9, -0.3, 0.0, 1e-6, 0.5, 1.0, 8.0])
+def test_log_inverse_pgf_matches_a_40_digit_oracle(eta):
+    us = np.array(_INVERSE_US)
+    with mpmath.workdps(40):
+        for nu in (0.5, 1e-2, 1e-5, 1e-8, 1e-12, 1e-17):
+            levels = TNB(eta, nu).log_inverse_pgf(us.copy())
+            for u, level in zip(us.tolist(), levels.tolist()):
+                error = _mp_pgf_error(eta, nu, u, level)
+                assert error <= 1e-13, (nu, u, level, error)
+
+
+def test_log_inverse_pgf_ends():
+    u = np.array([0.0, 1.0 - 2.0**-53])
+    for dist in (TNB(1.0, 1e-2), TNB(0.0, 1e-150), TNB(-0.5, 5e-324)):
+        low, top = dist.log_inverse_pgf(u.copy())
+        assert low == -np.inf and -1e-15 < top < 0.0
+    # Point masses keep log(u) / k bit for bit.
+    rng = np.random.default_rng(3)
+    u = np.concatenate([[0.0, 1.0 - 2.0**-53], rng.random(1000)])
+    with np.errstate(divide="ignore"):
+        expected = np.log(u) / 7
+    assert PointMass(7).log_inverse_pgf(u.copy()).tobytes() == expected.tobytes()
+
+
+@given(
+    eta=st.floats(min_value=-0.99, max_value=8.0),
+    log_nu=st.floats(min_value=-17.0, max_value=-0.01),
+    # 0 and normal doubles: a subnormal u can round Z u to 0.
+    us=st.lists(
+        st.just(0.0)
+        | st.floats(min_value=2.0**-1022, max_value=1.0, exclude_max=True),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_log_inverse_pgf_is_a_nondecreasing_level(eta, log_nu, us):
+    u = np.sort(np.array(us))
+    level = TNB(eta, 10.0**log_nu).log_inverse_pgf(u.copy())
+    assert not np.any(np.isnan(level))
+    assert np.all(level < 0.0)
+    assert np.all(level[1:] >= level[:-1])
+    assert np.all((level == -np.inf) == (u == 0.0))
+
+
 @pytest.mark.parametrize("nu", [0.5, 1e-2, 1e-6])
 def test_tnb_tends_to_the_logarithmic_series_as_eta_vanishes(nu):
     log_series = TNB(0.0, nu)
