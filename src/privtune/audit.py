@@ -8,10 +8,10 @@ i.i.d. with some CDF F, so the maximum has CDF S(F(s)), where S is the
 run count's probability generating function, and it is drawn at once as
 F^-1(S^-1(U)) from one uniform U, with no draw of K: F^-1 is the normal
 quantile, or at sampling rate tau < 1 and truth 1 the tabulated quantile
-of a binomial mixture of normals. Thresholding the maxima gives false-positive and false-negative
-rates; upper confidence limits on those rates convert into a lower
-confidence bound on the privacy parameter that any valid guarantee must
-exceed.
+of a binomial mixture of normals. Thresholding the maxima gives
+false-positive and false-negative rates; upper confidence limits on
+those rates convert into a lower confidence bound on the privacy
+parameter that any valid guarantee must exceed.
 """
 
 from __future__ import annotations
@@ -120,14 +120,15 @@ def _mixture_quantile(
 
     log F, log S = log(1 - F) and their slopes are tabulated on a grid of
     step _GRID_STEP, from Phi^-1(2^-53) below the smallest component mean
-    to Phi^-1(1 - t) above the largest, where t is the least upper-tail
-    mass of the run count dist's levels, -expm1(log S^-1(1 - 2^-53)) at
-    the largest uniform draw. The least positive draw, 2^-53, has level
-    log S^-1(2^-53) >= log 2^-53 because S(y) <= y, so the lower end holds
-    every run count. A level is inverted by Newton steps on the cubic Hermite
-    interpolant of log F (y <= 1/2) or of log S (y > 1/2) in its
-    bracketing cell, so both tails keep relative precision. Against 40-digit mpmath roots the error is
-    within _QUANTILE_TOL max(1, |s|) wherever F is not flat to within its
+    to Phi^-1(1 - m) above the largest, where m = -expm1(top) and top =
+    dist.log_inverse_pgf(1 - 2^-53) is the highest level of any uniform
+    draw. The least positive draw, 2^-53, has level log G^-1(2^-53) >=
+    log 2^-53, where G is the run count's pgf, because G(y) <= y; so the
+    lower end holds every run count. A level is inverted by Newton steps
+    on the cubic Hermite interpolant of log F (y <= 1/2) or of log S
+    (y > 1/2) in its bracketing cell, so both tails keep relative
+    precision. Against 40-digit mpmath roots the error is within
+    _QUANTILE_TOL max(1, |s|) wherever F is not flat to within its
     rounding. A level outside the grid raises.
 
     Components beyond b = N tau +- t, where Bernstein's inequality puts
@@ -137,7 +138,7 @@ def _mixture_quantile(
     at 10^9 runs). For N of about 100 or less nothing is dropped.
 
     The table holds at most _TABLE_CAP entries (components times grid
-    points). At sigma = 1 and the largest int64 point mass (t = 2^-116)
+    points). At sigma = 1 and the largest int64 point mass (m = 2^-116)
     that admits n_iters up to 206,126 at tau = 0.5 and 9,379,334 at
     tau = 0.01, and a table at the cap builds in about 1.2 s (2 vCPUs).
 

@@ -356,10 +356,13 @@ def test_exact_game_follows_the_best_score_cdf(dist):
     )
     truth, scores = simulate_game(cfg)
     shift = math.sqrt(1000.0) / 60.0
+
+    def best_score_cdf(s):
+        return dist.pgf(special.ndtr(s))
+
     for bit in (0, 1):
         sample = scores[truth == bit] - shift * bit
-        cdf = lambda s: dist.pgf(special.ndtr(s))  # noqa: E731
-        assert stats.kstest(sample, cdf).pvalue > 0.01
+        assert stats.kstest(sample, best_score_cdf).pvalue > 0.01
 
 
 @pytest.mark.parametrize("dist", _EXACT_TNB)
