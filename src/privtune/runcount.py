@@ -44,6 +44,13 @@ def _expm1_over_eta(eta: float, t: np.ndarray | float) -> np.ndarray | float:
     return np.expm1(eta * t) / eta
 
 
+def _log1p_over_eta(eta: float, t: np.ndarray) -> np.ndarray:
+    """log1p(eta t) / eta, continuous at eta = 0, where it is t."""
+    if abs(eta) < _ETA_ZERO_TOL:
+        return t
+    return np.log1p(eta * t) / eta
+
+
 def _validate_counts(k: np.ndarray | int) -> np.ndarray:
     """Returns k as an integer array after checking every entry is >= 1."""
     arr = np.asarray(k)
@@ -273,30 +280,26 @@ class TruncatedNegativeBinomial(RunCountDist):
         # - y > 1/2: M = log(b / nu) = -log(D) / eta, which is Z (1 - u)
         #   at eta = 0, and the level is log1p(-(1 - y)) with
         #   1 - y = nu expm1(M) / (1 - nu). log D is log1p(D - 1) where
-        #   D >= 1/2, and log(nu^eta (1 - u) + u), a sum of two positive
-        #   terms, below.
-        # 1 - u is exact for rng.random output. Each branch is clipped at
-        # its side of log(1/2), so the whole stays nondecreasing.
+        #   D >= 1/2, and log(nu^eta + (1 - nu^eta) u) below, a sum of two
+        #   positive terms, each nondecreasing in u.
+        # 1 - u is exact for rng.random output. Each step is monotone in u,
+        # and each branch is clipped at its side of log(1/2), so the whole
+        # stays nondecreasing.
         eta, nu = self.eta, self.nu
         low = np.flatnonzero(u < self._pgf_half)
-        # log1p(x) / eta = (log1p(x) / x) Z u for x = eta Z u, whose ratio
-        # is 1 where x is 0: at eta = 0, or where x underflows.
-        z_u = self._norm * u[low]
-        x = math.expm1(-eta * math.log(nu)) * u[low]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_b = -z_u * np.where(x == 0.0, 1.0, np.log1p(x) / x)
+        log_b = -_log1p_over_eta(eta, self._norm * u[low])
+        with np.errstate(divide="ignore"):
             log_y = np.log(-np.expm1(log_b) / (1.0 - nu))
         log_y = np.minimum(log_y, _LOG_HALF, out=log_y)
         if abs(eta) < _ETA_ZERO_TOL:
             m = np.multiply(np.subtract(1.0, u, out=u), self._norm, out=u)
         else:
             # D - 1 = -(1 - nu^eta)(1 - u), then log D in its place.
+            rate = -math.expm1(eta * math.log(nu))
             log_d = np.subtract(u, 1.0)
-            log_d *= -math.expm1(eta * math.log(nu))
+            log_d *= rate
             small = np.flatnonzero(log_d < -0.5)
-            u_small = u[small]
-            power = math.exp(eta * math.log(nu))
-            d_small = power * (1.0 - u_small) + u_small
+            d_small = math.exp(eta * math.log(nu)) + rate * u[small]
             # Where nu^eta rounds below 2^-53, D - 1 can round to -1.
             with np.errstate(divide="ignore"):
                 np.log1p(log_d, out=log_d)
