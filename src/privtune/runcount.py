@@ -307,8 +307,9 @@ class TruncatedNegativeBinomial(RunCountDist):
             m = np.divide(log_d, -eta, out=u)
         scale = -nu / (1.0 - nu)
         if nu < 1e-300:
-            # M nears -log(nu), past expm1's range where nu is subnormal;
-            # the excess over 700 is carried as the factor e^excess.
+            # M nears -log(nu), past expm1's range (709.78) where nu is
+            # below about 5.6e-309; the excess over 700 is carried as the
+            # factor e^excess.
             excess = np.maximum(m - 700.0, 0.0)
             m -= excess
             scale = scale * np.exp(excess)
