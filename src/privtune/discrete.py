@@ -529,7 +529,9 @@ def simulate_selection(
     Simulates the protocol directly: draw a run count, draw that many
     symbols, keep the highest-scoring group among the draws, and pick
     uniformly among the group's symbols. On strict partitions the tie
-    break is vacuous and this is exactly the best-of-k protocol.
+    break is vacuous and this is exactly the best-of-k protocol. It
+    costs trials x E[K] symbol draws, so a run count with a large mean
+    is slow here even though its own draws are cheap.
 
     Args:
       p: outcome probabilities of one mechanism side.

@@ -12,7 +12,6 @@ CDF S(F(s)), so it is drawn as F^-1(S^-1(U)) with no draw of K.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
 import math
@@ -25,8 +24,6 @@ __all__ = [
     "TruncatedNegativeBinomial",
 ]
 
-_TAIL_TOL = 1e-12
-_K_MAX_CAP = 10**7
 # Below this |eta|, (e^(eta t) - 1) / eta underflows in eta t, and the
 # distribution is indistinguishable from its logarithmic-series limit.
 _ETA_ZERO_TOL = 1e-300
@@ -35,6 +32,12 @@ _ETA_ZERO_TOL = 1e-300
 # its levels below 0.
 _LOG_HALF = math.log(0.5)
 _TINY = 5e-324
+# The least nu that sample takes. Its Poisson rate is a Gamma(eta + 1)
+# draw times at most 1/nu - 1, so from here the rate reaches numpy's limit
+# (about 2^63) only where the gamma passes 50 times its mean: a finite
+# nu^-eta keeps eta + 1 below 21 at nu = 2^-53. A bound on the mean would
+# not do, since below eta = 0 the tail is a power law up to about 1/nu.
+_SAMPLE_NU_MIN = 2.0**-53
 
 
 def _expm1_over_eta(eta: float, t: np.ndarray | float) -> np.ndarray | float:
@@ -226,28 +229,10 @@ class TruncatedNegativeBinomial(RunCountDist):
         scale = 1.0 - self.nu
         return scale / self._norm, 1.0, -scale, self.nu, -(self.eta + 1.0)
 
-    def _tail_small(self, k: int) -> bool:
-        """Whether the geometric tail bound past k is below 1e-12."""
-        log_tail = k * math.log1p(-self.nu) + math.log((k + self.mean) / self.nu)
-        return log_tail < math.log(_TAIL_TOL)
-
-    @functools.cached_property
-    def k_max(self) -> int:
-        """Smallest k whose geometric tail bound drops below 1e-12.
-
-        The log tail bound is concave in k. It is above the tolerance at
-        k = 1 unless nu is within about 1e-12 of 1, where it decreases
-        from k = 1, so the predicate flips at most once. Capped at 1e7.
-        """
-        return 1 + bisect.bisect_left(
-            range(1, _K_MAX_CAP), True, key=self._tail_small
-        )
-
     def pmf(self, k: np.ndarray | int) -> np.ndarray | float:
-        # Only the sampler's table reaches scipy, so the bound commands do
-        # not load it. math.lgamma term by term loses the 40-digit oracle
-        # bound at k = 500 (8.7e-13 against 8e-13), and the table can hold
-        # 10^7 entries.
+        # No command calls pmf, so scipy is imported here and the bound
+        # commands do not load it. math.lgamma term by term loses the
+        # 40-digit oracle bound at k = 500 (8.7e-13 against 8e-13).
         from scipy import special
 
         arr = _validate_counts(k).astype(float)
@@ -320,21 +305,26 @@ class TruncatedNegativeBinomial(RunCountDist):
         level[low] = log_y
         return level
 
-    @functools.cached_property
-    def _cumulative(self) -> np.ndarray:
-        """Cumulative masses for k = 1..k_max, used by inverse-CDF sampling."""
-        if not self._tail_small(self.k_max):
-            raise ValueError(
-                f"eta={self.eta}, nu={self.nu} cannot be sampled: more than "
-                f"{_TAIL_TOL:g} of the mass may lie past the sampler's cap "
-                f"of {_K_MAX_CAP} runs"
-            )
-        return np.cumsum(self.pmf(np.arange(1, self.k_max + 1)))
-
     def sample(
         self, rng: np.random.Generator, size: int | None = None
     ) -> np.ndarray | int:
+        # One exact draw for every eta > -1. With c = nu / (1 - nu), the
+        # mass at k >= 1 is proportional to the integral over g of
+        # g^(eta-1) e^(-c g) Pr[Poisson(g) = k]. Splitting each k at the
+        # first of the Poisson's arrivals on [0, 1], at s, leaves the
+        # weight g^eta e^(-g (c + s)), integrable for every eta > -1: s has
+        # density proportional to (c + s)^-(eta+1), g is
+        # Gamma(eta + 1) / (c + s), and K - 1 is Poisson(g (1 - s)). By
+        # inversion, log((1 + c) / (c + s)) = log1p(eta Z u) / eta for u
+        # uniform, and g (1 - s) = Gamma(eta + 1) expm1 of that.
+        if self.nu < _SAMPLE_NU_MIN:
+            raise ValueError(
+                f"eta={self.eta}, nu={self.nu} cannot be sampled: a run "
+                "count's Poisson rate could pass numpy's limit below "
+                "nu = 2^-53"
+            )
         u = rng.random(size)
-        idx = np.searchsorted(self._cumulative, u, side="left")
-        ks = np.minimum(idx + 1, self.k_max).astype(np.int64)
+        rate = np.expm1(_log1p_over_eta(self.eta, self._norm * u))
+        rate *= rng.standard_gamma(self.eta + 1.0, size)
+        ks = 1 + rng.poisson(rate)
         return int(ks) if size is None else ks

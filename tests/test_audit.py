@@ -305,7 +305,7 @@ def test_subsampled_best_scores_follow_the_exact_cdf():
 
 
 def _per_run_scores(cfg: GameConfig) -> np.ndarray:
-    """Truth-1 max scores drawn run by run: the sampler before the table."""
+    """Truth-1 max scores drawn run by run from explicit run counts."""
     rng = np.random.default_rng(cfg.seed)
     counts = cfg.dist.sample(rng, cfg.trials)
     mech = cfg.config
@@ -367,8 +367,8 @@ def test_exact_game_follows_the_best_score_cdf(dist):
 
 @pytest.mark.parametrize("dist", _EXACT_TNB)
 def test_exact_game_matches_explicit_run_count_draws(dist):
-    # The reference draws K by the sampler's table and takes the best of
-    # K scores as Phi^-1(V^(1/K)) for a second uniform V.
+    # The reference draws K by the run count's sampler and takes the best
+    # of K scores as Phi^-1(V^(1/K)) for a second uniform V.
     cfg = GameConfig(
         config=DpSgdConfig(60.0, 1.0, 1000), dist=dist, trials=10**5, seed=18
     )

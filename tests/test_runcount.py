@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from privtune.runcount import PointMass, TruncatedNegativeBinomial
 from privtune.runcount import TruncatedNegativeBinomial as TNB
@@ -69,15 +71,25 @@ def test_point_mass_is_deterministic():
     assert PointMass(1).omega(0.3) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_pmf_sums_to_one_within_cap():
+def _tail_horizon(dist: TNB) -> int:
+    """First k whose geometric tail bound, (1 - nu)^k (k + mean) / nu, is
+    below 1e-12: the masses up to it carry all but 1e-12 of the total."""
+    ks = np.arange(1, 10**6)
+    log_tail = ks * math.log1p(-dist.nu) + np.log((ks + dist.mean) / dist.nu)
+    below = log_tail < math.log(1e-12)
+    assert below[-1]
+    return int(ks[np.argmax(below)])
+
+
+def test_pmf_sums_to_one():
     for dist in (TNB(0.0, 1e-2), TNB(1.0, 1e-3), TNB(2.0, 1e-3)):
-        total = float(np.sum(dist.pmf(np.arange(1, dist.k_max + 1))))
+        total = float(np.sum(dist.pmf(np.arange(1, _tail_horizon(dist) + 1))))
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pgf_matches_series_expansion():
     dist = TNB(0.5, 0.2)
-    ks = np.arange(1, dist.k_max + 1)
+    ks = np.arange(1, _tail_horizon(dist) + 1)
     pmf = dist.pmf(ks)
     for y in (0.25, 0.6, 0.95):
         assert dist.pgf(y) == pytest.approx(
@@ -87,7 +99,7 @@ def test_pgf_matches_series_expansion():
 
 def test_omega_matches_series_expansion():
     dist = TNB(0.5, 0.2)
-    ks = np.arange(1, dist.k_max + 1)
+    ks = np.arange(1, _tail_horizon(dist) + 1)
     pmf = dist.pmf(ks)
     for x in (0.0, 0.3, 0.8):
         series = float(np.sum(ks * pmf * x ** (ks - 1)))
@@ -288,14 +300,46 @@ def test_tnb_tends_to_the_logarithmic_series_as_eta_vanishes(nu):
 
 @pytest.mark.parametrize("nu", [0.5, 1e-2, 1e-3, 6e-6])
 @pytest.mark.parametrize("eta", [-0.5, 0.0, 1.0, 8.0])
-def test_k_max_is_the_first_k_below_the_tail_tolerance(eta, nu):
+def test_sampling_matches_the_mean_and_pgf(eta, nu):
+    # The sample means of K and of y^K, within four standard errors of
+    # mean and pgf(y). Var K = mean (eta + 1)(1 - nu) / nu + mean - mean^2
+    # (from S''(1)), and Var y^K = pgf(y^2) - pgf(y)^2. The levels y put
+    # y^mean at e^-0.1, e^-1 and e^-10.
     dist = TNB(eta, nu)
+    n = 1 << 17
+    draws = dist.sample(np.random.default_rng(0), size=n)
+    assert draws.min() >= 1
+    mean = dist.mean
+    var = mean * (eta + 1.0) * (1.0 - nu) / nu + mean - mean**2
+    assert abs(draws.mean() - mean) < 4.0 * math.sqrt(var / n)
+    for t in (0.1, 1.0, 10.0):
+        y = math.exp(-t / mean)
+        pgf = dist.pgf(y)
+        se = math.sqrt((dist.pgf(y * y) - pgf**2) / n)
+        assert abs(np.mean(y**draws) - pgf) < 4.0 * se, t
 
-    def log_tail(k: int) -> float:
-        return k * math.log1p(-nu) + math.log((k + dist.mean) / nu)
 
-    k = dist.k_max
-    assert log_tail(k) < math.log(1e-12) <= log_tail(k - 1)
+def _binned_chi_square_pvalue(dist: TNB, draws: np.ndarray) -> float:
+    """Chi-square p-value of draws against pmf, one bin for each k whose
+    expected count is at least 5, plus one bin below and one above."""
+    n = draws.size
+    expected = dist.pmf(np.arange(1, 10**5)) * n
+    lo, hi = np.flatnonzero(expected >= 5.0)[[0, -1]] + 1
+    observed = np.bincount(np.clip(draws, lo - 1, hi + 1) - (lo - 1))
+    edges = [expected[: lo - 1].sum(), n - expected[:hi].sum()]
+    want = np.concatenate([edges[:1], expected[lo - 1 : hi], edges[1:]])
+    keep = want > 0.0
+    assert np.all(observed[~keep] == 0)
+    return stats.chisquare(observed[keep], want[keep]).pvalue
+
+
+@pytest.mark.parametrize(
+    "dist", [TNB(-0.9, 0.1), TNB(0.0, 0.1), TNB(1e-6, 0.1), TNB(8.0, 0.3)]
+)
+def test_sampling_matches_the_pmf(dist):
+    # 10^6 draws; four tests, so each is held at p > 0.001.
+    draws = dist.sample(np.random.default_rng(1), size=10**6)
+    assert _binned_chi_square_pvalue(dist, draws) > 1e-3
 
 
 def test_omega_forms():
@@ -307,15 +351,34 @@ def test_omega_forms():
     assert c == pytest.approx(1e-2, rel=1e-15)
 
 
-def test_sampling_refuses_a_tail_past_the_cap():
-    # TNB(1, 1e-8)'s tail bound is still 0.9 at the table's 1e7 cap, and
-    # 911 of 1000 seeded draws once returned the cap itself.
-    with pytest.raises(ValueError, match=r"eta=1.0, nu=1e-08 .* 10000000 runs"):
-        TNB(1.0, 1e-8).sample(np.random.default_rng(0), size=1000)
-    dist = TNB(1.0, 1e-5)
-    assert dist.k_max == 5_467_616
-    draws = dist.sample(np.random.default_rng(0), size=1000)
-    assert draws.min() >= 1 and draws.max() < dist.k_max
+def test_sampling_reaches_a_mean_of_1e8():
+    # The geometric run count's standard deviation is sqrt(1 - nu) / nu.
+    # Memory grows with the number of draws only, not with the mean.
+    draws = TNB(1.0, 1e-8).sample(np.random.default_rng(0), size=1000)
+    assert draws.min() >= 1
+    se = math.sqrt(1.0 - 1e-8) / 1e-8 / math.sqrt(draws.size)
+    assert abs(draws.mean() - 1e8) < 4.0 * se
+    tracemalloc.start()
+    try:
+        TNB(1.0, 1e-5).sample(np.random.default_rng(0), size=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sampling_refuses_nu_below_2_to_the_minus_53():
+    # Below it a draw's Poisson rate, up to 1/nu - 1 times a gamma, can
+    # pass numpy's limit of about 2^63: on every call at TNB(1, 1e-150),
+    # on rare draws at TNB(-0.9, 1e-300).
+    for eta, nu in ((1.0, 1e-150), (0.0, 1e-300), (-0.9, 1e-300)):
+        with pytest.raises(ValueError, match=rf"eta={eta}, nu={nu} .*2\^-53"):
+            TNB(eta, nu).sample(np.random.default_rng(0), size=10)
+    with pytest.raises(ValueError):
+        TNB(1.0, math.nextafter(2.0**-53, 0.0)).sample(np.random.default_rng(0))
+    draws = TNB(1.0, 2.0**-53).sample(np.random.default_rng(0), size=1000)
+    assert draws.min() >= 1
+    assert abs(draws.mean() - 2.0**53) < 4.0 * 2.0**53 / math.sqrt(draws.size)
 
 
 def test_sampling_matches_distribution():
