@@ -51,6 +51,9 @@ _CAMPAIGN_RUN_COUNTS: tuple[RunCountDist, ...] = (
     TruncatedNegativeBinomial(1.0, 0.1),
 )
 _CAMPAIGN_ORDERS = (1.5, 2.0, 8.0)
+# Symbol uniforms simulate_selection draws at once (16 MB with their
+# indices), whatever the run count.
+_SELECTION_DRAWS = 1 << 20
 
 
 def _check_sums(rows: np.ndarray, name: str, tol: float) -> None:
@@ -517,6 +520,40 @@ def near_worst_case_pair(
     )
 
 
+def _top_groups(
+    draw_cdf: np.ndarray,
+    group_of: np.ndarray,
+    rows: int,
+    k: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The top group among k symbol draws, for each of rows trials.
+
+    The uniforms are those of one rng.random((rows, k)), drawn in row-major
+    order at most _SELECTION_DRAWS at a time: whole rows, or one row's
+    columns under a running maximum.
+    """
+    top = np.empty(rows, dtype=np.int64)
+    step = max(1, _SELECTION_DRAWS // k)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        best = np.full(hi - lo, -1, dtype=np.int64)
+        for col in range(0, k, _SELECTION_DRAWS):
+            width = min(_SELECTION_DRAWS, k - col)
+            # One expression, so no slice's arrays outlive it.
+            np.maximum(
+                best,
+                group_of[
+                    np.searchsorted(
+                        draw_cdf, rng.random((hi - lo, width)), side="left"
+                    )
+                ].max(axis=1),
+                out=best,
+            )
+        top[lo:hi] = best
+    return top
+
+
 def simulate_selection(
     p: np.ndarray,
     partition: tuple[tuple[int, ...], ...],
@@ -551,12 +588,9 @@ def simulate_selection(
     ks = np.asarray(dist.sample(rng, trials))
     counts = np.zeros(arr.shape[0], dtype=np.int64)
     draw_cdf = np.cumsum(arr)
-    for k in np.unique(ks):
+    for k in np.unique(ks).tolist():
         block = int(np.sum(ks == k))
-        symbols = np.searchsorted(
-            draw_cdf, rng.random((block, int(k))), side="left"
-        )
-        top_group = np.max(group_of[symbols], axis=1)
+        top_group = _top_groups(draw_cdf, group_of, block, k, rng)
         for rank, group in enumerate(groups):
             hits = int(np.sum(top_group == rank))
             if hits == 0:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import mpmath
@@ -15,6 +16,7 @@ from scipy import integrate, special, stats
 
 from privtune.audit import (
     _BLOCK_SIZE,
+    _CP_REL_ERR,
     _QUANTILE_TOL,
     GameConfig,
     _mixture_quantile,
@@ -34,24 +36,26 @@ from privtune.runcount import TruncatedNegativeBinomial as TNB
 from privtune.tradeoff import (
     DpSgdConfig,
     GaussianCurve,
+    _ndtri,
     gdp_approx_mu,
     gdp_mu_from_eps_delta,
 )
 
 # Frozen regression values. The Clopper-Pearson zero-successes case has
-# the closed form 1 - (1 - confidence)^(1/n); the epsilon bound for
-# rates (0.1, 0.2) at delta 1e-5 is log((1 - 1e-5 - 0.2) / 0.1). The
-# game values were frozen from seeded runs after validating the
-# simulator against its analytic trade-off curve.
-_CP_ZERO_OF_TEN = 0.3084971078187608
+# the closed form 1 - (1 - confidence)^(1/n), raised by 2^-50 relative;
+# the epsilon bound for rates (0.1, 0.2) at delta 1e-5 is
+# log((1 - 1e-5 - 0.2) / 0.1). The game values were frozen from seeded
+# runs after validating the simulator against its analytic trade-off
+# curve (and its scores against scipy's normal quantile, below).
+_CP_ZERO_OF_TEN = 0.30849710781876105
 _EPS_RATES_EXAMPLE = 2.0794290416017103
 _SIGMA_GDP_EPS2 = 63.44900768023062
 _GAME_SEED7 = {
-    "best_threshold": 4.830276432171212,
+    "best_threshold": 4.830276432171211,
     "counts": (1326, 98, 1571393, 1572911),
-    "fp_upper": 7.5997760050674e-05,
-    "fn_upper": 0.9992024016523159,
-    "eps_lower": 2.338284382015781,
+    "fp_upper": 7.599776005067447e-05,
+    "fn_upper": 0.9992024016523168,
+    "eps_lower": 2.338284382014647,
 }
 _SMOKE_MEAN_NULL = 0.6322608549280475
 _SMOKE_MEAN_ALT = 1.6309669714378408
@@ -99,6 +103,132 @@ def test_clopper_pearson_upper_on_arrays_solves_the_binomial_tail():
                     for i in range(s + 1)
                 )
                 assert abs(tail - (1.0 - confidence)) <= 1e-10
+
+
+def _mp_beta_regularized(c: int, n: int, x: float):
+    """I_x(c + 1, n - c) = P(Binomial(n, x) > c) at the working precision.
+
+    The binomial terms are summed from c outward on the side away from
+    the mean, where they fall, until a term is below 1e-45 of the sum.
+    """
+    x = mpmath.mpf(x)
+    one = mpmath.mpf(1)
+    floor = mpmath.mpf(10) ** -45
+
+    def term(i):
+        return mpmath.exp(
+            mpmath.loggamma(n + 1) - mpmath.loggamma(i + 1)
+            - mpmath.loggamma(n - i + 1) + i * mpmath.log(x)
+            + (n - i) * mpmath.log1p(-x)
+        )
+
+    if c < n * x:  # sum P(K <= c) downward from c
+        t = total = term(c)
+        for i in range(c, 0, -1):
+            t *= i / (n - i + one) * (one - x) / x
+            total += t
+            if t < floor * total:
+                break
+        return one - total
+    t = total = term(c + 1)  # sum P(K > c) upward from c + 1
+    for i in range(c + 1, n):
+        t *= (n - i) / (i + one) * x / (one - x)
+        total += t
+        if t < floor * total:
+            break
+    return total
+
+
+_CP_CASES = [
+    (n, c)
+    for n in (2, 10, 60, 1000, 10**5)
+    for c in sorted({0, 1, 2, n // 3, n - 2, n - 1})
+    if c < n
+] + [(10**7, c) for c in (0, 1, 7, 100, 5000, 123456, 10**7 - 2, 10**7 - 1)]
+
+
+@pytest.mark.parametrize("confidence", [0.975, 0.6, 0.999, 0.3])
+def test_clopper_pearson_upper_brackets_the_40_digit_root(confidence):
+    # Never below the exact limit, and within _CP_REL_ERR above it.
+    for n, c in _CP_CASES:
+        upper = clopper_pearson_upper(c, n, confidence)
+        with mpmath.workdps(40):
+            at = _mp_beta_regularized(c, n, upper)
+            below = _mp_beta_regularized(c, n, upper * (1.0 - 2.0 * _CP_REL_ERR))
+        assert at >= confidence, (n, c, upper)
+        assert below < confidence, (n, c, upper)
+
+
+def _sweep_counts(n: int) -> np.ndarray:
+    """The 1024 false-positive and false-negative counts of the sweep's
+    levels on two classes of n trials, as a 2n-trial audit draws."""
+    levels = _sweep_levels()
+    return np.round(n * np.concatenate([1.0 - levels, levels])).astype(int)
+
+
+@pytest.mark.parametrize("n", [5 * 10**6, 5 * 10**8])
+def test_clopper_pearson_upper_agrees_with_scipy(n):
+    if n == 5 * 10**6:
+        counts = _sweep_counts(n)
+    else:
+        counts = np.unique(
+            np.concatenate([
+                np.arange(1, 60),
+                np.geomspace(60, n - 60, 600).astype(int),
+                n - np.arange(1, 60),
+            ])
+        )
+    ours = clopper_pearson_upper(counts, n, 0.975)
+    scipy_limit = special.betaincinv(counts + 1, n - counts, 0.975)
+    rel = np.abs(ours - scipy_limit) / scipy_limit
+    # Each row of the 10^7-trial sweep (two classes of 5 10^6) is within
+    # _CP_REL_ERR of scipy. At n = 5 10^8 scipy's limit is off by up to
+    # 4e-9 relative below about 40 successes; there 40 digits put ours
+    # above the exact limit and within _CP_REL_ERR of it, and scipy's
+    # below the exact limit or above ours.
+    apart = np.flatnonzero(rel > _CP_REL_ERR)
+    assert np.all(counts[apart] < (0 if n == 5 * 10**6 else 60))
+    for i in apart:
+        c = int(counts[i])
+        with mpmath.workdps(40):
+            at = _mp_beta_regularized(c, n, ours[i])
+            below = _mp_beta_regularized(c, n, ours[i] * (1.0 - 2.0 * _CP_REL_ERR))
+            off = _mp_beta_regularized(c, n, scipy_limit[i])
+        assert at >= 0.975 > below
+        # scipy's limit is on the wrong side, or further out than ours.
+        assert off < 0.975 or scipy_limit[i] > ours[i]
+
+
+def test_exact_game_scores_match_scipys_normal_quantile():
+    # The seed-7 game's best scores, recomputed block by block with
+    # scipy.special.ndtri in place of the package's AS241: within 1.1e-15
+    # relative, and simulate_game's scores are the package's bit for bit.
+    cfg = GameConfig(
+        config=DpSgdConfig(60.0, 1.0, 1000),
+        dist=TNB(1.0, 1e-2),
+        trials=3 * (1 << 20),
+        seed=7,
+    )
+    truth, scores = simulate_game(cfg)
+    shift = math.sqrt(1000.0) / 60.0
+    worst = 0.0
+    for block, lo in enumerate(range(0, cfg.trials, _BLOCK_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
+        bits = rng.integers(0, 2, size=_BLOCK_SIZE)
+        level = cfg.dist.log_inverse_pgf(rng.random(_BLOCK_SIZE))
+        with np.errstate(divide="ignore"):
+            ours = _normal_best(level.copy())
+        reference = special.ndtri(np.exp(level))
+        at_one = np.isinf(reference) & (reference > 0)
+        reference[at_one] = -special.ndtri(-np.expm1(level[at_one]))
+        part = slice(lo, lo + _BLOCK_SIZE)
+        assert scores[part].tobytes() == (ours + shift * bits).tobytes()
+        np.testing.assert_array_equal(truth[part], bits == 1)
+        finite = np.isfinite(reference) & (reference != 0.0)
+        assert np.array_equal(ours[~finite], reference[~finite])
+        gap = np.abs(ours[finite] - reference[finite]) / np.abs(reference[finite])
+        worst = max(worst, float(gap.max()))
+    assert worst <= 1.1e-15
 
 
 def test_eps_lower_bound_frozen_values():
@@ -163,6 +293,14 @@ def test_game_config_validation():
         GameConfig(config=config, dist=dist, trials=0)
     with pytest.raises(ValueError):
         GameConfig(config=config, dist=dist, trials=100, confidence=1.0)
+    # 1 - (1 - c) / 2 rounds to 1.0 for the largest double below 1.
+    with pytest.raises(
+        ValueError, match=r"confidence=0\.9999999999999999 is too close to 1"
+    ):
+        GameConfig(
+            config=config, dist=dist, trials=100, confidence=1.0 - 2.0**-53
+        )
+    GameConfig(config=config, dist=dist, trials=100, confidence=1.0 - 2.0**-52)
     with pytest.raises(ValueError):
         GameConfig(config=config, dist=dist, trials=100, delta=1.0)
     with pytest.raises(ValueError):
@@ -558,8 +696,8 @@ def test_pooled_quantiles_equal_numpy_quantile_bit_for_bit():
 def test_normal_best_stays_finite_where_exp_rounds_to_one():
     level = np.array([-np.inf, -0.5, -1e-15, -2.0**-56, -1e-17, -1e-300])
     expected = np.array(
-        [-np.inf, special.ndtri(np.exp(-0.5)), special.ndtri(np.exp(-1e-15))]
-        + [-special.ndtri(-np.expm1(x)) for x in level[3:]]
+        [-np.inf, _ndtri(np.exp(-0.5)), _ndtri(np.exp(-1e-15))]
+        + [-_ndtri(-np.expm1(x)) for x in level[3:]]
     )
     assert np.all(np.exp(level[3:]) == 1.0)
     scores = _normal_best(level.copy())
@@ -586,6 +724,19 @@ def test_run_audit_reports_the_best_sweep_row():
     # A tie goes to the first row.
     tied = dataclasses.replace(sweep, eps_lower=np.array([0.0, 2.0, 1.0, 2.0]))
     assert tied.best == 1
+
+
+def test_thread_count_uses_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("PRIVTUNE_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert thread_count() == 3
+    monkeypatch.setenv("PRIVTUNE_THREADS", "2")
+    assert thread_count() == 2
+    monkeypatch.delenv("PRIVTUNE_THREADS")
+    # Without an affinity call, every logical core.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_count() == 64
 
 
 def test_thread_count_env_override(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -389,6 +390,62 @@ def test_simulate_selection_matches_exact_on_tied_groups():
     )
     se = np.sqrt(exact * (1.0 - exact) / 200_000)
     assert np.all(np.abs(emp - exact) <= 4.0 * se)
+
+
+def _selection_in_one_draw(p, partition, dist, trials, rng) -> np.ndarray:
+    """simulate_selection with one rng.random((block, k)) per run count k."""
+    group_of = np.empty(len(p), dtype=np.int64)
+    for rank, group in enumerate(partition):
+        group_of[list(group)] = rank
+    ks = np.asarray(dist.sample(rng, trials))
+    counts = np.zeros(len(p), dtype=np.int64)
+    for k in np.unique(ks):
+        block = int(np.sum(ks == k))
+        symbols = np.searchsorted(
+            np.cumsum(p), rng.random((block, int(k))), side="left"
+        )
+        top_group = np.max(group_of[symbols], axis=1)
+        for rank, group in enumerate(partition):
+            hits = int(np.sum(top_group == rank))
+            if hits:
+                chosen = rng.integers(0, len(group), size=hits)
+                counts += np.bincount(
+                    np.asarray(group)[chosen], minlength=len(p)
+                )
+    return counts / float(trials)
+
+
+@pytest.mark.parametrize("dist", [PointMass(2500), TNB(1.0, 1e-3)])
+def test_simulate_selection_splits_draws_on_the_same_stream(monkeypatch, dist):
+    # With at most 1000 uniforms at a time, PointMass(2500) splits each
+    # row's columns and TNB(1, 1e-3) both rows and columns; the stream and
+    # the estimate stay those of one draw per run count.
+    monkeypatch.setattr(discrete, "_SELECTION_DRAWS", 1000)
+    p = np.array([0.999, 0.0006, 0.0004])
+    partition = ((0,), (1, 2))
+    got = simulate_selection(p, partition, dist, 500, np.random.default_rng(3))
+    want = _selection_in_one_draw(
+        p, partition, dist, 500, np.random.default_rng(3)
+    )
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    ("dist", "trials"), [(TNB(1.0, 1e-5), 100), (PointMass(3 * 2**20 + 5), 1)]
+)
+def test_simulate_selection_memory_is_bounded_in_the_run_count(dist, trials):
+    # 2^20 uniforms and their indices at a time, 16 MB, where one row of a
+    # (block, k) draw took 24 bytes a symbol (75 MB for the point mass).
+    p = np.array([0.5, 0.3, 0.2])
+    partition = ((0,), (1,), (2,))
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        simulate_selection(p, partition, dist, trials, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * 2**20
 
 
 def test_mechanism_pair_validation():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privtune.tradeoff import (
+    _AS241,
     _COMPLEMENT_REL_ERR,
     _GDP_MU_MAX,
     _NDTR_REL_ERR,
@@ -152,6 +153,48 @@ def test_ndtri_matches_a_40_digit_oracle():
     np.testing.assert_array_equal(
         _ndtri(np.array([0.0, 1.0])), [-math.inf, math.inf]
     )
+
+
+def _all_branch_ndtri(p: np.ndarray) -> np.ndarray:
+    """AS241 with all six polynomials evaluated on every point."""
+    coeffs = _AS241
+    q = p - 0.5
+    r = 0.180625 - q * q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = q * np.polyval(coeffs[0], r) / np.polyval(coeffs[1], r)
+        t = np.sqrt(-np.log(np.where(q <= 0.0, p, 1.0 - p)))
+        tail = np.where(
+            t <= 5.0,
+            np.polyval(coeffs[2], t - 1.6) / np.polyval(coeffs[3], t - 1.6),
+            np.polyval(coeffs[4], t - 5.0) / np.polyval(coeffs[5], t - 5.0),
+        )
+    z = np.where(np.abs(q) <= 0.425, z, np.where(q < 0.0, -tail, tail))
+    return np.where(p <= 0.0, -np.inf, np.where(p >= 1.0, np.inf, z))
+
+
+def test_ndtri_evaluates_only_its_branch_bit_for_bit():
+    rng = np.random.default_rng(20)
+    # Each branch boundary: |p - 1/2| = 0.425, t = 5 (p = e^-25 and
+    # 1 - e^-25), 0, 1, the least subnormal and 1 - 2^-53, with the
+    # neighbouring doubles of each, and NaN.
+    edges = np.array([0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0)])
+    edges = np.concatenate([edges, [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5]])
+    edges = np.concatenate(
+        [edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0), [np.nan]]
+    )
+    points = np.concatenate([
+        rng.random(10**6),
+        10.0 ** rng.uniform(-320.0, 0.0, 10**5),
+        -np.expm1(-(10.0 ** rng.uniform(-17.0, 1.6, 10**5))),
+        edges,
+    ])
+    rng.shuffle(points)
+    assert _ndtri(points).tobytes() == _all_branch_ndtri(points).tobytes()
+    # In place, and on a scalar.
+    copy = points.copy()
+    assert _ndtri(copy, out=copy) is copy
+    assert copy.tobytes() == _all_branch_ndtri(points).tobytes()
+    assert _ndtri(0.3).tobytes() == _all_branch_ndtri(np.array(0.3)).tobytes()
 
 
 def test_ndtr_matches_a_40_digit_oracle():
