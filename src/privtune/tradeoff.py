@@ -61,8 +61,9 @@ _GDP_MU_MAX = 1e6
 # Below this epsilon, e^eps is a finite double.
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
-# Points _ndtri takes at once, so that its per-branch slices stay in cache.
-_NDTRI_CHUNK = 1 << 14
+# Points _ndtri takes at once. A 10^7-trial audit's two workers ran 1.4
+# times as fast as one at 2^14 points, and 1.8 times at 2^16.
+_NDTRI_CHUNK = 1 << 16
 # Coefficients of Wichura's AS241 (1988), highest degree first: numerator
 # and denominator for |p - 1/2| <= 0.425 in r = 0.180625 - (p - 1/2)^2,
 # then in r = sqrt(-log(min(p, 1 - p))) - 1.6 for r <= 5, else r - 5.
