@@ -170,7 +170,8 @@ def _log_ndtr(x: np.ndarray | float) -> np.ndarray:
 
 def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
     """np.polyval(coeffs, x) for finite x, by the same operations."""
-    y = coeffs[0] * x + coeffs[1]
+    y = coeffs[0] * x
+    y += coeffs[1]
     for c in coeffs[2:]:
         y *= x
         y += c
@@ -179,7 +180,9 @@ def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
 
 def _ratio(k: int, x: np.ndarray) -> np.ndarray:
     """The k-th AS241 rational function at x: numerator over denominator."""
-    return _horner(_AS241[2 * k], x) / _horner(_AS241[2 * k + 1], x)
+    y = _horner(_AS241[2 * k], x)
+    y /= _horner(_AS241[2 * k + 1], x)
+    return y
 
 
 def _ndtri(p: np.ndarray | float, out: np.ndarray | None = None) -> np.ndarray:
@@ -210,20 +213,26 @@ def _ndtri(p: np.ndarray | float, out: np.ndarray | None = None) -> np.ndarray:
                 qc = q[central]
                 r = 0.180625 - qc * qc
                 # q times the numerator, then over the denominator.
-                z[central] = qc * _horner(_AS241[0], r) / _horner(_AS241[1], r)
+                value = _horner(_AS241[0], r)
+                value *= qc
+                value /= _horner(_AS241[1], r)
+                z[central] = value
             if n_central < q.size:
                 tail = ~central if n_central else slice(None)
                 qt, pt = q[tail], part[tail]
-                # 1 - p is exact for p > 1/2.
-                t = np.sqrt(-np.log(np.where(qt <= 0.0, pt, 1.0 - pt)))
+                # 1 - p is exact for p > 1/2; t = sqrt(-log of that).
+                t = np.where(qt <= 0.0, pt, 1.0 - pt)
+                np.sqrt(np.negative(np.log(t, out=t), out=t), out=t)
                 near = t <= 5.0
                 if near.all():
-                    value = _ratio(1, t - 1.6)
+                    t -= 1.6
+                    value = _ratio(1, t)
                 else:
                     value = np.empty_like(t)
                     value[near] = _ratio(1, t[near] - 1.6)
                     value[~near] = _ratio(2, t[~near] - 5.0)
-                z[tail] = np.where(qt < 0.0, -value, value)
+                np.negative(value, out=value, where=qt < 0.0)
+                z[tail] = value
             z[at_zero] = -np.inf
             z[at_one] = np.inf
     return result
