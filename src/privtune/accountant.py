@@ -359,27 +359,24 @@ def _tnb_hat_epsilon(
     mean: float,
     delta_h: float,
     rule: str,
-) -> tuple[float, float, float]:
+) -> float:
     """Minimum converted epsilon of the lifted Renyi bound over order pairs.
 
     The lifted bound at orders (alpha, alpha') is
-    gamma(alpha) + (1+eta)(1 - 1/alpha') gamma(alpha')
-    + (1+eta) log(1/nu) / alpha' + log(mean) / (alpha - 1).
-
-    Returns:
-      (epsilon, alpha, alpha') at the minimizing pair.
+    (gamma(alpha) + T(alpha')) + log(mean) / (alpha - 1), with the alpha'
+    term T(alpha') = (1+eta)(1 - 1/alpha') gamma(alpha')
+    + (1+eta) log(1/nu) / alpha'. For fixed alpha its converted epsilon
+    adds and subtracts alpha-only terms to T(alpha') one rounding at a
+    time. Float addition rounds monotonically, as does every later step of
+    either conversion rule, so the epsilon is nondecreasing in T(alpha'):
+    every alpha attains its pair minimum at alpha' = argmin T, and one
+    pass over alpha with that T gives the same double as the minimum over
+    all pairs.
     """
-    term_ap = (1.0 + eta) * (1.0 - 1.0 / alphas) * gammas + (
-        1.0 + eta
-    ) * math.log(1.0 / nu) / alphas
-    hat = (
-        gammas[:, None]
-        + term_ap[None, :]
-        + math.log(mean) / (alphas[:, None] - 1.0)
-    )
-    eps = np.asarray(rdp_to_eps(hat, alphas[:, None], delta_h, rule))
-    i, j = np.unravel_index(int(np.argmin(eps)), eps.shape)
-    return float(eps[i, j]), float(alphas[i]), float(alphas[j])
+    lift = 1.0 + eta
+    t = lift * (1.0 - 1.0 / alphas) * gammas + lift * math.log(1.0 / nu) / alphas
+    hat = gammas + np.min(t) + math.log(mean) / (alphas - 1.0)
+    return float(np.min(rdp_to_eps(hat, alphas, delta_h, rule)))
 
 
 def select_epsilon_rdp(
@@ -390,8 +387,9 @@ def select_epsilon_rdp(
     """Renyi-divergence privacy bound for best-of-k selection.
 
     Lifts the base Renyi curve of the training configuration through the
-    truncated-negative-binomial selection bound and converts the best
-    order pair to epsilon at delta_h with the tight rule.
+    truncated-negative-binomial selection bound, converts it to epsilon
+    at delta_h with the tight rule and takes the minimum over orders, in
+    one pass (_tnb_hat_epsilon).
 
     Args:
       config: training parameters (sigma, tau, n_iters).
@@ -420,7 +418,7 @@ def select_epsilon_rdp(
         alphas = _INT_ALPHAS
         curve = subsampled_rdp_curve(config.tau, alphas)
         gammas = curve(config.sigma, config.n_iters)
-    eps_h, _, _ = _tnb_hat_epsilon(
+    eps_h = _tnb_hat_epsilon(
         gammas, alphas, dist.eta, dist.nu, dist.mean, delta_h, "tight"
     )
     eps_base = float(np.min(rdp_to_eps(gammas, alphas, delta_h)))
@@ -464,10 +462,9 @@ def select_epsilon_rdp_pure(
     gammas = np.logaddexp(
         log_p + (alphas - 1.0) * epsilon, log_p - alphas * epsilon
     ) / (alphas - 1.0)
-    eps_h, _, _ = _tnb_hat_epsilon(
+    return _tnb_hat_epsilon(
         gammas, alphas, dist.eta, dist.nu, dist.mean, delta_h, rule="classic"
     )
-    return eps_h
 
 
 def _out_of_reach(

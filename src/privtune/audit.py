@@ -31,7 +31,7 @@ from concurrent import futures
 import numpy as np
 
 from .accountant import _logsumexp_rows
-from .runcount import RunCountDist
+from .runcount import RunCountDist, _stirlerr
 from .tradeoff import (
     DpSgdConfig,
     _log_ndtr,
@@ -71,16 +71,6 @@ _TABLE_CAP = 1 << 24
 _CHUNK = 1 << 13
 _NEWTON_STEPS = 4
 _QUANTILE_TOL = 1e-10
-# Loader's (2000) stirlerr(k) for k = 0, ..., 15 from 40-digit mpmath (0
-# unused), and the coefficients of its Stirling series used above 15.
-_STIRLERR = (
-    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
-    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
-    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-)
-_STIRLING = (1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0)
 # Terms of bd0's series: |v| < 1/10, so each term is 1e-2 of the last.
 _BD0_TERMS = 9
 # The incomplete beta's continued fraction: the relative move at which a
@@ -413,18 +403,6 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     return truth, scores
 
 
-def _stirlerr(k: np.ndarray) -> np.ndarray:
-    """Loader's log k! - log(sqrt(2 pi k) (k / e)^k) at whole k >= 1."""
-    k = np.asarray(k, dtype=float)
-    big = np.maximum(k, 16.0)
-    inv = 1.0 / (big * big)
-    series = _STIRLING[4]
-    for coeff in _STIRLING[3::-1]:
-        series = coeff - series * inv
-    table = np.asarray(_STIRLERR)[np.minimum(k, 15.0).astype(np.intp)]
-    return np.where(k <= 15.0, table, series / big)
-
-
 def _bd0(x: np.ndarray, m_hi: np.ndarray, m_lo: np.ndarray) -> np.ndarray:
     """Loader's deviance term x log(x / m) + m - x at m = m_hi + m_lo.
 
@@ -617,7 +595,7 @@ def _cp_limit(c: np.ndarray, n: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def clopper_pearson_upper(
-    successes: np.ndarray | int, trials: int, confidence: float
+    successes: np.ndarray | int, trials: np.ndarray | int, confidence: float
 ) -> np.ndarray | float:
     """One-sided upper confidence limits for a binomial proportion.
 
@@ -631,12 +609,13 @@ def clopper_pearson_upper(
 
     Args:
       successes: observed success count, or an array of them.
-      trials: number of draws, at least every success count.
+      trials: number of draws, at least every success count, or an array
+        of them broadcast against the counts.
       confidence: one-sided confidence level in (0, 1).
 
     Returns:
-      The upper limit for each count. A float for a scalar count, else an
-      array of its shape.
+      The upper limit for each count. A float when both counts and trials
+      are scalars, else an array of their broadcast shape.
     """
     counts = np.asarray(successes)
     if not np.all((counts >= 0) & (counts <= trials)):
@@ -645,21 +624,15 @@ def clopper_pearson_upper(
         )
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    upper = _cp_upper(counts.astype(float), float(trials), confidence)
-    return float(upper) if np.ndim(successes) == 0 else upper
-
-
-def _cp_upper(
-    counts: np.ndarray, trials: np.ndarray | float, confidence: float
-) -> np.ndarray:
-    """clopper_pearson_upper on valid float counts, trials broadcast to them."""
-    counts, n = np.broadcast_arrays(counts, trials)
+    counts, n = np.broadcast_arrays(counts.astype(float), np.asarray(trials, float))
     upper = np.ones(counts.shape)
     zero = (counts == 0) & (n > 0)
     upper[zero] = -np.expm1(math.log1p(-confidence) / n[zero]) * (1.0 + 2.0**-50)
     inner = (counts > 0) & (counts < n)
     if inner.any():
         upper[inner] = _cp_limit(counts[inner], n[inner], confidence)
+    if np.ndim(successes) == 0 and np.ndim(trials) == 0:
+        return float(upper)
     return upper
 
 
@@ -837,13 +810,8 @@ def sweep_thresholds(
     fn_cnt = np.searchsorted(s1, thresholds, side="right")
     side = _one_sided(confidence)
     # Both classes' limits in one solve.
-    fp_up, fn_up = np.split(
-        _cp_upper(
-            np.concatenate([fp_cnt, fn_cnt]).astype(float),
-            np.repeat([float(n0), float(n1)], thresholds.size),
-            side,
-        ),
-        2,
+    fp_up, fn_up = clopper_pearson_upper(
+        np.stack([fp_cnt, fn_cnt]), [[n0], [n1]], side
     )
     return ThresholdSweep(
         thresholds=thresholds,

@@ -13,8 +13,12 @@ from scipy import special
 
 from privtune.accountant import (
     _ALPHA_DENSE,
+    _INT_ALPHAS,
+    _PURE_ALPHA_CAP,
+    SPEC_ALPHAS,
     _log_factorials,
     _logsumexp_rows,
+    _tnb_hat_epsilon,
     base_curve_for,
     calibrate_sigma_rdp,
     compare_bounds,
@@ -448,6 +452,64 @@ def test_select_epsilon_rdp_pure_is_finite_at_large_epsilon():
         assert select_epsilon_rdp_pure(eps, dist, delta) == pytest.approx(
             want, rel=1e-12
         )
+
+
+def _pair_grid_epsilon(
+    gammas: np.ndarray,
+    alphas: np.ndarray,
+    eta: float,
+    nu: float,
+    mean: float,
+    delta_h: float,
+    rule: str,
+) -> float:
+    """The lifted Renyi bound's converted epsilon, least over every pair.
+
+    The |alpha| x |alpha'| broadcast of the bound
+    gamma(alpha) + (1+eta)(1 - 1/alpha') gamma(alpha')
+    + (1+eta) log(1/nu) / alpha' + log(mean) / (alpha - 1), with the float
+    operations in the order _tnb_hat_epsilon takes them.
+    """
+    term_ap = (1.0 + eta) * (1.0 - 1.0 / alphas) * gammas + (
+        1.0 + eta
+    ) * math.log(1.0 / nu) / alphas
+    hat = (
+        gammas[:, None]
+        + term_ap[None, :]
+        + math.log(mean) / (alphas[:, None] - 1.0)
+    )
+    return float(np.min(rdp_to_eps(hat, alphas[:, None], delta_h, rule)))
+
+
+def test_tnb_hat_epsilon_is_the_pair_grid_minimum_bit_for_bit():
+    # 300 seeded inputs, 30 for each rule on each of five curves: the
+    # Gaussian at tau = 1 on SPEC_ALPHAS, the subsampled Gaussian at tau
+    # 0.5, 0.1 and 0.01 on the integer orders, and the pure-DP curve on
+    # the orders up to the pure bound's cap.
+    rng = np.random.default_rng(22)
+    pure_alphas = SPEC_ALPHAS[SPEC_ALPHAS <= _PURE_ALPHA_CAP]
+    taus = (0.5, 0.1, 0.01)
+    curves = [subsampled_rdp_curve(tau, _INT_ALPHAS) for tau in taus]
+    for case in range(300):
+        kind, rule = case % 5, ("tight", "classic")[case // 5 % 2]
+        sigma = 10.0 ** rng.uniform(-0.3, 2.0)
+        n_iters = int(10.0 ** rng.uniform(0.0, 5.0))
+        if kind == 0:
+            alphas = SPEC_ALPHAS
+            gammas = n_iters * alphas / (2.0 * sigma**2)
+        elif kind <= len(taus):
+            alphas = _INT_ALPHAS
+            gammas = curves[kind - 1](sigma, n_iters)
+        else:
+            alphas, eps = pure_alphas, 10.0 ** rng.uniform(-2.0, 3.0)
+            log_p = -math.log1p(math.exp(-eps))
+            gammas = np.logaddexp(
+                log_p + (alphas - 1.0) * eps, log_p - alphas * eps
+            ) / (alphas - 1.0)
+        dist = TNB(rng.uniform(-0.9, 4.0), 10.0 ** rng.uniform(-10.0, -0.3))
+        delta_h = 10.0 ** rng.uniform(-12.0, -1.0)
+        args = (gammas, alphas, dist.eta, dist.nu, dist.mean, delta_h, rule)
+        assert _tnb_hat_epsilon(*args) == _pair_grid_epsilon(*args), case
 
 
 def test_select_epsilon_rdp_reports_geometric_example():

@@ -83,6 +83,23 @@ def test_clopper_pearson_upper_monotone_in_successes():
     assert all(a < b + 1e-15 for a, b in zip(values, values[1:]))
 
 
+def test_clopper_pearson_upper_broadcasts_trials_against_counts():
+    # Each entry equals the scalar call on its own (count, trials) pair,
+    # and only two scalars give a float.
+    counts = np.array([[0, 3, 5], [7, 0, 40]])
+    trials = np.array([[5], [40]])
+    upper = clopper_pearson_upper(counts, trials, 0.975)
+    assert upper.shape == (2, 3)
+    assert upper.tolist() == [
+        [clopper_pearson_upper(int(c), int(n), 0.975) for c in row]
+        for row, n in zip(counts, trials[:, 0])
+    ]
+    assert isinstance(clopper_pearson_upper(3, 10, 0.975), float)
+    assert clopper_pearson_upper(3, np.array([10, 20]), 0.975).shape == (2,)
+    with pytest.raises(ValueError):
+        clopper_pearson_upper(np.array([3, 6]), np.array([10, 5]), 0.975)
+
+
 def test_clopper_pearson_upper_on_arrays_solves_the_binomial_tail():
     # The upper limit u for s successes in n draws solves
     # P(Binomial(n, u) <= s) = 1 - confidence; the tail is summed here

@@ -114,10 +114,12 @@ _ORACLE_XS = (0.0, 0.5, 0.99)
 # Worst relative errors on this grid of the implementation with separate
 # eta = 0 formulas that the single-normalizer one replaced, rounded up.
 # The pgf and omega errors come from rounding base = 1 - (1 - nu) y near
-# y = 1, the pmf error from the log-gamma terms at k = 500.
+# y = 1. The pmf bound is that of the Stirling-form mass, whose worst
+# error comes from rounding k log(1 - nu) near -600 at k = 500 (the
+# difference of log-gammas it replaced reached 8.0e-13 there).
 _ORACLE_BOUNDS = {
     "mean": 1.6e-15,
-    "pmf": 8.0e-13,
+    "pmf": 1.4e-13,
     "pgf": 8.5e-13,
     "omega": 8.5e-14,
 }
@@ -183,6 +185,32 @@ def test_tnb_matches_a_40_digit_oracle():
     worst = _oracle_worst_errors()
     for name, bound in _ORACLE_BOUNDS.items():
         assert worst[name] <= bound, (name, worst[name])
+
+
+# (eta, nu, k) at which a difference of log-gammas lost 2.7e-8, 3.2e-9
+# and 8.1e-10 of the mass, and the Stirling form keeps 1.8e-15, 3.4e-15
+# and 9.3e-16.
+_LARGE_K = ((0.5, 1e-7, 9_000_000), (8.0, 1e-6, 5_000_000), (0.0, 1e-6, 10**6))
+
+
+def test_tnb_pmf_keeps_its_digits_at_large_k():
+    with mpmath.workdps(40):
+        for eta, nu, k in _LARGE_K:
+            e, v = mpmath.mpf(eta), mpmath.mpf(nu)
+            t = -mpmath.log(v)
+            norm = t if eta == 0.0 else mpmath.expm1(e * t) / e
+            want = mpmath.exp(
+                k * mpmath.log1p(-v)
+                + mpmath.loggamma(k + e)
+                - mpmath.loggamma(k + 1)
+                - mpmath.loggamma(1 + e)
+            ) / norm
+            got = TNB(eta, nu).pmf(k)
+            assert float(abs(got - want) / want) <= 5e-15, (eta, nu, k)
+    # Gamma(k + 18) / k! is near 1.7e322 at the largest int64 k, past the
+    # largest double; the mass stays finite, and is 0 as the exact one
+    # underflows.
+    assert TNB(18.0, 0.5).pmf(np.iinfo(np.int64).max) == 0.0
 
 
 # Uniforms from 2^-53 to 1 - 2^-53: both tails, log-spaced, and the bulk.
