@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -40,7 +41,6 @@ __all__ = [
     "select_epsilon_rdp_pure",
     "calibrate_sigma_rdp",
     "calibrate_sigma_gdp",
-    "compare_bounds",
     "base_curve_for",
 ]
 
@@ -78,25 +78,23 @@ _ALPHA_DENSE = np.concatenate(
 
 @dataclasses.dataclass(frozen=True)
 class AccountantReport:
-    """Result of a selection privacy-bound computation.
+    """Result of the trade-off-function selection bound.
 
     Attributes:
       eps_h: the final epsilon bound for the selection protocol.
       delta_h: the target delta the bound is stated at.
-      eps_base: base-mechanism epsilon; for the trade-off route this is
-        the conversion at delta_h / E[k], and eps_h = eps_base +
-        log_ratio.
-      log_ratio: run-count penalty; nonnegative for the trade-off route.
-      argmax_a: maximizer of the log-ratio objective, or None for the
-        Renyi route.
-      method: "FDP_OURS" or "RDP_PRIOR".
+      eps_base: base-mechanism epsilon, the conversion at delta_h / E[k];
+        eps_h = eps_base + log_ratio.
+      log_ratio: run-count penalty, nonnegative.
+      argmax_a: maximizer of the log-ratio objective.
+      method: "FDP_OURS", naming the route in printed reports.
     """
 
     eps_h: float
     delta_h: float
     eps_base: float
     log_ratio: float
-    argmax_a: float | None
+    argmax_a: float
     method: str
 
 
@@ -383,7 +381,7 @@ def select_epsilon_rdp(
     config: DpSgdConfig,
     dist: RunCountDist,
     delta_h: float,
-) -> AccountantReport:
+) -> float:
     """Renyi-divergence privacy bound for best-of-k selection.
 
     Lifts the base Renyi curve of the training configuration through the
@@ -397,8 +395,7 @@ def select_epsilon_rdp(
       delta_h: target delta for the selection guarantee, in (0, 1).
 
     Returns:
-      An AccountantReport with method "RDP_PRIOR"; eps_base is the base
-      mechanism's converted epsilon at delta_h and log_ratio the excess.
+      The selection epsilon at delta_h.
 
     Raises:
       ValueError: if dist is not TruncatedNegativeBinomial or delta_h is
@@ -418,17 +415,8 @@ def select_epsilon_rdp(
         alphas = _INT_ALPHAS
         curve = subsampled_rdp_curve(config.tau, alphas)
         gammas = curve(config.sigma, config.n_iters)
-    eps_h = _tnb_hat_epsilon(
+    return _tnb_hat_epsilon(
         gammas, alphas, dist.eta, dist.nu, dist.mean, delta_h, "tight"
-    )
-    eps_base = float(np.min(rdp_to_eps(gammas, alphas, delta_h)))
-    return AccountantReport(
-        eps_h=eps_h,
-        delta_h=delta_h,
-        eps_base=eps_base,
-        log_ratio=eps_h - eps_base,
-        argmax_a=None,
-        method="RDP_PRIOR",
     )
 
 
@@ -502,7 +490,8 @@ def calibrate_sigma_rdp(
       eps_b: target base epsilon, positive.
       delta: target delta in (0, 1).
       tau: sampling ratio in (0, 1].
-      n_iters: number of training iterations, at least 1.
+      n_iters: number of training iterations, from 1 to the largest
+        float.
 
     Returns:
       The calibrated noise multiplier sigma.
@@ -519,6 +508,8 @@ def calibrate_sigma_rdp(
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
+    if n_iters > sys.float_info.max:
+        raise ValueError(f"n_iters={n_iters} is too large for a float")
     if tau == 1.0:
         # The composed Renyi curve is rho * alpha, rho = N / (2 sigma^2);
         # the bracket spans rho from 50 down to 1e-8.
@@ -591,30 +582,3 @@ def base_curve_for(config: DpSgdConfig) -> GaussianCurve:
         return GaussianCurve(math.sqrt(config.n_iters) / config.sigma)
     return GaussianCurve(gdp_approx_mu(config))
 
-
-def compare_bounds(
-    config: DpSgdConfig, dist: RunCountDist, delta_h: float
-) -> dict[str, float | None]:
-    """Computes both selection bounds for one configuration.
-
-    Args:
-      config: training parameters (sigma, tau, n_iters).
-      dist: run-count distribution.
-      delta_h: target delta for the selection guarantee.
-
-    Returns:
-      A dict with keys "eps_base" (base epsilon at delta_h under the
-      trade-off curve), "eps_ours" (trade-off selection bound), and
-      "eps_prior" (Renyi selection bound, or None when dist is not a
-      truncated negative binomial).
-    """
-    curve = base_curve_for(config)
-    ours = select_epsilon_fdp(curve, dist, delta_h)
-    eps_prior: float | None = None
-    if isinstance(dist, TruncatedNegativeBinomial):
-        eps_prior = select_epsilon_rdp(config, dist, delta_h).eps_h
-    return {
-        "eps_base": fdp_to_eps_delta(curve, delta_h),
-        "eps_ours": ours.eps_h,
-        "eps_prior": eps_prior,
-    }

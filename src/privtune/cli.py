@@ -24,8 +24,8 @@ from typing import Any, Callable, Sequence
 from .accountant import (
     base_curve_for,
     calibrate_sigma_rdp,
-    compare_bounds,
     select_epsilon_fdp,
+    select_epsilon_rdp,
     select_epsilon_rdp_pure,
 )
 from .audit import GameConfig, run_audit
@@ -143,9 +143,12 @@ def _fmt_value(value: Any) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"--out: {exc}") from None
 
 
 def _emit_report(payload: dict[str, Any], fmt: str, out: str | None) -> None:
@@ -209,8 +212,8 @@ def cmd_accountant(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     """Tabulates our bound against the prior bound over a grid.
 
-    Each (eps_b, tau) is calibrated once and shared by its run-count
-    columns; failures become NA cells with a reason.
+    Each (eps_b, tau) is calibrated and its base curve built once, shared
+    by its run-count columns; failures become NA cells with a reason.
     """
     eps_b_list = args.eps_b if args.eps_b else [1.0, 2.0, 4.0]
     tau_list = args.tau if args.tau else [1.0]
@@ -225,12 +228,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for eps_b, tau in grid:
         config: DpSgdConfig | None = None
+        curve: GaussianCurve | None = None
         reason = ""
         try:
             sigma = calibrate_sigma_rdp(eps_b, args.delta, tau, args.n_iters)
             config = DpSgdConfig(sigma=sigma, tau=tau, n_iters=args.n_iters)
         except ValueError as exc:
             reason = f"calibration failed: {exc}"
+        else:
+            try:
+                curve = base_curve_for(config)
+            except ValueError as exc:
+                reason = f"bound computation failed: {exc}"
         for dist in xi_list:
             tnb = isinstance(dist, TruncatedNegativeBinomial)
             row: dict[str, Any] = {
@@ -244,24 +253,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "eps_lower": None,
                 "reason": reason,
             }
-            if config is not None:
+            if curve is not None:
                 try:
-                    row.update(compare_bounds(config, dist, args.delta_h))
+                    ours = select_epsilon_fdp(curve, dist, args.delta_h).eps_h
+                    prior = None
+                    if tnb:
+                        prior = select_epsilon_rdp(config, dist, args.delta_h)
                 except ValueError as exc:
                     row["reason"] = f"bound computation failed: {exc}"
                 else:
-                    if row["eps_prior"] is None:
+                    row.update(eps_ours=ours, eps_prior=prior)
+                    if not tnb:
                         row["reason"] = "prior bound requires a tnb run count"
-                if args.lower:
-                    game = GameConfig(
-                        config=config,
-                        dist=dist,
-                        trials=args.trials,
-                        seed=args.seed,
-                        delta=args.delta,
-                    )
-                    sweep = run_audit(game)
-                    row["eps_lower"] = float(sweep.eps_lower[sweep.best])
+            if config is not None and args.lower:
+                game = GameConfig(
+                    config=config,
+                    dist=dist,
+                    trials=args.trials,
+                    seed=args.seed,
+                    delta=args.delta,
+                )
+                sweep = run_audit(game)
+                row["eps_lower"] = float(sweep.eps_lower[sweep.best])
             rows.append([row[name] for name in header])
     _emit_table(header, rows, args.format, args.out)
     return _EXIT_OK

@@ -43,8 +43,8 @@ _THEOREM_SLACK = 1e-12
 _THEOREM_REL_SLACK = 1e-6
 # Instances per kernel call in theorem4_campaign, per (run count, order)
 # bucket: at most nine partial chunks are held at once, at any instance
-# count.
-_CAMPAIGN_CHUNK = 1024
+# count, and a call stacks four rows per instance, at most 1024 rows.
+_CAMPAIGN_CHUNK = 256
 _CAMPAIGN_RUN_COUNTS: tuple[RunCountDist, ...] = (
     PointMass(2),
     PointMass(5),
@@ -224,16 +224,14 @@ def _theorem4_rows(
     _check_probability_rows(p, "p", _SUM_TOL)
     _check_probability_rows(p_prime, "p_prime", _SUM_TOL)
     refined = np.broadcast_to(np.arange(width), p.shape)
-    d_grouped = _renyi_rows(
-        _selection_rows(p, grouped, dist),
-        _selection_rows(p_prime, grouped, dist),
-        alpha,
+    # Every kernel step works row by row, so each of the stacked rows
+    # gets the bits a call of its own would give.
+    q = _selection_rows(
+        np.concatenate([p, p, p_prime, p_prime]),
+        np.concatenate([grouped, refined] * 2),
+        dist,
     )
-    d_refined = _renyi_rows(
-        _selection_rows(p, refined, dist),
-        _selection_rows(p_prime, refined, dist),
-        alpha,
-    )
+    d_grouped, d_refined = np.split(_renyi_rows(*np.split(q, 2), alpha), 2)
     slack = _THEOREM_SLACK + _THEOREM_REL_SLACK * d_refined
     return d_grouped, d_refined, d_grouped <= d_refined + slack
 

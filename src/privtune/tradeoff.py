@@ -552,7 +552,10 @@ def gdp_approx_mu(config: DpSgdConfig) -> float:
     Raises:
       ValueError: if sigma is so small that e^(sigma^-2) overflows.
     """
-    inv_sq = config.sigma**-2
+    try:
+        inv_sq = config.sigma**-2
+    except OverflowError:
+        inv_sq = math.inf
     if inv_sq > 700.0:
         raise ValueError(
             f"sigma={config.sigma} is out of range: e^(sigma^-2) overflows"

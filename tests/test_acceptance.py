@@ -32,11 +32,12 @@ import numpy as np
 import pytest
 
 from privtune.accountant import (
+    base_curve_for,
     calibrate_sigma_gdp,
     calibrate_sigma_rdp,
-    compare_bounds,
     log_ratio_max,
     select_epsilon_fdp,
+    select_epsilon_rdp,
     select_epsilon_rdp_pure,
 )
 from privtune.audit import (
@@ -149,9 +150,13 @@ def table3_results():
     for eps_b in _OURS_EXPECTED:
         sigma = calibrate_sigma_rdp(eps_b, _DELTA, 1.0, _N_ITERS)
         config = DpSgdConfig(sigma, 1.0, _N_ITERS)
+        curve = base_curve_for(config)
         for column, (eta, nu) in enumerate(_XI_COLUMNS):
-            bounds = compare_bounds(config, TNB(eta, nu), _DELTA)
-            cells[(eps_b, column)] = (bounds["eps_ours"], bounds["eps_prior"])
+            dist = TNB(eta, nu)
+            cells[(eps_b, column)] = (
+                select_epsilon_fdp(curve, dist, _DELTA).eps_h,
+                select_epsilon_rdp(config, dist, _DELTA),
+            )
     return {"cells": cells, "elapsed": time.perf_counter() - start}
 
 
@@ -169,12 +174,12 @@ def audit_results():
             seed=case["seed"],
             delta=_DELTA,
         )
-        bounds = compare_bounds(config, case["dist"], _DELTA)
         sweep = run_audit(game)
+        curve = base_curve_for(config)
         cells[eps_b] = {
             "eps_l": float(sweep.eps_lower[sweep.best]),
-            "eps_ours": bounds["eps_ours"],
-            "eps_prior": bounds["eps_prior"],
+            "eps_ours": select_epsilon_fdp(curve, case["dist"], _DELTA).eps_h,
+            "eps_prior": select_epsilon_rdp(config, case["dist"], _DELTA),
             "expected": case["expected"],
         }
     return {"cells": cells, "elapsed": time.perf_counter() - start}

@@ -21,7 +21,6 @@ from privtune.accountant import (
     _tnb_hat_epsilon,
     base_curve_for,
     calibrate_sigma_rdp,
-    compare_bounds,
     log_ratio_max,
     rdp_to_eps,
     select_epsilon_fdp,
@@ -514,25 +513,26 @@ def test_tnb_hat_epsilon_is_the_pair_grid_minimum_bit_for_bit():
 
 def test_select_epsilon_rdp_reports_geometric_example():
     config = DpSgdConfig(_SIGMA_STARS[2.0], 1.0, 1000)
-    report = select_epsilon_rdp(config, TNB(1.0, 1e-2), 1e-5)
-    assert report.delta_h == 1e-5
-    assert report.eps_h > 0.0
-    assert math.isfinite(report.eps_h)
+    eps = select_epsilon_rdp(config, TNB(1.0, 1e-2), 1e-5)
+    assert isinstance(eps, float)
+    assert 0.0 < eps < math.inf
 
 
-def test_compare_bounds_orders_ours_below_prior():
+def test_ours_is_below_prior_for_tnb_run_counts():
     config = DpSgdConfig(_SIGMA_STARS[2.0], 1.0, 1000)
+    curve = base_curve_for(config)
     for dist in (TNB(0.0, 1e-2), TNB(1.0, 1e-2), TNB(2.0, 1e-3)):
-        result = compare_bounds(config, dist, 1e-5)
-        assert set(result) == {"eps_base", "eps_ours", "eps_prior"}
-        assert result["eps_base"] < result["eps_ours"]
-        assert result["eps_ours"] < result["eps_prior"]
+        ours = select_epsilon_fdp(curve, dist, 1e-5).eps_h
+        assert fdp_to_eps_delta(curve, 1e-5) < ours
+        assert ours < select_epsilon_rdp(config, dist, 1e-5)
 
 
-def test_compare_bounds_prior_requires_tnb():
-    result = compare_bounds(DpSgdConfig(60.0, 1.0, 1000), PointMass(5), 1e-5)
-    assert result["eps_prior"] is None
-    assert result["eps_ours"] > 0.0
+def test_prior_bound_requires_tnb():
+    config = DpSgdConfig(60.0, 1.0, 1000)
+    with pytest.raises(ValueError, match="TruncatedNegativeBinomial"):
+        select_epsilon_rdp(config, PointMass(5), 1e-5)
+    curve = base_curve_for(config)
+    assert select_epsilon_fdp(curve, PointMass(5), 1e-5).eps_h > 0.0
 
 
 @given(

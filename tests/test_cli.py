@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from privtune import cli
+from privtune.accountant import calibrate_sigma_rdp
 from privtune.cli import main
 
 _ACCOUNTANT_EXAMPLE = [
@@ -324,6 +325,9 @@ def test_compare_rejects_iterations_and_rate_by_name(capsys):
     expected = {
         ("--n-iters", "0"): "calibration failed: n_iters must be >= 1, got 0",
         ("--tau", "1.5"): "calibration failed: tau must lie in (0, 1], got 1.5",
+        # Too large for a float: this raised OverflowError.
+        ("--n-iters", "1" + "0" * 400): "calibration failed: n_iters=1"
+        + "0" * 400 + " is too large for a float",
     }
     for flag, reason in expected.items():
         code, out, _ = _run(
@@ -335,6 +339,29 @@ def test_compare_rejects_iterations_and_rate_by_name(capsys):
         rows = json.loads(out)
         assert [row["reason"] for row in rows] == [reason, reason]
         assert all(row["eps_ours"] is None for row in rows)
+
+
+def test_compare_cells_equal_the_accountant_bound(capsys):
+    xis = ["tnb:eta=0,nu=1e-2", "tnb:eta=1,nu=1e-2", "pointmass:k=10"]
+    argv = ["compare", "--eps-b", "1", "--eps-b", "2", "--tau", "1"]
+    argv += ["--tau", "0.1", *(f for xi in xis for f in ("--xi", xi))]
+    code, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    cells = [(e, t, xi) for e in (1.0, 2.0) for t in (1.0, 0.1) for xi in xis]
+    assert len(rows) == len(cells)
+    sigmas = {}
+    for row, (eps_b, tau, xi) in zip(rows, cells):
+        assert (row["eps_b"], row["tau"]) == (eps_b, tau)
+        if (eps_b, tau) not in sigmas:
+            sigmas[eps_b, tau] = calibrate_sigma_rdp(eps_b, 1e-5, tau, 1000)
+        base = f"dpsgd:sigma={sigmas[eps_b, tau]!r},tau={tau!r},n=1000"
+        code, out, _ = _run(
+            capsys,
+            ["accountant", "--base", base, "--xi", xi, "--format", "json"],
+        )
+        assert code == 0
+        assert row["eps_ours"] == json.loads(out)["eps_h"], (eps_b, tau, xi)
 
 
 def test_csv_floats_use_six_significant_digits(capsys):
@@ -420,6 +447,17 @@ def test_audit_csv_emits_per_threshold_table(capsys):
     assert len(lines) > 100
 
 
+@pytest.mark.parametrize("name", ["missing/report.txt", "."])
+def test_unwritable_out_exits_2_with_a_message(capsys, tmp_path, name):
+    target = tmp_path / name
+    code, out, err = _run(capsys, ["tightness", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --out: ")
+    assert str(target) in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["accountant", "--nope"])
@@ -494,6 +532,9 @@ _GEOMETRIC = ["--xi", "tnb:eta=1,nu=1e-2"]
         (["audit", "--base", "dpsgd:sigma=60,tau=1,n=1000", *_GEOMETRIC,
           "--trials", "100", "--confidence", "0.9999999999999999"],
          "confidence=0.9999999999999999 is too close to 1"),
+        # sigma^-2 overflows before the e^(sigma^-2) check at tau < 1.
+        (["accountant", "--base", "dpsgd:sigma=1e-300,tau=0.5,n=10", "--xi",
+          "pointmass:k=2"], "sigma=1e-300 is out of range"),
     ],
 )
 def test_domain_errors_exit_2_with_a_message(capsys, argv, needle):
