@@ -23,8 +23,10 @@ is Didonato and Morris's; the limit is never below the exact one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
+import threading
 from collections.abc import Callable
 from concurrent import futures
 
@@ -54,12 +56,16 @@ __all__ = [
 
 THREADS_ENV_VAR = "PRIVTUNE_THREADS"
 _BLOCK_SIZE = 1 << 20
-# Trials a block draws and scores at once. malloc gives a slice's
-# temporaries back to the system after each slice, so a fresh process
-# faults them in again: a 1e7-trial game took about 180k minor page faults
-# at 2^16 and 70k here; a whole block of 2^20 keeps up to 20 MB more in
-# the workers' arenas.
+# Trials a block draws and scores at once. Each worker keeps one buffer of
+# a slice for the whole game, and a slice's steps write into it or into
+# the outputs, so malloc has few temporaries to give back to the system
+# and fault in again: a fresh process's 1e7-trial game takes about 7.5k
+# minor page faults. A whole block of 2^20 keeps up to 20 MB more in the
+# workers' arenas.
 _SLICE = 1 << 18
+# Trials the sweep's class split takes at once: each thread holds a mask
+# and an index array of this size.
+_SPLIT_CHUNK = 1 << 16
 _N_BULK_LEVELS = 256
 _N_TAIL_LEVELS = 256
 _TAIL_FLOOR = 1e-5
@@ -319,35 +325,54 @@ def _simulate_block(
     block: int,
     truth_out: np.ndarray,
     score_out: np.ndarray,
+    spare: np.ndarray,
 ) -> None:
     """Fills one fixed-size block of trials from its own keyed stream.
 
-    quantile is _mixture_quantile's function at tau < 1, else None.
+    quantile is _mixture_quantile's function at tau < 1, else None. spare
+    is the worker's buffer of up to _SLICE floats: it holds each slice's
+    uniforms, then at tau < 1 each class's levels in turn.
     """
     lo = block * _BLOCK_SIZE
     hi = min(lo + _BLOCK_SIZE, cfg.trials)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
     # The block's truth bits and then its uniforms, each drawn in slices
     # straight into the outputs. The stream is that of one draw of each:
-    # a bit takes one 32-bit half of a 64-bit draw, and every slice but
-    # the last is even. No array of the block's size is made: such arrays,
-    # freed by a worker, stayed in its malloc arena and put up to 40 MB on
-    # a 1e7-trial audit's peak RSS, varying from run to run.
+    # a bit takes one 32-bit half of a 64-bit draw, as an int32 and an
+    # int64 draw both do, and every slice but the last is even. No array
+    # of the block's size is made: such arrays, freed by a worker, stayed
+    # in its malloc arena and put up to 40 MB on a 1e7-trial audit's peak
+    # RSS, varying from run to run.
     for start in range(lo, hi, _SLICE):
         stop = min(start + _SLICE, hi)
-        truth_out[start:stop] = rng.integers(0, 2, size=stop - start)
+        truth_out[start:stop] = rng.integers(0, 2, stop - start, np.int32)
     mech = cfg.config
     shift = math.sqrt(mech.n_iters) / mech.sigma
     for start in range(lo, hi, _SLICE):
         stop = min(start + _SLICE, hi)
         truth = truth_out[start:stop]
         # log S^-1(U) and then the best score, in the output's slice.
-        level = cfg.dist.log_inverse_pgf(rng.random(out=score_out[start:stop]))
+        uniforms = rng.random(out=spare[: stop - start])
+        level = cfg.dist.log_inverse_pgf(uniforms, out=score_out[start:stop])
+        # Index arrays, not the random bool mask: numpy's masked gathers,
+        # scatters and where= loops take several times as long.
         if quantile is None:
-            np.add(_normal_best(level), shift, out=level, where=truth)
+            _normal_best(level)[np.flatnonzero(truth)] += shift
         else:
-            best = quantile(level[truth])
-            _normal_best(level)[truth] = best
+            for members, best in ((truth, quantile), (~truth, _normal_best)):
+                index = np.flatnonzero(members)
+                level[index] = best(np.take(level, index, out=spare[: index.size]))
+
+
+def _run_jobs(jobs: list[Callable[[], object]], workers: int) -> list:
+    """Every job's result, run on a pool of that many threads when above one.
+
+    A one-worker pool adds 3.5 MB (5%) to a one-block audit's peak RSS.
+    """
+    if workers < 2:
+        return [job() for job in jobs]
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return [done.result() for done in [pool.submit(job) for job in jobs]]
 
 
 def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -382,24 +407,24 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     quantile = None
     if cfg.config.tau < 1.0:
         quantile = _mixture_quantile(cfg.config, cfg.dist)
-    # One byte a trial; the blocks still draw int64 bits, so the random
+    # One byte a trial; the blocks still draw 32-bit halves, so the random
     # stream is unchanged.
     truth = np.empty(cfg.trials, dtype=bool)
     scores = np.empty(cfg.trials, dtype=float)
     blocks = range((cfg.trials + _BLOCK_SIZE - 1) // _BLOCK_SIZE)
-    workers = min(thread_count(), len(blocks))
-    # A one-worker pool adds 3.5 MB (5%) to a one-block audit's peak RSS.
-    if workers > 1:
-        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = [
-                pool.submit(_simulate_block, cfg, quantile, b, truth, scores)
-                for b in blocks
-            ]
-            for job in jobs:
-                job.result()
-    else:
-        for b in blocks:
-            _simulate_block(cfg, quantile, b, truth, scores)
+    workers = threading.local()
+
+    def run(block: int) -> None:
+        # Each worker's slice buffer, made at its first block and kept, so
+        # its pages stay mapped across the worker's slices and blocks.
+        if not hasattr(workers, "spare"):
+            workers.spare = np.empty(min(_SLICE, cfg.trials))
+        _simulate_block(cfg, quantile, block, truth, scores, workers.spare)
+
+    _run_jobs(
+        [functools.partial(run, b) for b in blocks],
+        min(thread_count(), len(blocks)),
+    )
     return truth, scores
 
 
@@ -769,6 +794,26 @@ def _pooled_quantiles(
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
+def _sorted_class(
+    truth: np.ndarray, scores: np.ndarray, bit: bool, size: int
+) -> np.ndarray:
+    """np.sort(scores[truth == bit]) for bool truth, given its size.
+
+    Gathered chunk by chunk through index arrays: a gather through the
+    random bool mask itself takes several times as long.
+    """
+    out = np.empty(size)
+    filled = 0
+    for lo in range(0, truth.size, _SPLIT_CHUNK):
+        part = truth[lo : lo + _SPLIT_CHUNK]
+        index = np.flatnonzero(part if bit else ~part)
+        stop = filled + index.size
+        np.take(scores[lo : lo + _SPLIT_CHUNK], index, out=out[filled:stop])
+        filled = stop
+    out.sort()
+    return out
+
+
 def sweep_thresholds(
     truth: np.ndarray,
     scores: np.ndarray,
@@ -789,7 +834,7 @@ def sweep_thresholds(
     given two-sided confidence.
 
     Args:
-      truth: truth bits of the simulated trials.
+      truth: truth bits of the simulated trials, bool or 0 and 1.
       scores: max scores of the simulated trials.
       confidence: two-sided confidence level for the rate bounds.
       delta: additive slack of the guarantee being tested.
@@ -797,13 +842,20 @@ def sweep_thresholds(
     Returns:
       The per-threshold summary.
     """
-    # Each class is sorted in place, so no unsorted copy outlives its
-    # sort: the sweep peaks at the two classes and one mask, 1.125 times
-    # the scores.
-    s0 = scores[truth == 0]
-    s0.sort()
-    s1 = scores[truth == 1]
-    s1.sort()
+    # Each class is gathered into its own array and sorted there, the two
+    # on two threads when the scores fill more than one game block. The
+    # sweep peaks at the two classes, the scores' size, plus each thread's
+    # chunk mask and indices.
+    truth = np.asarray(truth, dtype=bool)
+    n1 = int(np.count_nonzero(truth))
+    workers = 2 if scores.size > _BLOCK_SIZE and thread_count() > 1 else 1
+    s0, s1 = _run_jobs(
+        [
+            functools.partial(_sorted_class, truth, scores, bit, size)
+            for bit, size in ((False, truth.size - n1), (True, n1))
+        ],
+        workers,
+    )
     thresholds = np.unique(_pooled_quantiles(s0, s1, _sweep_levels()))
     n0, n1 = s0.size, s1.size
     fp_cnt = n0 - np.searchsorted(s0, thresholds, side="right")

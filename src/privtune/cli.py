@@ -273,8 +273,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     seed=args.seed,
                     delta=args.delta,
                 )
-                sweep = run_audit(game)
-                row["eps_lower"] = float(sweep.eps_lower[sweep.best])
+                try:
+                    sweep = run_audit(game)
+                except ValueError as exc:
+                    failed = f"audit failed: {exc}"
+                    row["reason"] = "; ".join(filter(None, [row["reason"], failed]))
+                else:
+                    row["eps_lower"] = float(sweep.eps_lower[sweep.best])
             rows.append([row[name] for name in header])
     _emit_table(header, rows, args.format, args.out)
     return _EXIT_OK

@@ -32,6 +32,8 @@ _ETA_ZERO_TOL = 1e-300
 # its levels below 0.
 _LOG_HALF = math.log(0.5)
 _TINY = 5e-324
+# The least normal double: below it eta Z u has lost digits.
+_TINY_NORMAL = 2.0**-1022
 # The least nu that sample takes. Its Poisson rate is a Gamma(eta + 1)
 # draw times at most 1/nu - 1, so from here the rate reaches numpy's limit
 # (about 2^63) only where the gamma passes 50 times its mean: a finite
@@ -109,13 +111,16 @@ class RunCountDist:
         """Probability generating function S(y) = sum_k Pr(k) y^k on [0, 1]."""
         raise NotImplementedError
 
-    def log_inverse_pgf(self, u: np.ndarray) -> np.ndarray:
-        """log S^-1(u) for u in [0, 1), computed in place over u.
+    def log_inverse_pgf(
+        self, u: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """log S^-1(u) for u in [0, 1), computed in place over u or into out.
 
         Nondecreasing in u, -inf at u = 0, below 0 everywhere, and finite
-        at every u > 0 that rng.random returns. For U uniform, S^-1(U) is
-        distributed as V^(1/K) with V uniform and K a run count, so F^-1
-        of it is the best of K scores with CDF F.
+        at every u > 0. For U uniform, S^-1(U) is distributed as V^(1/K)
+        with V uniform and K a run count, so F^-1 of it is the best of K
+        scores with CDF F. out, of u's shape, leaves u as it was and takes
+        the place of a temporary of u's size.
         """
         raise NotImplementedError
 
@@ -179,11 +184,14 @@ class PointMass(RunCountDist):
         out = arr**self.k
         return float(out) if np.ndim(y) == 0 else out
 
-    def log_inverse_pgf(self, u: np.ndarray) -> np.ndarray:
+    def log_inverse_pgf(
+        self, u: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         # log(u) / k: S^-1(u) = u^(1/k).
+        level = u if out is None else out
         with np.errstate(divide="ignore"):
-            np.log(u, out=u)
-        return np.divide(u, self.k, out=u)
+            np.log(u, out=level)
+        return np.divide(level, self.k, out=level)
 
     def sample(
         self, rng: np.random.Generator, size: int | None = None
@@ -284,7 +292,9 @@ class TruncatedNegativeBinomial(RunCountDist):
         """S(1/2): below it S^-1(u) <= 1/2."""
         return float(self.pgf(0.5))
 
-    def log_inverse_pgf(self, u: np.ndarray) -> np.ndarray:
+    def log_inverse_pgf(
+        self, u: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         # With b = 1 - (1 - nu) y, S(y) = u reads b^-eta = 1 + eta Z u,
         # and (b / nu)^-eta = D with D = 1 - (1 - nu^eta)(1 - u). Each side
         # of y = 1/2 takes a form without cancellation:
@@ -300,24 +310,39 @@ class TruncatedNegativeBinomial(RunCountDist):
         # stays nondecreasing.
         eta, nu = self.eta, self.nu
         low = np.flatnonzero(u < self._pgf_half)
-        log_b = -_log1p_over_eta(eta, self._norm * u[low])
+        u_low = u[low]
+        z_u = self._norm * u_low
+        log_b = -_log1p_over_eta(eta, z_u)
         with np.errstate(divide="ignore"):
             log_y = np.log(-np.expm1(log_b) / (1.0 - nu))
+            # Where eta Z u (Z u at eta = 0) is below the least normal
+            # double it has lost digits, or rounded to 0 and made log y
+            # -inf. There y is tiny and S(y) = (1 - nu) y / Z to within y
+            # relative, so log y is log(Z u / (1 - nu)), formed from log u.
+            reach = 1.0 if abs(eta) < _ETA_ZERO_TOL else min(1.0, abs(eta))
+            under = np.flatnonzero(z_u * reach < _TINY_NORMAL)
+            log_y[under] = (
+                np.log(u_low[under]) + math.log(self._norm)
+            ) - math.log1p(-nu)
         log_y = np.minimum(log_y, _LOG_HALF, out=log_y)
+        level = u if out is None else out
         if abs(eta) < _ETA_ZERO_TOL:
-            m = np.multiply(np.subtract(1.0, u, out=u), self._norm, out=u)
+            m = np.multiply(np.subtract(1.0, u, out=level), self._norm, out=level)
         else:
             # D - 1 = -(1 - nu^eta)(1 - u), then log D in its place.
             rate = -math.expm1(eta * math.log(nu))
-            log_d = np.subtract(u, 1.0)
+            log_d = np.subtract(u, 1.0, out=out)
             log_d *= rate
             small = np.flatnonzero(log_d < -0.5)
-            d_small = math.exp(eta * math.log(nu)) + rate * u[small]
+            d_small = u[small]
+            d_small *= rate
+            d_small += math.exp(eta * math.log(nu))
             # Where nu^eta rounds below 2^-53, D - 1 can round to -1.
             with np.errstate(divide="ignore"):
                 np.log1p(log_d, out=log_d)
-                log_d[small] = np.minimum(np.log(d_small), _LOG_HALF)
-            m = np.divide(log_d, -eta, out=u)
+                np.log(d_small, out=d_small)
+            log_d[small] = np.minimum(d_small, _LOG_HALF, out=d_small)
+            m = np.divide(log_d, -eta, out=level)
         scale = -nu / (1.0 - nu)
         if nu < 1e-300:
             # M nears -log(nu), past expm1's range (709.78) where nu is

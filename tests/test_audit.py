@@ -654,6 +654,66 @@ def test_sweep_thresholds_matches_scalar_recomputation():
         assert sweep.eps_lower[i] == pytest.approx(expected_eps, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "config,trials",
+    # Neither a multiple of the block nor of the slice of a block.
+    [
+        (DpSgdConfig(60.0, 1.0, 1000), (1 << 21) + 12345),
+        (DpSgdConfig(5.0, 0.5, 100), (1 << 20) + 4097),
+    ],
+)
+def test_multi_block_audit_is_thread_invariant(monkeypatch, config, trials):
+    cfg = GameConfig(config=config, dist=TNB(1.0, 1e-2), trials=trials, seed=21)
+    runs = []
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("PRIVTUNE_THREADS", threads)
+        sweep = run_audit(cfg)
+        runs.append(
+            [getattr(sweep, f.name) for f in dataclasses.fields(sweep)]
+        )
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _mask_sweep(truth, scores, confidence, delta):
+    """The sweep by bool-mask gathers and np.quantile of the pooled scores."""
+    s0 = np.sort(scores[truth == 0])
+    s1 = np.sort(scores[truth == 1])
+    thresholds = np.unique(np.quantile(scores, _sweep_levels()))
+    fp = s0.size - np.searchsorted(s0, thresholds, side="right")
+    fn = np.searchsorted(s1, thresholds, side="right")
+    side = 1.0 - (1.0 - confidence) / 2.0
+    fp_up = clopper_pearson_upper(fp, s0.size, side)
+    fn_up = clopper_pearson_upper(fn, s1.size, side)
+    return thresholds, fp, fn, fp_up, fn_up, s0.size, s1.size
+
+
+def test_sweep_thresholds_equals_the_bool_mask_sweep(monkeypatch):
+    # A game of three blocks, split and sorted on two threads, and the
+    # same scores as one class, then the other.
+    monkeypatch.setenv("PRIVTUNE_THREADS", "2")
+    cfg = GameConfig(
+        config=DpSgdConfig(60.0, 1.0, 1000),
+        dist=TNB(1.0, 1e-2),
+        trials=2 * (1 << 20) + 777,
+        seed=22,
+    )
+    truth, scores = simulate_game(cfg)
+    one_class = (np.zeros_like(truth), np.ones_like(truth))
+    for bits in (truth, *one_class):
+        sweep = sweep_thresholds(bits, scores, cfg.confidence, cfg.delta)
+        thresholds, fp, fn, fp_up, fn_up, n0, n1 = _mask_sweep(
+            bits, scores, cfg.confidence, cfg.delta
+        )
+        assert (sweep.n_null, sweep.n_alternative) == (n0, n1)
+        assert sweep.thresholds.tobytes() == thresholds.tobytes()
+        np.testing.assert_array_equal(sweep.fp_counts, fp)
+        np.testing.assert_array_equal(sweep.fn_counts, fn)
+        np.testing.assert_allclose(sweep.fp_upper, fp_up, rtol=1e-12)
+        np.testing.assert_allclose(sweep.fn_upper, fn_up, rtol=1e-12)
+
+
 def test_sweep_thresholds_peak_memory_and_bool_truth():
     cfg = GameConfig(
         config=DpSgdConfig(60.0, 1.0, 1000),
@@ -670,9 +730,10 @@ def test_sweep_thresholds_peak_memory_and_bool_truth():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The two classes, each sorted in place, plus the mask of the second:
-    # 1.125 times the scores (1.5 when np.sort left an unsorted copy and
-    # np.quantile partitioned a copy of every score).
+    # The two classes, each sorted in place, plus each thread's chunk mask
+    # and indices: about 1.07 times the scores at this size (1.125 with a
+    # whole-game mask of a class, 1.5 when np.sort left an unsorted copy
+    # and np.quantile partitioned a copy of every score).
     assert peak <= 1.15 * scores.nbytes
 
 

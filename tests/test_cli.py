@@ -604,6 +604,23 @@ def test_calibration_failures_name_the_budget(capsys):
         assert all(row["eps_ours"] is None for row in rows)
 
 
+def test_compare_lower_reports_a_refused_audit_as_a_cell(capsys):
+    # At tau = 0.5 the score table of 1e13 iterations is above its cap;
+    # the audit's refusal becomes the cell's reason, as a bound's does.
+    code, out, _ = _run(
+        capsys,
+        ["compare", "--eps-b", "1e13", "--n-iters", "10000000000000", "--tau",
+         "0.5", "--xi", "pointmass:k=2", "--lower", "--trials", "10",
+         "--format", "json"],
+    )
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["eps_lower"] is None
+    failed = row["reason"].split("; ")[-1]
+    assert failed.startswith("audit failed: n_iters=10000000000000 at tau=0.5")
+    assert failed.endswith("above the cap of 16777216 entries")
+
+
 _SCIPY_FREE_COMMANDS = [
     ["accountant", "--base", "gdp:mu=1", *_GEOMETRIC],
     ["accountant", "--base", "epsdelta:eps=1,delta=1e-9", *_GEOMETRIC],

@@ -255,6 +255,40 @@ def test_log_inverse_pgf_matches_a_40_digit_oracle(eta):
                 assert error <= 1e-13, (nu, u, level, error)
 
 
+def test_log_inverse_pgf_where_eta_z_u_underflows():
+    # eta Z u (Z u at eta = 0) rounds to 0 at these points, which gave
+    # log y = -inf; the level comes from log u there.
+    points = [
+        (0.0, 10.0**-0.125, 5e-324),
+        (4.3e-191, 0.1, 4.4e-205),
+        (4.3e-191, 0.1, 1e-300),
+        (-0.9, 1e-3, 5e-324),
+        (8.0, 0.3, 1e-310),
+    ]
+    with mpmath.workdps(40):
+        for eta, nu, u in points:
+            (level,) = TNB(eta, nu).log_inverse_pgf(np.array([u]))
+            assert math.isfinite(level), (eta, nu, u)
+            error = _mp_pgf_error(eta, nu, u, level)
+            assert error <= 1e-13, (eta, nu, u, level, error)
+
+
+@pytest.mark.parametrize(
+    "dist", [PointMass(7), TNB(1.0, 1e-2), TNB(0.0, 1e-5), TNB(-0.5, 1e-3)]
+)
+def test_log_inverse_pgf_into_out_keeps_u_and_the_bits(dist):
+    rng = np.random.default_rng(4)
+    u = np.concatenate([[0.0, 1.0 - 2.0**-53, 5e-324], rng.random(5000)])
+    kept = u.copy()
+    out = np.empty_like(u)
+    with np.errstate(divide="ignore"):
+        level = dist.log_inverse_pgf(u, out=out)
+        in_place = dist.log_inverse_pgf(u.copy())
+    assert level is out
+    assert u.tobytes() == kept.tobytes()
+    assert level.tobytes() == in_place.tobytes()
+
+
 def test_log_inverse_pgf_ends():
     u = np.array([0.0, 1.0 - 2.0**-53])
     for dist in (TNB(1.0, 1e-2), TNB(0.0, 1e-150), TNB(-0.5, 5e-324)):
@@ -300,9 +334,7 @@ def test_log_inverse_pgf_is_a_nondecreasing_level(eta, log_nu, us):
     assert np.all(level < 0.0)
     assert np.all(level[1:] >= level[:-1])
     assert np.all(level[u == 0.0] == -np.inf)
-    # rng.random returns 0 or a multiple of 2^-53; a tinier u can round
-    # eta Z u to 0.
-    assert np.all(np.isfinite(level[u >= 2.0**-53]))
+    assert np.all(np.isfinite(level[u > 0.0]))
 
 
 @pytest.mark.parametrize("nu", [0.5, 1e-2, 1e-6])
