@@ -412,14 +412,14 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     truth = np.empty(cfg.trials, dtype=bool)
     scores = np.empty(cfg.trials, dtype=float)
     blocks = range((cfg.trials + _BLOCK_SIZE - 1) // _BLOCK_SIZE)
-    workers = threading.local()
+    worker = threading.local()
 
     def run(block: int) -> None:
         # Each worker's slice buffer, made at its first block and kept, so
         # its pages stay mapped across the worker's slices and blocks.
-        if not hasattr(workers, "spare"):
-            workers.spare = np.empty(min(_SLICE, cfg.trials))
-        _simulate_block(cfg, quantile, block, truth, scores, workers.spare)
+        if not hasattr(worker, "spare"):
+            worker.spare = np.empty(min(_SLICE, cfg.trials))
+        _simulate_block(cfg, quantile, block, truth, scores, worker.spare)
 
     _run_jobs(
         [functools.partial(run, b) for b in blocks],

@@ -32,7 +32,7 @@ _ETA_ZERO_TOL = 1e-300
 # its levels below 0.
 _LOG_HALF = math.log(0.5)
 _TINY = 5e-324
-# The least normal double: below it eta Z u has lost digits.
+# The least normal double: below it Z u or eta Z u has lost digits.
 _TINY_NORMAL = 2.0**-1022
 # The least nu that sample takes. Its Poisson rate is a Gamma(eta + 1)
 # draw times at most 1/nu - 1, so from here the rate reaches numpy's limit
@@ -315,10 +315,11 @@ class TruncatedNegativeBinomial(RunCountDist):
         log_b = -_log1p_over_eta(eta, z_u)
         with np.errstate(divide="ignore"):
             log_y = np.log(-np.expm1(log_b) / (1.0 - nu))
-            # Where eta Z u (Z u at eta = 0) is below the least normal
-            # double it has lost digits, or rounded to 0 and made log y
-            # -inf. There y is tiny and S(y) = (1 - nu) y / Z to within y
-            # relative, so log y is log(Z u / (1 - nu)), formed from log u.
+            # Where the smaller of Z u and eta Z u (Z u alone at eta = 0) is
+            # below the least normal double, it has lost digits, or rounded
+            # to 0 and made log y -inf. There y is tiny and S(y) = (1 - nu)
+            # y / Z to within y relative, so log y is log(Z u / (1 - nu)),
+            # formed from log u.
             reach = 1.0 if abs(eta) < _ETA_ZERO_TOL else min(1.0, abs(eta))
             under = np.flatnonzero(z_u * reach < _TINY_NORMAL)
             log_y[under] = (
