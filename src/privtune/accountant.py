@@ -12,6 +12,7 @@ noise multiplier that makes iterated noisy training meet a target
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import sys
 from typing import Callable
@@ -61,6 +62,9 @@ _INT_ALPHAS = np.arange(2.0, 513.0)
 # j = 0..max order of its chunk, so all 511 integer orders at once would
 # need 511 x 513 floats per temporary.
 _ORDER_CHUNK = 64
+# Stated error of _logsumexp_rows, relative to max(1, |result|);
+# tests/test_accountant.py re-measures it.
+_LOGSUMEXP_REL_ERR = 4e-16
 
 # Largest order of the pure-DP selection bound, as prior practice capped it.
 _PURE_ALPHA_CAP = 256.0
@@ -247,10 +251,9 @@ def subsampled_rdp_curve(
     Zhang (2019), composed N times:
     N / (a - 1) * log sum_{j=0}^{a} C(a, j) (1 - tau)^(a - j) tau^j
     e^(j (j - 1) / (2 sigma^2)). The sigma-independent log terms are built
-    here once, as (order x j) arrays of _ORDER_CHUNK orders each with -inf
-    where j > a, the log binomials taken from one table of log k!; the
-    returned function adds j (j - 1) / (2 sigma^2) and reduces each row
-    with _logsumexp_rows.
+    once per (tau, orders) and shared by every later call (see
+    _SubsampledRdp); the returned function adds j (j - 1) / (2 sigma^2)
+    and reduces each row with _logsumexp_rows.
 
     Args:
       tau: sampling ratio in (0, 1).
@@ -268,32 +271,62 @@ def subsampled_rdp_curve(
     orders = np.asarray(orders, dtype=float)
     if np.any(orders < 2.0) or np.any(orders != np.floor(orders)):
         raise ValueError(f"orders must be integers >= 2, got {orders!r}")
-    log_factorial = _log_factorials(int(orders.max()))
-    chunks = []
-    for start in range(0, orders.size, _ORDER_CHUNK):
-        a = orders[start : start + _ORDER_CHUNK, None].astype(int)
-        js = np.arange(int(a.max()) + 1)
-        inside = js <= a
-        terms = (
-            log_factorial[a]
-            - log_factorial[js]
-            - log_factorial[np.where(inside, a - js, 0)]
-            + (a - js) * math.log1p(-tau)
-            + js * math.log(tau)
-        )
-        chunks.append(np.where(inside, terms, -np.inf))
-    pairs = np.arange(orders.max() + 1.0)
-    pairs *= pairs - 1.0
+    return _subsampled_rdp(tau, tuple(orders.tolist())).gammas
 
-    def curve(sigma: float, n_iters: int) -> np.ndarray:
+
+class _SubsampledRdp:
+    """The subsampled Gaussian's Renyi bound, evaluated by chunks of orders.
+
+    Holds the sigma-independent log terms as (order x j) arrays of
+    _ORDER_CHUNK orders each, with -inf where j > a, the log binomials
+    taken from one table of log k!. Each order's row is reduced on its
+    own, so a run of chunks evaluated alone gives the same bits as it does
+    inside the full curve. The arrays are read-only.
+    """
+
+    def __init__(self, tau: float, orders: tuple[float, ...]) -> None:
+        alphas = np.array(orders)
+        self.denominators = alphas - 1.0
+        log_factorial = _log_factorials(int(alphas.max()))
+        self.chunks: list[np.ndarray] = []
+        for start in range(0, alphas.size, _ORDER_CHUNK):
+            a = alphas[start : start + _ORDER_CHUNK, None].astype(int)
+            js = np.arange(int(a.max()) + 1)
+            inside = js <= a
+            terms = (
+                log_factorial[a]
+                - log_factorial[js]
+                - log_factorial[np.where(inside, a - js, 0)]
+                + (a - js) * math.log1p(-tau)
+                + js * math.log(tau)
+            )
+            self.chunks.append(np.where(inside, terms, -np.inf))
+        self.pairs = np.arange(alphas.max() + 1.0)
+        self.pairs *= self.pairs - 1.0
+        for array in (self.denominators, self.pairs, *self.chunks):
+            array.flags.writeable = False
+
+    def log_sums(
+        self, sigma: float, first: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        """The log-sum of each order's terms at sigma, for chunks first..stop - 1."""
         scale = 2.0 * sigma**2
-        rows = [
-            _logsumexp_rows(terms + pairs[: terms.shape[1]] / scale)
-            for terms in chunks
-        ]
-        return n_iters * np.concatenate(rows) / (orders - 1.0)
+        return np.concatenate(
+            [
+                _logsumexp_rows(terms + self.pairs[: terms.shape[1]] / scale)
+                for terms in self.chunks[first:stop]
+            ]
+        )
 
-    return curve
+    def gammas(self, sigma: float, n_iters: int) -> np.ndarray:
+        """The bound at every order."""
+        return n_iters * self.log_sums(sigma) / self.denominators
+
+
+@functools.lru_cache(maxsize=8)
+def _subsampled_rdp(tau: float, orders: tuple[float, ...]) -> _SubsampledRdp:
+    """The one _SubsampledRdp of each recently used (tau, orders)."""
+    return _SubsampledRdp(tau, orders)
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -308,9 +341,9 @@ def _log_factorials(n: int) -> np.ndarray:
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
     """log sum exp over each row of x, shifted by the row's maximum.
 
-    Each row needs one finite entry. Within 4e-16 max(1, |result|) of
-    40-digit mpmath on the subsampled bound's rows and on random ones
-    (worst measured 3.7e-16).
+    Each row needs one finite entry. Within _LOGSUMEXP_REL_ERR
+    max(1, |result|) of 40-digit mpmath on the subsampled bound's rows
+    and on random ones (worst measured 3.7e-16).
     """
     peak = np.max(x, axis=1)
     return peak + np.log(np.sum(np.exp(x - peak[:, None]), axis=1))
@@ -341,12 +374,20 @@ def rdp_to_eps(
     if rule == "classic":
         out = g + math.log(1.0 / delta) / (a - 1.0)
     elif rule == "tight":
-        out = g + np.log1p(-1.0 / a) - (math.log(delta) + np.log(a)) / (a - 1.0)
+        gain, cost = _tight_terms(a, delta)
+        out = g + gain - cost
     else:
         raise ValueError(f"unknown conversion rule {rule!r}")
     if np.ndim(gamma) == 0 and np.ndim(alpha) == 0:
         return float(out)
     return out
+
+
+def _tight_terms(
+    alpha: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tight rule's order terms: epsilon = (gamma + gain) - cost."""
+    return np.log1p(-1.0 / alpha), (math.log(delta) + np.log(alpha)) / (alpha - 1.0)
 
 
 def _tnb_hat_epsilon(
@@ -486,6 +527,28 @@ def calibrate_sigma_rdp(
     equals eps_b at delta. The bisection returns the larger sigma of its
     final pair, whose epsilon is at most eps_b.
 
+    At tau < 1 most steps evaluate a few of the 8 chunks of orders, and
+    the result is still that of bisecting on every order, bit for bit.
+    Write f for the minimum of epsilon - eps_b over all orders and f_C
+    for it over a run C of whole chunks. A chunk evaluated alone gives
+    the bits it gives inside the full curve, so f_C >= f, and where f_C
+    <= 0 the step goes the way it would on every order. The bisection
+    takes every order until its bracket [lo, hi] has hi <= 2 lo. C is
+    then the chunks that hold the minimizing order at lo and at hi, those
+    between and one more on each side, and the bisection goes on over C
+    down to adjacent floats (lo', hi'). A step whose f_C > 0 moved lo to
+    some sigma s < hi'; the step went astray only if an order outside C
+    had epsilon <= eps_b at s. The check rules that out at once for
+    every such s: each order's epsilon decreases with sigma, and in
+    floats it can rise only by the log-sum's error (_LOGSUMEXP_REL_ERR
+    times max(1, log-sum), at most the log-sum at lo) at each end, as
+    every other step is a monotone float operation. So if every order
+    outside C, with its log-sum at hi' lowered by three of those errors
+    (the third covers the subtraction), still has epsilon > eps_b, no
+    step went astray and hi' is the full bisection's. Otherwise the
+    bisection runs again from [lo, hi] on every order. The check holds on
+    the inputs of tests/test_accountant.py; its failure is forced there.
+
     Args:
       eps_b: target base epsilon, positive.
       delta: target delta in (0, 1).
@@ -513,25 +576,74 @@ def calibrate_sigma_rdp(
     if tau == 1.0:
         # The composed Renyi curve is rho * alpha, rho = N / (2 sigma^2);
         # the bracket spans rho from 50 down to 1e-8.
+        gain, cost = _tight_terms(_ALPHA_DENSE, delta)
+
         def eps_at(sigma: float) -> float:
             rho = n_iters / (2.0 * sigma**2)
-            return float(
-                np.min(rdp_to_eps(rho * _ALPHA_DENSE, _ALPHA_DENSE, delta))
-            )
+            return float(np.min(rho * _ALPHA_DENSE + gain - cost))
 
         bracket = (math.sqrt(n_iters / 100.0), math.sqrt(n_iters / 2e-8))
     else:
-        curve = subsampled_rdp_curve(tau, _INT_ALPHAS)
+        bound = _subsampled_rdp(tau, tuple(_INT_ALPHAS.tolist()))
+        gain, cost = _tight_terms(_INT_ALPHAS, delta)
+
+        def eps_of(sums: np.ndarray, orders: slice = slice(None)) -> np.ndarray:
+            """Epsilon at the given orders from their log-sums."""
+            return (
+                n_iters * sums / bound.denominators[orders]
+                + gain[orders]
+                - cost[orders]
+            )
 
         def eps_at(sigma: float) -> float:
-            gammas = curve(sigma, n_iters)
-            return float(np.min(rdp_to_eps(gammas, _INT_ALPHAS, delta)))
+            return float(np.min(eps_of(bound.log_sums(sigma))))
 
         bracket = (0.3, 1e4)
     try:
-        return _bisect(lambda s: eps_at(s) - eps_b, *bracket)[1]
+        if tau == 1.0:
+            return _bisect(lambda s: eps_at(s) - eps_b, *bracket)[1]
+        return _bisect_by_chunks(bound, eps_of, eps_b, *bracket)
     except ValueError:
         raise _out_of_reach(eps_b, n_iters, bracket, eps_at) from None
+
+
+def _bisect_by_chunks(
+    bound: _SubsampledRdp,
+    eps_of: Callable[..., np.ndarray],
+    eps_b: float,
+    lo: float,
+    hi: float,
+) -> float:
+    """calibrate_sigma_rdp's bisection at tau < 1; its docstring has the argument.
+
+    Raises ValueError, as _bisect does, when [lo, hi] holds no sign change.
+    """
+
+    def gap(sums: np.ndarray, orders: slice = slice(None)) -> float:
+        return float(np.min(eps_of(sums, orders))) - eps_b
+
+    def full(sigma: float) -> float:
+        return gap(bound.log_sums(sigma))
+
+    ends = bound.log_sums(lo), bound.log_sums(hi)
+    if not gap(ends[0]) > 0.0 >= gap(ends[1]):
+        return _bisect(full, lo, hi)[1]
+    while hi > 2.0 * lo and (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        sums = bound.log_sums(mid)
+        if gap(sums) > 0.0:
+            lo, ends = mid, (sums, ends[1])
+        else:
+            hi, ends = mid, (ends[0], sums)
+    picks = [int(np.argmin(eps_of(sums))) // _ORDER_CHUNK for sums in ends]
+    first, stop = max(min(picks) - 1, 0), min(max(picks) + 2, len(bound.chunks))
+    inside = slice(first * _ORDER_CHUNK, stop * _ORDER_CHUNK)
+    top = _bisect(lambda s: gap(bound.log_sums(s, first, stop), inside), lo, hi)[1]
+    slack = 3.0 * _LOGSUMEXP_REL_ERR * np.maximum(1.0, np.abs(ends[0]))
+    floor = eps_of(bound.log_sums(top) - slack)
+    floor[inside] = np.inf
+    if np.min(floor) > eps_b:
+        return top
+    return _bisect(full, lo, hi)[1]
 
 
 def calibrate_sigma_gdp(

@@ -384,6 +384,20 @@ def theorem4_check(
     return float(grouped[0]), float(refined[0]), bool(ok[0])
 
 
+def _dirichlet(rng: np.random.Generator, shape: float, size: int) -> np.ndarray:
+    """rng.dirichlet(np.full(size, shape)) for shape >= 0.1, bit for bit.
+
+    numpy draws that case as size standard gamma variates, in order, and
+    scales them by 1 / (their sum taken left to right); drawn here the
+    same way in one call, it takes the stream's same values.
+    """
+    gammas = rng.standard_gamma(shape, size)
+    total = 0.0
+    for value in gammas.tolist():
+        total += value
+    return gammas * (1.0 / total)
+
+
 def _draw_instance(
     seed_seq: np.random.SeedSequence,
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...], RunCountDist, float]:
@@ -393,9 +407,9 @@ def _draw_instance(
     """
     rng = np.random.default_rng(seed_seq)
     size = int(rng.integers(3, 9))
-    p = rng.dirichlet(np.full(size, rng.uniform(0.3, 3.0)))
-    p_prime = rng.dirichlet(np.full(size, rng.uniform(0.3, 3.0)))
-    order = [int(i) for i in rng.permutation(size)]
+    p = _dirichlet(rng, rng.uniform(0.3, 3.0), size)
+    p_prime = _dirichlet(rng, rng.uniform(0.3, 3.0), size)
+    order = rng.permutation(size).tolist()
     groups: list[tuple[int, ...]] = []
     at = 0
     while at < size:

@@ -132,12 +132,27 @@ def _ndtr(x: np.ndarray | float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     # Past |x| = 40 erfc is flat; zeroing x there keeps inf out of the split.
     near = np.where(np.abs(x) < 40.0, x, 0.0)
+    return _ndtr_from(np.asarray(_erfc(-x * _SQRT1_2), dtype=float), near)
+
+
+def _ndtr_float(x: float) -> float:
+    """_ndtr at one float, bit for bit, by math.erfc and float operations."""
+    near = x if abs(x) < 40.0 else 0.0
+    return float(_ndtr_from(math.erfc(-x * _SQRT1_2), near))
+
+
+def _ndtr_from(
+    erfc: np.ndarray | float, near: np.ndarray | float
+) -> np.ndarray | float:
+    """erfc(fl(-x / sqrt(2))) / 2 plus its argument's rounding, added back.
+
+    near is x where |x| < 40, else 0.
+    """
     _, low = _two_product(near, _SQRT1_2)
     # -x / sqrt(2) = fl(-x / sqrt(2)) + residual, exact to the tail's
     # last digit, and erfc' = -2 sqrt(2) phi(x) there.
     residual = -(low + near * _SQRT1_2_TAIL)
-    cdf = np.asarray(_erfc(-x * _SQRT1_2), dtype=float)
-    return 0.5 * cdf - math.sqrt(2.0) * _pdf(near) * residual
+    return 0.5 * erfc - math.sqrt(2.0) * _pdf(near) * residual
 
 
 def _log_ndtr(x: np.ndarray | float) -> np.ndarray:
@@ -157,16 +172,29 @@ def _log_ndtr(x: np.ndarray | float) -> np.ndarray:
         out = np.where(upper, np.log1p(-cdf), np.log(cdf))
     tail = x < _LOG_NDTR_CF_BELOW
     if np.any(tail):
-        t = -x[tail]
-        fraction = np.zeros_like(t)
-        for k in range(_LOG_NDTR_CF_TERMS, 0, -1):
-            fraction = k / (t + fraction)
-        # t^2 = square + low exactly, so only the last sum rounds.
-        square, low = _two_product(t, t)
-        out[tail] = -0.5 * square - (
-            _LOG_SQRT_2PI + np.log(t + fraction) + 0.5 * low
-        )
+        out[tail] = _log_ndtr_tail(-x[tail])
     return out
+
+
+def _log_ndtr_float(x: float) -> float:
+    """_log_ndtr at one float, bit for bit, by math.erfc and numpy scalars."""
+    if x < _LOG_NDTR_CF_BELOW:
+        return float(_log_ndtr_tail(-x))
+    if x > 0.0:
+        return float(np.log1p(-_ndtr_float(-x)))
+    # Phi(x) > 0 here, above the continued fraction's range.
+    return float(np.log(_ndtr_float(x)))
+
+
+def _log_ndtr_tail(t: np.ndarray | float) -> np.ndarray | float:
+    """log Phi(-t) for t > 37 by Laplace's continued fraction."""
+    # The innermost term, k / (t + 0), is k / t.
+    fraction = _LOG_NDTR_CF_TERMS / t
+    for k in range(_LOG_NDTR_CF_TERMS - 1, 0, -1):
+        fraction = k / (t + fraction)
+    # t^2 = square + low exactly, so only the last sum rounds.
+    square, low = _two_product(t, t)
+    return -0.5 * square - (_LOG_SQRT_2PI + np.log(t + fraction) + 0.5 * low)
 
 
 def _horner(
@@ -496,8 +524,8 @@ def _gdp_terms(mu: float, epsilon: float) -> tuple[float, float]:
     ratio_error = ((epsilon - product) - low) / mu
     a1, a1_error = _two_sum(-ratio, mu / 2.0)
     a2, a2_error = _two_sum(-ratio, -mu / 2.0)
-    first = float(_ndtr(a1)) + float(_pdf(a1)) * (a1_error - ratio_error)
-    log_phi = float(_log_ndtr(a2))
+    first = _ndtr_float(a1) + float(_pdf(a1)) * (a1_error - ratio_error)
+    log_phi = _log_ndtr_float(a2)
     if math.isfinite(log_phi):
         mills = math.exp(-0.5 * a2 * a2 - _LOG_SQRT_2PI - log_phi)
         log_phi += mills * (a2_error - ratio_error)
@@ -585,8 +613,8 @@ def gdp_approx_mu(config: DpSgdConfig) -> float:
             f"sigma={config.sigma} is out of range: e^(sigma^-2) overflows"
         )
     inner = (
-        math.exp(inv_sq) * float(_ndtr(1.5 / config.sigma))
-        + 3.0 * float(_ndtr(-0.5 / config.sigma))
+        math.exp(inv_sq) * _ndtr_float(1.5 / config.sigma)
+        + 3.0 * _ndtr_float(-0.5 / config.sigma)
         - 2.0
     )
     return math.sqrt(2.0 * inner) * config.tau * math.sqrt(config.n_iters)

@@ -11,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from privtune import accountant
 from privtune.accountant import (
     _ALPHA_DENSE,
     _INT_ALPHAS,
+    _LOGSUMEXP_REL_ERR,
+    _ORDER_CHUNK,
     _PURE_ALPHA_CAP,
     SPEC_ALPHAS,
     _log_factorials,
@@ -34,6 +37,7 @@ from privtune.tradeoff import (
     DpSgdConfig,
     EpsDeltaCurve,
     GaussianCurve,
+    _bisect,
     fdp_to_eps_delta,
 )
 
@@ -378,7 +382,84 @@ def test_logsumexp_rows_matches_a_40_digit_oracle():
                 mpmath.fsum(mpmath.exp(v) for v in row if v != -math.inf)
             )
             worst = max(worst, float(abs(value - want) / max(1, abs(want))))
-    assert worst <= 4e-16, worst
+    assert worst <= _LOGSUMEXP_REL_ERR, worst
+
+
+# calibrate_sigma_rdp(eps_b, 1e-5, tau, 1000) as float.hex, when every
+# bisection step at tau < 1 evaluated all 511 orders and each tau = 1
+# step converted the dense orders through rdp_to_eps.
+_SIGMA_HEX = {
+    (1.0, 1.0): "0x1.ffac4ac82888ap+6",
+    (2.0, 1.0): "0x1.0fd7d4e0b26cap+6",
+    (1.0, 0.01): "0x1.835bf95b403cdp+0",
+    (1.0, 0.1): "0x1.9bc8aa8e6847fp+3",
+    (1.0, 0.5): "0x1.fffa916e79b3dp+5",
+    (2.0, 0.01): "0x1.05dc1a37eeaf8p+0",
+    (2.0, 0.1): "0x1.b8c554c5e3b2fp+2",
+    (2.0, 0.5): "0x1.1031cc24b19dap+5",
+}
+
+
+def test_calibrate_sigma_rdp_frozen_bits():
+    for (eps_b, tau), want in _SIGMA_HEX.items():
+        assert calibrate_sigma_rdp(eps_b, 1e-5, tau, 1000).hex() == want
+
+
+def _full_order_sigma(eps_b: float, delta: float, tau: float, n_iters: int) -> float:
+    """calibrate_sigma_rdp at tau < 1 with every order at every step."""
+    curve = subsampled_rdp_curve(tau, _INT_ALPHAS)
+
+    def gap(sigma: float) -> float:
+        eps = rdp_to_eps(curve(sigma, n_iters), _INT_ALPHAS, delta)
+        return float(np.min(eps)) - eps_b
+
+    return _bisect(gap, 0.3, 1e4)[1]
+
+
+def test_calibrate_sigma_rdp_on_chunks_is_the_full_bisection_bit_for_bit(
+    monkeypatch,
+):
+    # 15 seeded inputs, 5 at each tau, and three whose minimizing orders
+    # at the ends of the last full-order bracket lie in different chunks
+    # (1 and 2, 0 and 1, 2 and 4), so that the chunk bisection spans
+    # those, the chunks between and a neighbour on each side.
+    rng = np.random.default_rng(25)
+    cases = [
+        (10.0 ** rng.uniform(-0.3, 0.9), (0.01, 0.1, 0.5)[k % 3],
+         int(10.0 ** rng.uniform(2.0, 5.0)))
+        for k in range(15)
+    ]
+    crossing = {(0.1, 0.01, 100): (0, 4), (0.2, 0.01, 1000): (0, 3),
+                (0.05, 0.5, 1000): (1, 6)}
+    bisections, spans = [], set()
+    log_sums = accountant._SubsampledRdp.log_sums
+
+    def counted(f, lo, hi):
+        bisections.append(f)
+        return _bisect(f, lo, hi)
+
+    def spanned(self, sigma, first=0, stop=None):
+        spans.add((first, stop))
+        return log_sums(self, sigma, first, stop)
+
+    monkeypatch.setattr(accountant, "_bisect", counted)
+    monkeypatch.setattr(accountant._SubsampledRdp, "log_sums", spanned)
+    for eps_b, tau, n_iters in cases + list(crossing):
+        want = _full_order_sigma(eps_b, 1e-5, tau, n_iters)
+        bisections.clear()
+        spans.clear()
+        assert calibrate_sigma_rdp(eps_b, 1e-5, tau, n_iters) == want
+        # The chunk bisection passed its check: no second bisection.
+        assert len(bisections) == 1, (eps_b, tau, n_iters)
+        if (eps_b, tau, n_iters) in crossing:
+            assert spans - {(0, None)} == {crossing[eps_b, tau, n_iters]}
+    # A log-sum error as large as the log-sum fails every check, and the
+    # bisection on every order gives the same sigma.
+    monkeypatch.setattr(accountant, "_LOGSUMEXP_REL_ERR", 1.0)
+    bisections.clear()
+    sigma = calibrate_sigma_rdp(1.0, 1e-5, 0.01, 1000)
+    assert sigma.hex() == _SIGMA_HEX[1.0, 0.01]
+    assert len(bisections) == 2
 
 
 def test_calibrate_sigma_rdp_returns_the_larger_sigma():

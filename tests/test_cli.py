@@ -321,6 +321,44 @@ def test_compare_calibrates_once_per_budget_and_rate(capsys, monkeypatch):
     assert out == _COMPARE_GRID_CSV
 
 
+# (eps_ours, eps_prior) of each row of the same grid in JSON, as
+# printed when every calibration bisected on all 511 orders.
+_COMPARE_GRID_BOUNDS = [
+    (1.513337028320076, 1.8894691973343227),
+    (2.0163196887614854, 2.6858343960574844),
+    (14.614288098676983, None),
+    (1.5546695209231547, 1.8889157699428865),
+    (2.0705675223868734, 2.6849345487646765),
+    (15.002726200053004, None),
+    (2.9521562671986836, 3.6191170366854375),
+    (3.890598966716042, 5.066284776352299),
+    (28.06402637188891, None),
+    (3.102182424007293, 3.618789401414103),
+    (4.084498702568833, 5.0624271860451575),
+    (29.461924253925233, None),
+]
+
+
+def test_compare_json_is_frozen_byte_for_byte(capsys):
+    argv = ["compare", "--eps-b", "1", "--eps-b", "2", "--tau", "1"]
+    argv += ["--tau", "0.1", "--xi", "tnb:eta=0,nu=1e-2"]
+    argv += ["--xi", "tnb:eta=1,nu=1e-2", "--xi", "pointmass:k=10"]
+    code, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    columns = [(0.0, 0.01, 21.497576854210966), (1.0, 0.01, 99.99999999999999),
+               (None, None, 10.0)]
+    cells = [(e, t, c) for e in (1.0, 2.0) for t in (1.0, 0.1) for c in columns]
+    rows = []
+    for (eps_b, tau, (eta, nu, e_xi)), (ours, prior) in zip(
+        cells, _COMPARE_GRID_BOUNDS
+    ):
+        reason = "" if eta is not None else "prior bound requires a tnb run count"
+        rows.append({"eps_b": eps_b, "tau": tau, "eta": eta, "nu": nu,
+                     "e_xi": e_xi, "eps_ours": ours, "eps_prior": prior,
+                     "reason": reason})
+    assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
 def test_compare_rejects_iterations_and_rate_by_name(capsys):
     expected = {
         ("--n-iters", "0"): "calibration failed: n_iters must be >= 1, got 0",
