@@ -136,7 +136,7 @@ def _ndtr(x: np.ndarray | float) -> np.ndarray:
 
 
 def _ndtr_float(x: float) -> float:
-    """_ndtr at one float, bit for bit, by math.erfc and float operations."""
+    """_ndtr at one float, bit for bit: math.erfc, float operations, np.exp."""
     near = x if abs(x) < 40.0 else 0.0
     return float(_ndtr_from(math.erfc(-x * _SQRT1_2), near))
 

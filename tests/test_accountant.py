@@ -405,7 +405,9 @@ def test_calibrate_sigma_rdp_frozen_bits():
         assert calibrate_sigma_rdp(eps_b, 1e-5, tau, 1000).hex() == want
 
 
-def _full_order_sigma(eps_b: float, delta: float, tau: float, n_iters: int) -> float:
+def _full_order_sigma(
+    eps_b: float, delta: float, tau: float, n_iters: int
+) -> float:
     """calibrate_sigma_rdp at tau < 1 with every order at every step."""
     curve = subsampled_rdp_curve(tau, _INT_ALPHAS)
 

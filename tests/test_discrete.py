@@ -302,10 +302,11 @@ def test_theorem4_check_passes_a_tie_that_float_error_reverses():
 def test_dirichlet_is_numpys_draw_bit_for_bit():
     # The campaign's shapes and sizes on 10^4 seeds; the next draw shows
     # that both leave the stream at the same place.
-    for i in range(10**4):
+    draw = np.random.default_rng(25)
+    shapes = draw.uniform(0.3, 3.0, 10**4).tolist()
+    sizes = draw.integers(3, 9, 10**4).tolist()
+    for i, (shape, size) in enumerate(zip(shapes, sizes)):
         ours, numpys = (np.random.default_rng([25, i]) for _ in range(2))
-        shape, size = 0.3 + 2.7 * ours.random(), int(ours.integers(3, 9))
-        numpys.random(), numpys.integers(3, 9)
         got = _dirichlet(ours, shape, size)
         want = numpys.dirichlet(np.full(size, shape))
         assert got.tobytes() == want.tobytes(), i

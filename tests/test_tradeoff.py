@@ -16,7 +16,6 @@ from privtune.tradeoff import (
     _AS241,
     _COMPLEMENT_REL_ERR,
     _GDP_MU_MAX,
-    _LOG_SQRT_2PI,
     _NDTR_REL_ERR,
     _ROUNDOFF,
     DpSgdConfig,
@@ -25,15 +24,11 @@ from privtune.tradeoff import (
     TradeoffCurve,
     _bisect,
     _gdp_eps_rounding,
-    _gdp_terms,
     _log_ndtr,
     _log_ndtr_float,
     _ndtr,
     _ndtr_float,
     _ndtri,
-    _pdf,
-    _two_product,
-    _two_sum,
     fdp_to_eps_delta,
     gdp_approx_mu,
     gdp_delta_of_eps,
@@ -240,33 +235,6 @@ def test_log_ndtr_matches_a_40_digit_oracle():
             )
             assert excess <= 0.0, excess
     assert np.all(np.isfinite(array))
-
-
-def _gdp_terms_on_arrays(mu: float, epsilon: float) -> tuple[float, float]:
-    """_gdp_terms with Phi and log Phi taken on 0-d arrays, as it once was."""
-    ratio = epsilon / mu
-    product, low = _two_product(ratio, mu)
-    ratio_error = ((epsilon - product) - low) / mu
-    a1, a1_error = _two_sum(-ratio, mu / 2.0)
-    a2, a2_error = _two_sum(-ratio, -mu / 2.0)
-    first = float(_ndtr(a1)) + float(_pdf(a1)) * (a1_error - ratio_error)
-    log_phi = float(_log_ndtr(a2))
-    if math.isfinite(log_phi):
-        mills = math.exp(-0.5 * a2 * a2 - _LOG_SQRT_2PI - log_phi)
-        log_phi += mills * (a2_error - ratio_error)
-    return first, log_phi
-
-
-def test_gdp_terms_on_floats_keep_the_array_bits():
-    # mu log-uniform in [1e-3, 1e6] and eps in [0, 1e3], where the
-    # arguments reach the continued fraction, both Phi branches and 0.
-    rng = np.random.default_rng(34)
-    mus = 10.0 ** rng.uniform(-3.0, 6.0, 3000)
-    epss = np.where(rng.random(3000) < 0.1, 0.0, 10.0 ** rng.uniform(-4.0, 3.0, 3000))
-    with np.errstate(all="ignore"):
-        for mu, eps in zip(mus.tolist(), epss.tolist()):
-            got, want = _gdp_terms(mu, eps), _gdp_terms_on_arrays(mu, eps)
-            assert np.array(got).tobytes() == np.array(want).tobytes(), (mu, eps)
 
 
 def test_gaussian_curve_matches_a_40_digit_oracle():
