@@ -62,9 +62,10 @@ _INT_ALPHAS = np.arange(2.0, 513.0)
 # j = 0..max order of its chunk, so all 511 integer orders at once would
 # need 511 x 513 floats per temporary.
 _ORDER_CHUNK = 64
-# Stated error of _logsumexp_rows, relative to max(1, |result|);
-# tests/test_accountant.py re-measures it.
-_LOGSUMEXP_REL_ERR = 4e-16
+# How far calibrate_sigma_rdp's chunk check lowers each log-sum, relative
+# to max(1, |log-sum|): twice the error bound of _logsumexp_rows on a row
+# of at most 513 entries derived in its docstring, and the subtraction.
+_CHUNK_SLACK = 2048 * _ROUNDOFF
 
 # Largest order of the pure-DP selection bound, as prior practice capped it.
 _PURE_ALPHA_CAP = 256.0
@@ -341,9 +342,19 @@ def _log_factorials(n: int) -> np.ndarray:
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
     """log sum exp over each row of x, shifted by the row's maximum.
 
-    Each row needs one finite entry. Within _LOGSUMEXP_REL_ERR
-    max(1, |result|) of 40-digit mpmath on the subsampled bound's rows
-    and on random ones (worst measured 3.7e-16).
+    Each row needs one finite entry. Within 4e-16 max(1, |result|) of
+    40-digit mpmath on the subsampled bound's rows up to order 129 and on
+    random ones (worst measured 3.7e-16); on every ninth row of orders 66
+    to 512 the worst measured was 4.3e-16.
+
+    A bound from the operations, for the exact log-sum-exp of the row as
+    stored: with t_j = peak - x_j and S = sum e^-t_j >= 1 over w finite
+    entries, each difference rounds once, so e^-t_j is off by u t_j
+    relative (u = 2^-53), and the mean of t_j under weights e^-t_j / S
+    is at most log w; with np.exp and np.log within 4 ulps and a sum of
+    w positive terms within (w - 1) u, S is within (log w + 8 + w - 1) u
+    relative, the log adds 8 u log w and the last sum u |result|. For
+    w <= 513 that is within (578 + |result|) u.
     """
     peak = np.max(x, axis=1)
     return peak + np.log(np.sum(np.exp(x - peak[:, None]), axis=1))
@@ -540,12 +551,12 @@ def calibrate_sigma_rdp(
     some sigma s < hi'; the step went astray only if an order outside C
     had epsilon <= eps_b at s. The check rules that out at once for
     every such s: each order's epsilon decreases with sigma, and in
-    floats it can rise only by the log-sum's error (_LOGSUMEXP_REL_ERR
-    times max(1, log-sum), at most the log-sum at lo) at each end, as
-    every other step is a monotone float operation. So if every order
-    outside C, with its log-sum at hi' lowered by three of those errors
-    (the third covers the subtraction), still has epsilon > eps_b, no
-    step went astray and hi' is the full bisection's. Otherwise the
+    floats it can rise only by the log-sum's error at each end, as every
+    other step is a monotone float operation. _logsumexp_rows states that
+    error, (578 + log-sum) 2^-53 at most, and the log-sum is largest at
+    lo. So if every order outside C, with its log-sum at hi' lowered by
+    _CHUNK_SLACK times max(1, log-sum at lo), still has epsilon > eps_b,
+    no step went astray and hi' is the full bisection's. Otherwise the
     bisection runs again from [lo, hi] on every order. The check holds on
     the inputs of tests/test_accountant.py; its failure is forced there.
 
@@ -638,7 +649,7 @@ def _bisect_by_chunks(
     first, stop = max(min(picks) - 1, 0), min(max(picks) + 2, len(bound.chunks))
     inside = slice(first * _ORDER_CHUNK, stop * _ORDER_CHUNK)
     top = _bisect(lambda s: gap(bound.log_sums(s, first, stop), inside), lo, hi)[1]
-    slack = 3.0 * _LOGSUMEXP_REL_ERR * np.maximum(1.0, np.abs(ends[0]))
+    slack = _CHUNK_SLACK * np.maximum(1.0, np.abs(ends[0]))
     floor = eps_of(bound.log_sums(top) - slack)
     floor[inside] = np.inf
     if np.min(floor) > eps_b:

@@ -15,7 +15,6 @@ from privtune import accountant
 from privtune.accountant import (
     _ALPHA_DENSE,
     _INT_ALPHAS,
-    _LOGSUMEXP_REL_ERR,
     _ORDER_CHUNK,
     _PURE_ALPHA_CAP,
     SPEC_ALPHAS,
@@ -382,7 +381,7 @@ def test_logsumexp_rows_matches_a_40_digit_oracle():
                 mpmath.fsum(mpmath.exp(v) for v in row if v != -math.inf)
             )
             worst = max(worst, float(abs(value - want) / max(1, abs(want))))
-    assert worst <= _LOGSUMEXP_REL_ERR, worst
+    assert worst <= 4e-16, worst
 
 
 # calibrate_sigma_rdp(eps_b, 1e-5, tau, 1000) as float.hex, when every
@@ -455,9 +454,9 @@ def test_calibrate_sigma_rdp_on_chunks_is_the_full_bisection_bit_for_bit(
         assert len(bisections) == 1, (eps_b, tau, n_iters)
         if (eps_b, tau, n_iters) in crossing:
             assert spans - {(0, None)} == {crossing[eps_b, tau, n_iters]}
-    # A log-sum error as large as the log-sum fails every check, and the
+    # A slack as large as the log-sum fails every check, and the
     # bisection on every order gives the same sigma.
-    monkeypatch.setattr(accountant, "_LOGSUMEXP_REL_ERR", 1.0)
+    monkeypatch.setattr(accountant, "_CHUNK_SLACK", 1.0)
     bisections.clear()
     sigma = calibrate_sigma_rdp(1.0, 1e-5, 0.01, 1000)
     assert sigma.hex() == _SIGMA_HEX[1.0, 0.01]
