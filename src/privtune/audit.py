@@ -18,6 +18,12 @@ package's own (tradeoff._ndtri, tradeoff._log_ndtr), and the
 Clopper-Pearson limit inverts its own incomplete beta function, whose
 prefactor takes Loader's saddle-point terms and whose continued fraction
 is Didonato and Morris's; the limit is never below the exact one.
+
+The game writes each class's maxima straight into its own region of one
+buffer, 8 bytes a trial: a first pass over the game's blocks counts each
+block's truth-1 trials, which places its trials of either class, and a
+second draws the same bits again beside the uniforms. The sweep sorts
+the two classes where they lie.
 """
 
 from __future__ import annotations
@@ -59,13 +65,10 @@ _BLOCK_SIZE = 1 << 20
 # Trials a block draws and scores at once. Each worker keeps one buffer of
 # a slice for the whole game, and a slice's steps write into it or into
 # the outputs, so malloc has few temporaries to give back to the system
-# and fault in again: a fresh process's 1e7-trial game takes about 7.5k
-# minor page faults. A whole block of 2^20 keeps up to 20 MB more in the
-# workers' arenas.
+# and fault in again: a fresh process's 1e7-trial game takes about 9k to
+# 12k minor page faults on two threads, 13k on one. A whole block of 2^20
+# keeps up to 20 MB more in the workers' arenas.
 _SLICE = 1 << 18
-# Trials the sweep's class split takes at once: each thread holds a mask
-# and an index array of this size.
-_SPLIT_CHUNK = 1 << 16
 _N_BULK_LEVELS = 256
 _N_TAIL_LEVELS = 256
 _TAIL_FLOOR = 1e-5
@@ -319,49 +322,63 @@ def _normal_best(level: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _slice_sizes(trials: int, block: int) -> list[int]:
+    """Sizes of a block's slices: _SLICE trials each, and the rest last.
+
+    Drawn slice by slice, a block's truth bits and then its uniforms are
+    the stream of one draw of each: a bit takes one 32-bit half of a
+    64-bit draw, as an int32 and an int64 draw both do, and every slice
+    but the last is even. No array of the block's size is made: such
+    arrays, freed by a worker, stayed in its malloc arena and put up to
+    40 MB on a 1e7-trial audit's peak RSS, varying from run to run.
+    """
+    lo = block * _BLOCK_SIZE
+    hi = min(lo + _BLOCK_SIZE, trials)
+    return [min(_SLICE, hi - start) for start in range(lo, hi, _SLICE)]
+
+
 def _simulate_block(
     cfg: GameConfig,
     quantile: Callable[[np.ndarray], np.ndarray] | None,
     block: int,
-    truth_out: np.ndarray,
-    score_out: np.ndarray,
+    rng: np.random.Generator,
+    null_out: np.ndarray,
+    alt_out: np.ndarray,
     spare: np.ndarray,
 ) -> None:
-    """Fills one fixed-size block of trials from its own keyed stream.
+    """Fills one block's trials of each class, in trial order.
 
-    quantile is _mixture_quantile's function at tau < 1, else None. spare
-    is the worker's buffer of up to _SLICE floats: it holds each slice's
-    uniforms, then at tau < 1 each class's levels in turn.
+    rng is the block's keyed stream just past its truth bits, which a
+    fresh stream of the same key draws again here; null_out and alt_out
+    are the block's regions of the two classes. quantile is
+    _mixture_quantile's function at tau < 1, else None. spare is the
+    worker's buffer of up to _SLICE floats: it holds each slice's uniforms,
+    then each class's levels in turn, which log_inverse_pgf would write
+    over its input only through a temporary of their size.
     """
-    lo = block * _BLOCK_SIZE
-    hi = min(lo + _BLOCK_SIZE, cfg.trials)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
-    # The block's truth bits and then its uniforms, each drawn in slices
-    # straight into the outputs. The stream is that of one draw of each:
-    # a bit takes one 32-bit half of a 64-bit draw, as an int32 and an
-    # int64 draw both do, and every slice but the last is even. No array
-    # of the block's size is made: such arrays, freed by a worker, stayed
-    # in its malloc arena and put up to 40 MB on a 1e7-trial audit's peak
-    # RSS, varying from run to run.
-    for start in range(lo, hi, _SLICE):
-        stop = min(start + _SLICE, hi)
-        truth_out[start:stop] = rng.integers(0, 2, stop - start, np.int32)
+    bits = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
     mech = cfg.config
     shift = math.sqrt(mech.n_iters) / mech.sigma
-    for start in range(lo, hi, _SLICE):
-        stop = min(start + _SLICE, hi)
-        truth = truth_out[start:stop]
-        # log S^-1(U) and then the best score, in the output's slice.
-        uniforms = rng.random(out=spare[: stop - start])
-        level = cfg.dist.log_inverse_pgf(uniforms, out=score_out[start:stop])
-        # Index arrays, not the random bool mask: numpy's masked gathers,
-        # scatters and where= loops take several times as long.
+    for size in _slice_sizes(cfg.trials, block):
+        # The slice's truth bits, drawn again, and its uniforms. Each class's
+        # uniforms are taken into its region through an index array, not
+        # the random bool mask, whose gathers take several times as long;
+        # and in mode "wrap", as take's default mode first fills a copy of
+        # out. Its levels go into spare, and its best scores back.
+        truth = bits.integers(0, 2, size, np.int32) != 0
+        uniforms = rng.random(out=spare[:size])
+        index = np.flatnonzero(truth)
+        alt = np.take(uniforms, index, out=alt_out[: index.size], mode="wrap")
+        index = np.flatnonzero(np.logical_not(truth, out=truth))
+        null = np.take(uniforms, index, out=null_out[: index.size], mode="wrap")
+        null_out, alt_out = null_out[null.size :], alt_out[alt.size :]
+        level = cfg.dist.log_inverse_pgf(null, out=spare[: null.size])
+        np.copyto(null, _normal_best(level))
+        level = cfg.dist.log_inverse_pgf(alt, out=spare[: alt.size])
         if quantile is None:
-            _normal_best(level)[np.flatnonzero(truth)] += shift
+            np.add(_normal_best(level), shift, out=alt)
         else:
-            for members, best in ((truth, quantile), (~truth, _normal_best)):
-                index = np.flatnonzero(members)
-                level[index] = best(np.take(level, index, out=spare[: index.size]))
+            alt[:] = quantile(level)
 
 
 def _run_jobs(jobs: list[Callable[[], object]], workers: int) -> list:
@@ -391,15 +408,22 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     truth 1 at tau < 1.
 
     Trials are partitioned into fixed-size blocks, each driven by a
-    stream keyed by (seed, block index), so results are bit-identical
-    for any degree of parallelism.
+    stream keyed by (seed, block index) that draws the block's truth bits
+    and then its uniforms. The game makes two passes over the blocks. The
+    first draws each block's truth bits and counts its ones; those counts
+    place each block's trials of either class. The second draws the bits
+    again from a fresh stream of the same key and the uniforms from where
+    the first left off, and writes each class's best scores straight into
+    its region. So no truth array is kept, a trial costs 8 bytes, and the
+    results are bit-identical for any degree of parallelism.
 
     Args:
       cfg: game parameters.
 
     Returns:
-      (truth bits as bool, maximum scores), each an array of length
-      trials.
+      (null, alternative): the best scores of the truth-0 and of the
+      truth-1 trials, each in trial order, as two views of one float
+      buffer of length trials, null first.
 
     Raises:
       ValueError: if a tau < 1 score table would exceed its cap.
@@ -407,11 +431,27 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     quantile = None
     if cfg.config.tau < 1.0:
         quantile = _mixture_quantile(cfg.config, cfg.dist)
-    # One byte a trial; the blocks still draw 32-bit halves, so the random
-    # stream is unchanged.
-    truth = np.empty(cfg.trials, dtype=bool)
-    scores = np.empty(cfg.trials, dtype=float)
     blocks = range((cfg.trials + _BLOCK_SIZE - 1) // _BLOCK_SIZE)
+    workers = min(thread_count(), len(blocks))
+
+    def count(block: int) -> tuple[int, np.random.Generator]:
+        # The block's ones, and its stream past them.
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
+        ones = sum(
+            int(np.count_nonzero(rng.integers(0, 2, size, np.int32)))
+            for size in _slice_sizes(cfg.trials, block)
+        )
+        return ones, rng
+
+    ones, streams = zip(
+        *_run_jobs([functools.partial(count, b) for b in blocks], workers)
+    )
+    # Where each block's trials of either class start, and the last ends.
+    alt_at = np.cumsum([0, *ones])
+    ends = np.minimum(np.arange(len(blocks) + 1) * _BLOCK_SIZE, cfg.trials)
+    null_at = ends - alt_at
+    n0 = int(null_at[-1])
+    scores = np.empty(cfg.trials)
     worker = threading.local()
 
     def run(block: int) -> None:
@@ -419,13 +459,12 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
         # its pages stay mapped across the worker's slices and blocks.
         if not hasattr(worker, "spare"):
             worker.spare = np.empty(min(_SLICE, cfg.trials))
-        _simulate_block(cfg, quantile, block, truth, scores, worker.spare)
+        null = scores[null_at[block] : null_at[block + 1]]
+        alt = scores[n0 + alt_at[block] : n0 + alt_at[block + 1]]
+        _simulate_block(cfg, quantile, block, streams[block], null, alt, worker.spare)
 
-    _run_jobs(
-        [functools.partial(run, b) for b in blocks],
-        min(thread_count(), len(blocks)),
-    )
-    return truth, scores
+    _run_jobs([functools.partial(run, b) for b in blocks], workers)
+    return scores[:n0], scores[n0:]
 
 
 def _bd0(x: np.ndarray, m_hi: np.ndarray, m_lo: np.ndarray) -> np.ndarray:
@@ -794,29 +833,9 @@ def _pooled_quantiles(
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
-def _sorted_class(
-    truth: np.ndarray, scores: np.ndarray, bit: bool, size: int
-) -> np.ndarray:
-    """np.sort(scores[truth == bit]) for bool truth, given its size.
-
-    Gathered chunk by chunk through index arrays: a gather through the
-    random bool mask itself takes several times as long.
-    """
-    out = np.empty(size)
-    filled = 0
-    for lo in range(0, truth.size, _SPLIT_CHUNK):
-        part = truth[lo : lo + _SPLIT_CHUNK]
-        index = np.flatnonzero(part if bit else ~part)
-        stop = filled + index.size
-        np.take(scores[lo : lo + _SPLIT_CHUNK], index, out=out[filled:stop])
-        filled = stop
-    out.sort()
-    return out
-
-
 def sweep_thresholds(
-    truth: np.ndarray,
-    scores: np.ndarray,
+    null: np.ndarray,
+    alternative: np.ndarray,
     confidence: float,
     delta: float,
 ) -> ThresholdSweep:
@@ -833,33 +852,27 @@ def sweep_thresholds(
     one-sided Clopper-Pearson upper limits at the level matching the
     given two-sided confidence.
 
+    Each class is sorted in place, the two on two threads when together
+    they fill more than one game block, so the sweep takes no copy of the
+    scores.
+
     Args:
-      truth: truth bits of the simulated trials, bool or 0 and 1.
-      scores: max scores of the simulated trials.
+      null: max scores of the truth-0 trials, a float array; sorted in
+        place.
+      alternative: max scores of the truth-1 trials, a float array;
+        sorted in place.
       confidence: two-sided confidence level for the rate bounds.
       delta: additive slack of the guarantee being tested.
 
     Returns:
       The per-threshold summary.
     """
-    # Each class is gathered into its own array and sorted there, the two
-    # on two threads when the scores fill more than one game block. The
-    # sweep peaks at the two classes, the scores' size, plus each thread's
-    # chunk mask and indices.
-    truth = np.asarray(truth, dtype=bool)
-    n1 = int(np.count_nonzero(truth))
-    workers = 2 if scores.size > _BLOCK_SIZE and thread_count() > 1 else 1
-    s0, s1 = _run_jobs(
-        [
-            functools.partial(_sorted_class, truth, scores, bit, size)
-            for bit, size in ((False, truth.size - n1), (True, n1))
-        ],
-        workers,
-    )
-    thresholds = np.unique(_pooled_quantiles(s0, s1, _sweep_levels()))
-    n0, n1 = s0.size, s1.size
-    fp_cnt = n0 - np.searchsorted(s0, thresholds, side="right")
-    fn_cnt = np.searchsorted(s1, thresholds, side="right")
+    big = null.size + alternative.size > _BLOCK_SIZE
+    _run_jobs([null.sort, alternative.sort], 2 if big and thread_count() > 1 else 1)
+    thresholds = np.unique(_pooled_quantiles(null, alternative, _sweep_levels()))
+    n0, n1 = null.size, alternative.size
+    fp_cnt = n0 - np.searchsorted(null, thresholds, side="right")
+    fn_cnt = np.searchsorted(alternative, thresholds, side="right")
     side = _one_sided(confidence)
     # Both classes' limits in one solve.
     fp_up, fn_up = clopper_pearson_upper(
@@ -886,5 +899,5 @@ def run_audit(cfg: GameConfig) -> ThresholdSweep:
     Returns:
       The per-threshold summary; its ``best`` row is the concluded bound.
     """
-    truth, scores = simulate_game(cfg)
-    return sweep_thresholds(truth, scores, cfg.confidence, cfg.delta)
+    null, alternative = simulate_game(cfg)
+    return sweep_thresholds(null, alternative, cfg.confidence, cfg.delta)

@@ -219,17 +219,19 @@ def test_clopper_pearson_upper_agrees_with_scipy(n):
 def test_exact_game_scores_match_scipys_normal_quantile():
     # The seed-7 game's best scores, recomputed block by block with
     # scipy.special.ndtri in place of the package's AS241: within 1.1e-15
-    # relative, and simulate_game's scores are the package's bit for bit.
+    # relative, and simulate_game's scores are the package's bit for bit,
+    # each class in trial order.
     cfg = GameConfig(
         config=DpSgdConfig(60.0, 1.0, 1000),
         dist=TNB(1.0, 1e-2),
         trials=3 * (1 << 20),
         seed=7,
     )
-    truth, scores = simulate_game(cfg)
+    classes = simulate_game(cfg)
     shift = math.sqrt(1000.0) / 60.0
     worst = 0.0
-    for block, lo in enumerate(range(0, cfg.trials, _BLOCK_SIZE)):
+    filled = [0, 0]
+    for block in range(cfg.trials // _BLOCK_SIZE):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
         bits = rng.integers(0, 2, size=_BLOCK_SIZE)
         level = cfg.dist.log_inverse_pgf(rng.random(_BLOCK_SIZE))
@@ -238,13 +240,17 @@ def test_exact_game_scores_match_scipys_normal_quantile():
         reference = special.ndtri(np.exp(level))
         at_one = np.isinf(reference) & (reference > 0)
         reference[at_one] = -special.ndtri(-np.expm1(level[at_one]))
-        part = slice(lo, lo + _BLOCK_SIZE)
-        assert scores[part].tobytes() == (ours + shift * bits).tobytes()
-        np.testing.assert_array_equal(truth[part], bits == 1)
+        expected = ours + shift * bits
+        for bit, scores in enumerate(classes):
+            want = expected[bits == bit]
+            got = scores[filled[bit] : filled[bit] + want.size]
+            assert got.tobytes() == want.tobytes()
+            filled[bit] += want.size
         finite = np.isfinite(reference) & (reference != 0.0)
         assert np.array_equal(ours[~finite], reference[~finite])
         gap = np.abs(ours[finite] - reference[finite]) / np.abs(reference[finite])
         worst = max(worst, float(gap.max()))
+    assert filled == [scores.size for scores in classes]
     assert worst <= 1.1e-15
 
 
@@ -349,13 +355,11 @@ def test_simulate_game_splits_truth_evenly():
         trials=20_000,
         seed=4,
     )
-    truth, scores = simulate_game(cfg)
-    assert truth.shape == scores.shape == (20_000,)
-    assert int((truth == 0).sum()) == 10_033
-    assert int((truth == 1).sum()) == 9_967
+    classes = simulate_game(cfg)
+    assert [sample.shape for sample in classes] == [(10_033,), (9_967,)]
     # The frozen means lie within 4 standard errors of the analytic ones.
     for bit, frozen in ((0, _SMOKE_MEAN_NULL), (1, _SMOKE_MEAN_ALT)):
-        sample = scores[truth == bit]
+        sample = classes[bit]
         exact = _max_score_mean(cfg.config, cfg.dist, bool(bit))
         error = float(np.std(sample, ddof=1)) / math.sqrt(sample.size)
         assert abs(frozen - exact) <= 4.0 * error
@@ -450,13 +454,13 @@ def test_subsampled_best_scores_follow_the_exact_cdf():
         trials=10**5,
         seed=21,
     )
-    truth, scores = simulate_game(cfg)
+    _, alternative = simulate_game(cfg)
     weights, means = _mixture(cfg.config)
 
     def best_of_four_cdf(s):
         return (special.ndtr(np.subtract.outer(s, means)) @ weights) ** 4
 
-    assert stats.kstest(scores[truth == 1], best_of_four_cdf).pvalue > 0.01
+    assert stats.kstest(alternative, best_of_four_cdf).pvalue > 0.01
 
 
 def _per_run_scores(cfg: GameConfig) -> np.ndarray:
@@ -479,9 +483,9 @@ def test_subsampled_game_matches_the_per_run_sampler(dist):
     cfg = GameConfig(
         config=DpSgdConfig(5.0, 0.5, 100), dist=dist, trials=10**5, seed=9
     )
-    truth, scores = simulate_game(cfg)
+    _, alternative = simulate_game(cfg)
     reference = _per_run_scores(cfg)
-    assert stats.ks_2samp(scores[truth == 1], reference).pvalue > 0.01
+    assert stats.ks_2samp(alternative, reference).pvalue > 0.01
 
 
 def test_subsampled_game_is_thread_invariant(monkeypatch):
@@ -495,6 +499,7 @@ def test_subsampled_game_is_thread_invariant(monkeypatch):
     serial = simulate_game(cfg)
     monkeypatch.setenv("PRIVTUNE_THREADS", "4")
     parallel = simulate_game(cfg)
+    assert len(serial) == len(parallel) == 2
     for a, b in zip(serial, parallel):
         assert a.tobytes() == b.tobytes()
 
@@ -509,14 +514,14 @@ def test_exact_game_follows_the_best_score_cdf(dist):
     cfg = GameConfig(
         config=DpSgdConfig(60.0, 1.0, 1000), dist=dist, trials=10**5, seed=17
     )
-    truth, scores = simulate_game(cfg)
+    classes = simulate_game(cfg)
     shift = math.sqrt(1000.0) / 60.0
 
     def best_score_cdf(s):
         return dist.pgf(special.ndtr(s))
 
     for bit in (0, 1):
-        sample = scores[truth == bit] - shift * bit
+        sample = classes[bit] - shift * bit
         assert stats.kstest(sample, best_score_cdf).pvalue > 0.01
 
 
@@ -527,20 +532,21 @@ def test_exact_game_matches_explicit_run_count_draws(dist):
     cfg = GameConfig(
         config=DpSgdConfig(60.0, 1.0, 1000), dist=dist, trials=10**5, seed=18
     )
-    truth, scores = simulate_game(cfg)
+    classes = simulate_game(cfg)
     rng = np.random.default_rng(19)
     counts = dist.sample(rng, cfg.trials)
     reference = special.ndtri(np.exp(np.log(rng.random(cfg.trials)) / counts))
     shift = math.sqrt(1000.0) / 60.0
     for bit in (0, 1):
-        sample = scores[truth == bit] - shift * bit
+        sample = classes[bit] - shift * bit
         assert stats.ks_2samp(sample, reference).pvalue > 0.01
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_point_mass_game_is_log_u_over_k_bit_for_bit(monkeypatch, threads):
     # Each block's level is log(U) / k from its keyed stream, as before
-    # the inverse pgf, so point-mass audits keep every bit.
+    # the inverse pgf, so point-mass audits keep every bit, each class in
+    # trial order.
     cfg = GameConfig(
         config=DpSgdConfig(60.0, 1.0, 1000),
         dist=PointMass(10),
@@ -548,8 +554,9 @@ def test_point_mass_game_is_log_u_over_k_bit_for_bit(monkeypatch, threads):
         seed=12,
     )
     monkeypatch.setenv("PRIVTUNE_THREADS", threads)
-    truth, scores = simulate_game(cfg)
+    classes = simulate_game(cfg)
     shift = math.sqrt(1000.0) / 60.0
+    filled = [0, 0]
     for block, lo in enumerate(range(0, cfg.trials, _BLOCK_SIZE)):
         size = min(_BLOCK_SIZE, cfg.trials - lo)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
@@ -557,8 +564,12 @@ def test_point_mass_game_is_log_u_over_k_bit_for_bit(monkeypatch, threads):
         with np.errstate(divide="ignore"):
             level = np.log(rng.random(size)) / 10
         expected = _normal_best(level) + shift * bits
-        np.testing.assert_array_equal(truth[lo : lo + size], bits == 1)
-        assert scores[lo : lo + size].tobytes() == expected.tobytes()
+        for bit, scores in enumerate(classes):
+            want = expected[bits == bit]
+            got = scores[filled[bit] : filled[bit] + want.size]
+            assert got.tobytes() == want.tobytes()
+            filled[bit] += want.size
+    assert filled == [scores.size for scores in classes]
 
 
 def test_simulate_game_single_run_scores_are_standard_normal():
@@ -568,10 +579,10 @@ def test_simulate_game_single_run_scores_are_standard_normal():
         trials=10**5,
         seed=8,
     )
-    truth, scores = simulate_game(cfg)
-    assert stats.kstest(scores[truth == 0], "norm").pvalue > 0.01
+    null, alternative = simulate_game(cfg)
+    assert stats.kstest(null, "norm").pvalue > 0.01
     mu = np.sqrt(1000.0) / 50.0
-    assert stats.kstest(scores[truth == 1] - mu, "norm").pvalue > 0.01
+    assert stats.kstest(alternative - mu, "norm").pvalue > 0.01
 
 
 def test_simulated_roc_tracks_gaussian_tradeoff_curve():
@@ -581,9 +592,7 @@ def test_simulated_roc_tracks_gaussian_tradeoff_curve():
         trials=10**6,
         seed=3,
     )
-    truth, scores = simulate_game(cfg)
-    null = np.sort(scores[truth == 0])
-    alt = np.sort(scores[truth == 1])
+    null, alt = (np.sort(scores) for scores in simulate_game(cfg))
     levels = np.linspace(0.0005, 0.9995, 2001)
     thresholds = np.quantile(null, 1.0 - levels)
     fn = np.searchsorted(alt, thresholds, side="right") / alt.size
@@ -631,10 +640,9 @@ def test_sweep_thresholds_matches_scalar_recomputation():
         trials=1 << 18,
         seed=13,
     )
-    truth, scores = simulate_game(cfg)
-    sweep = sweep_thresholds(truth, scores, cfg.confidence, cfg.delta)
-    null = np.sort(scores[truth == 0])
-    alt = np.sort(scores[truth == 1])
+    classes = simulate_game(cfg)
+    null, alt = (np.sort(scores) for scores in classes)
+    sweep = sweep_thresholds(*classes, cfg.confidence, cfg.delta)
     assert sweep.n_null == null.size
     assert sweep.n_alternative == alt.size
     assert sweep.n_null + sweep.n_alternative == cfg.trials
@@ -676,11 +684,12 @@ def test_multi_block_audit_is_thread_invariant(monkeypatch, config, trials):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def _mask_sweep(truth, scores, confidence, delta):
-    """The sweep by bool-mask gathers and np.quantile of the pooled scores."""
-    s0 = np.sort(scores[truth == 0])
-    s1 = np.sort(scores[truth == 1])
-    thresholds = np.unique(np.quantile(scores, _sweep_levels()))
+def _copy_sweep(null, alternative, confidence, delta):
+    """The sweep by np.sort copies and np.quantile of the pooled scores."""
+    s0 = np.sort(null)
+    s1 = np.sort(alternative)
+    pooled = np.concatenate([null, alternative])
+    thresholds = np.unique(np.quantile(pooled, _sweep_levels()))
     fp = s0.size - np.searchsorted(s0, thresholds, side="right")
     fn = np.searchsorted(s1, thresholds, side="right")
     side = 1.0 - (1.0 - confidence) / 2.0
@@ -690,7 +699,7 @@ def _mask_sweep(truth, scores, confidence, delta):
 
 
 def test_sweep_thresholds_equals_the_bool_mask_sweep(monkeypatch):
-    # A game of three blocks, split and sorted on two threads, and the
+    # A game of three blocks, its classes sorted on two threads, and the
     # same scores as one class, then the other.
     monkeypatch.setenv("PRIVTUNE_THREADS", "2")
     cfg = GameConfig(
@@ -699,13 +708,17 @@ def test_sweep_thresholds_equals_the_bool_mask_sweep(monkeypatch):
         trials=2 * (1 << 20) + 777,
         seed=22,
     )
-    truth, scores = simulate_game(cfg)
-    one_class = (np.zeros_like(truth), np.ones_like(truth))
-    for bits in (truth, *one_class):
-        sweep = sweep_thresholds(bits, scores, cfg.confidence, cfg.delta)
-        thresholds, fp, fn, fp_up, fn_up, n0, n1 = _mask_sweep(
-            bits, scores, cfg.confidence, cfg.delta
+    null, alternative = simulate_game(cfg)
+    pooled, empty = np.concatenate([null, alternative]), np.empty(0)
+    for classes in ((null, alternative), (pooled, empty), (empty, pooled)):
+        thresholds, fp, fn, fp_up, fn_up, n0, n1 = _copy_sweep(
+            *classes, cfg.confidence, cfg.delta
         )
+        copies = [scores.copy() for scores in classes]
+        sweep = sweep_thresholds(*copies, cfg.confidence, cfg.delta)
+        # Each class was sorted in place.
+        for got, scores in zip(copies, classes):
+            assert got.tobytes() == np.sort(scores).tobytes()
         assert (sweep.n_null, sweep.n_alternative) == (n0, n1)
         assert sweep.thresholds.tobytes() == thresholds.tobytes()
         np.testing.assert_array_equal(sweep.fp_counts, fp)
@@ -721,20 +734,51 @@ def test_sweep_thresholds_peak_memory_and_bool_truth():
         trials=1 << 21,
         seed=13,
     )
-    truth, scores = simulate_game(cfg)
-    assert truth.dtype == bool
-    sweep_thresholds(truth[:1000], scores[:1000], cfg.confidence, cfg.delta)
+    null, alternative = simulate_game(cfg)
+    # No truth array: the classes are two views of one float buffer, 8
+    # bytes a trial.
+    assert null.base is alternative.base
+    assert null.base.nbytes == 8 * cfg.trials
+    sweep_thresholds(
+        null[:500].copy(), alternative[:500].copy(), cfg.confidence, cfg.delta
+    )
     tracemalloc.start()
     try:
-        sweep_thresholds(truth, scores, cfg.confidence, cfg.delta)
+        sweep_thresholds(null, alternative, cfg.confidence, cfg.delta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The two classes, each sorted in place, plus each thread's chunk mask
-    # and indices: about 1.07 times the scores at this size (1.125 with a
-    # whole-game mask of a class, 1.5 when np.sort left an unsorted copy
-    # and np.quantile partitioned a copy of every score).
-    assert peak <= 1.15 * scores.nbytes
+    # Each class is sorted where it lies, so the sweep adds only its own
+    # small arrays: 0.03 times the scores at this size (1.07 when the
+    # classes were gathered from the scores into fresh arrays, 1.5 when
+    # np.sort left an unsorted copy and np.quantile partitioned a copy of
+    # every score).
+    assert peak <= 0.05 * (null.nbytes + alternative.nbytes)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+def test_run_audit_peak_memory_is_the_scores_and_each_workers_buffers(
+    monkeypatch, threads
+):
+    # The game's buffer of 8 bytes a trial, and per worker a slice buffer,
+    # a slice of truth bits and index arrays: about 6 MiB a worker. A
+    # truth array and the sweep's class copies put about 1.1 times the
+    # scores on top of that.
+    monkeypatch.setenv("PRIVTUNE_THREADS", threads)
+    cfg = GameConfig(
+        config=DpSgdConfig(60.0, 1.0, 1000),
+        dist=TNB(1.0, 1e-2),
+        trials=(1 << 22) + 12345,
+        seed=23,
+    )
+    run_audit(dataclasses.replace(cfg, trials=1000))
+    tracemalloc.start()
+    try:
+        run_audit(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * cfg.trials <= int(threads) * 10 * 2**20
 
 
 def _class_pairs(rng: np.random.Generator):
@@ -790,9 +834,9 @@ def test_run_audit_reports_the_best_sweep_row():
         trials=1 << 18,
         seed=13,
     )
-    truth, scores = simulate_game(cfg)
+    classes = simulate_game(cfg)
     sweep = run_audit(cfg)
-    expected = sweep_thresholds(truth, scores, cfg.confidence, cfg.delta)
+    expected = sweep_thresholds(*classes, cfg.confidence, cfg.delta)
     np.testing.assert_array_equal(sweep.eps_lower, expected.eps_lower)
     best = sweep.best
     assert isinstance(best, int)

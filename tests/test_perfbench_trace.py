@@ -1,0 +1,50 @@
+"""The benchmark's tracer on small audits: the audit layers' spans and counts.
+
+perfbench/tracer.py runs one privtune command with each layer's public
+functions timed and writes the trace as one `PERFBENCH_TRACE {json}` line
+on standard error. The benchmark's per-layer audit metrics are read from
+the spans of `audit.simulate_game` and `audit.sweep_thresholds` and from
+the `audit.bytes_computed` count, the bytes of the game's returned arrays.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_MARKER = "PERFBENCH_TRACE "
+_TRIALS = 20_000
+
+
+@pytest.mark.parametrize("tau", ["1", "0.5"])
+def test_tracer_shows_the_audit_layers(tau):
+    result = subprocess.run(
+        [sys.executable, str(_ROOT / "perfbench" / "tracer.py"), "0", "audit",
+         "--base", f"dpsgd:sigma=10.4,tau={tau},n=100", "--xi",
+         "tnb:eta=1,nu=1e-2", "--trials", str(_TRIALS), "--seed", "5",
+         "--format", "json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout)
+    assert sum(counts[k] for k in ("tp", "fp", "tn", "fn")) == _TRIALS
+    (line,) = [
+        line for line in result.stderr.splitlines() if line.startswith(_MARKER)
+    ]
+    trace = json.loads(line[len(_MARKER) :])
+    for name in ("audit.simulate_game", "audit.sweep_thresholds"):
+        spans = [span for span in trace["spans"] if span[0] == name]
+        assert len(spans) == 1, name
+        assert spans[0][2] > spans[0][1], name
+    # The two class arrays of 8 bytes a trial, and no truth array.
+    assert trace["counts"]["audit.trials"] == _TRIALS
+    assert trace["counts"]["audit.bytes_computed"] == 8 * _TRIALS
