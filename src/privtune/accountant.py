@@ -547,21 +547,16 @@ def calibrate_sigma_rdp(
     takes every order until its bracket [lo, hi] has hi <= 2 lo. C is
     then the chunks that hold the minimizing order at lo and at hi, those
     between and one more on each side, and the bisection goes on over C
-    down to adjacent floats (lo', hi'). Before each step C shrinks, within
-    itself, to the chunks that hold its minimizing orders at the two ends
-    of the bracket, those between and one more on each side; it keeps
-    hi's minimizer, so f_C at hi stays <= 0. As C only shrinks, an order
-    outside the final C was outside C at every step. A step whose f_C > 0
-    moved lo to some sigma s < hi'; the step went astray only if an order
-    outside that step's C, so outside the final C, had epsilon <= eps_b
-    at s. The check rules that out at once for every such s: each order's
-    epsilon decreases with sigma, and in floats it can rise only by the
-    log-sum's error at each end, as every other step is a monotone float
-    operation. _logsumexp_rows states that error, (578 + log-sum) 2^-53
-    at most, and the log-sum is largest at lo. So if every order outside
-    the final C, with its log-sum at hi' lowered by _CHUNK_SLACK times
-    max(1, log-sum at lo), still has epsilon > eps_b, no step went astray
-    and hi' is the full bisection's. Otherwise the
+    down to adjacent floats (lo', hi'). A step whose f_C > 0 moved lo to
+    some sigma s < hi'; the step went astray only if an order outside C
+    had epsilon <= eps_b at s. The check rules that out at once for
+    every such s: each order's epsilon decreases with sigma, and in
+    floats it can rise only by the log-sum's error at each end, as every
+    other step is a monotone float operation. _logsumexp_rows states that
+    error, (578 + log-sum) 2^-53 at most, and the log-sum is largest at
+    lo. So if every order outside C, with its log-sum at hi' lowered by
+    _CHUNK_SLACK times max(1, log-sum at lo), still has epsilon > eps_b,
+    no step went astray and hi' is the full bisection's. Otherwise the
     bisection runs again from [lo, hi] on every order. The check holds on
     the inputs of tests/test_accountant.py; its failure is forced there.
 
@@ -650,22 +645,10 @@ def _bisect_by_chunks(
             lo, ends = mid, (sums, ends[1])
         else:
             hi, ends = mid, (ends[0], sums)
-    # The chunk of the run's minimizing order at each end, and the run.
     picks = [int(np.argmin(eps_of(sums))) // _ORDER_CHUNK for sums in ends]
-    run = [0, len(bound.chunks)]
-
-    def on_run(sigma: float) -> float:
-        run[:] = max(min(picks) - 1, run[0]), min(max(picks) + 2, run[1])
-        orders = slice(run[0] * _ORDER_CHUNK, run[1] * _ORDER_CHUNK)
-        eps = eps_of(bound.log_sums(sigma, *run), orders)
-        value = float(np.min(eps)) - eps_b
-        # _bisect makes sigma its lo end where value > 0, as at lo, else
-        # its hi end.
-        picks[value <= 0.0] = run[0] + int(np.argmin(eps)) // _ORDER_CHUNK
-        return value
-
-    top = _bisect(on_run, lo, hi)[1]
-    inside = slice(run[0] * _ORDER_CHUNK, run[1] * _ORDER_CHUNK)
+    first, stop = max(min(picks) - 1, 0), min(max(picks) + 2, len(bound.chunks))
+    inside = slice(first * _ORDER_CHUNK, stop * _ORDER_CHUNK)
+    top = _bisect(lambda s: gap(bound.log_sums(s, first, stop), inside), lo, hi)[1]
     slack = _CHUNK_SLACK * np.maximum(1.0, np.abs(ends[0]))
     floor = eps_of(bound.log_sums(top) - slack)
     floor[inside] = np.inf
