@@ -19,14 +19,13 @@ from typing import Callable
 
 import numpy as np
 
+from ._numerics import _ROUNDOFF, _bisect, _log_factorials, _logsumexp_rows
 from .runcount import RunCountDist, TruncatedNegativeBinomial
 from .tradeoff import (
-    _COMPLEMENT_REL_ERR,
-    _ROUNDOFF,
+    COMPLEMENT_REL_ERR,
     DpSgdConfig,
     GaussianCurve,
     TradeoffCurve,
-    _bisect,
     fdp_to_eps_delta,
     gdp_approx_mu,
     gdp_mu_from_eps_delta,
@@ -197,7 +196,7 @@ def log_ratio_max(
         logs = math.log(bases(lo)[0]), math.log(bases(hi)[1])
         value = p * (logs[0] - logs[1])
         value += abs(p) * (
-            _COMPLEMENT_REL_ERR + _ROUNDOFF * (6.0 + abs(logs[0]) + abs(logs[1]))
+            COMPLEMENT_REL_ERR + _ROUNDOFF * (6.0 + abs(logs[0]) + abs(logs[1]))
         ) + 3.0 * _ROUNDOFF * abs(value)
     return max(value, 0.0), float(arg)
 
@@ -328,36 +327,6 @@ class _SubsampledRdp:
 def _subsampled_rdp(tau: float, orders: tuple[float, ...]) -> _SubsampledRdp:
     """The one _SubsampledRdp of each recently used (tau, orders)."""
     return _SubsampledRdp(tau, orders)
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """log k! for k = 0..n, by math.lgamma.
-
-    Within 4e-16 max(1, log k!) of 40-digit mpmath for k up to 2048
-    (worst measured 3.6e-16), and exactly 0 at k = 0 and 1.
-    """
-    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-
-
-def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    """log sum exp over each row of x, shifted by the row's maximum.
-
-    Each row needs one finite entry. Within 4e-16 max(1, |result|) of
-    40-digit mpmath on the subsampled bound's rows up to order 129 and on
-    random ones (worst measured 3.7e-16); on every ninth row of orders 66
-    to 512 the worst measured was 4.3e-16.
-
-    A bound from the operations, for the exact log-sum-exp of the row as
-    stored: with t_j = peak - x_j and S = sum e^-t_j >= 1 over w finite
-    entries, each difference rounds once, so e^-t_j is off by u t_j
-    relative (u = 2^-53), and the mean of t_j under weights e^-t_j / S
-    is at most log w; with np.exp and np.log within 4 ulps and a sum of
-    w positive terms within (w - 1) u, S is within (log w + 8 + w - 1) u
-    relative, the log adds 8 u log w and the last sum u |result|. For
-    w <= 513 that is within (578 + |result|) u.
-    """
-    peak = np.max(x, axis=1)
-    return peak + np.log(np.sum(np.exp(x - peak[:, None]), axis=1))
 
 
 def rdp_to_eps(

@@ -13,12 +13,6 @@ false-positive and false-negative rates; upper confidence limits on
 those rates convert into a lower confidence bound on the privacy
 parameter that any valid guarantee must exceed.
 
-The module needs numpy alone: the normal quantile and log cdf are the
-package's own (tradeoff._ndtri, tradeoff._log_ndtr), and the
-Clopper-Pearson limit inverts its own incomplete beta function, whose
-prefactor takes Loader's saddle-point terms and whose continued fraction
-is Didonato and Morris's; the limit is never below the exact one.
-
 The game writes each class's maxima straight into its own region of one
 buffer, 8 bytes a trial: a first pass over the game's blocks counts each
 block's truth-1 trials, which places its trials of either class, and a
@@ -38,15 +32,9 @@ from concurrent import futures
 
 import numpy as np
 
-from .accountant import _logsumexp_rows
-from .runcount import RunCountDist, _stirlerr
-from .tradeoff import (
-    DpSgdConfig,
-    _log_ndtr,
-    _ndtri,
-    _two_product,
-    _two_sum,
-)
+from ._numerics import _cp_limit, _log_ndtr, _logsumexp_rows, _ndtri
+from .runcount import RunCountDist
+from .tradeoff import DpSgdConfig
 
 __all__ = [
     "GameConfig",
@@ -80,30 +68,6 @@ _TABLE_CAP = 1 << 24
 _CHUNK = 1 << 13
 _NEWTON_STEPS = 4
 _QUANTILE_TOL = 1e-10
-# Terms of bd0's series: |v| < 1/10, so each term is 1e-2 of the last.
-_BD0_TERMS = 9
-# The incomplete beta's continued fraction: the relative move at which a
-# point stops, the most terms taken, and the stated error a term adds to
-# the log of its value.
-_CF_TOL = 2.0**-52
-_CF_MAX_TERMS = 1 << 20
-_CF_TERM_ERR = 1e-15
-# The Clopper-Pearson solve: the stated error of log V, the log of the
-# side the fraction evaluates, is _LOG_BETA_ERR + _LOG_BETA_REL_ERR
-# |log M| + _CF_TERM_ERR per term. Against 60-digit sums of binomial
-# terms on 3,000 points (n from 3 to 5e8, near each limit and up to 2
-# logit units away) it was at most 3.6e-14 where |log M| < 50, and at
-# most 2.9e-15 |log M| where |log M| reached 1e5. Then the |g| below
-# which Newton's step is final, the largest step in logit x, the most
-# passes, the range of x, and the stated relative error of the limit.
-_LOG_BETA_ERR = 1e-13
-_LOG_BETA_REL_ERR = 8e-15
-_NEWTON_DONE = 2.0**-26
-_MAX_STEP = 1.0
-_CP_MAX_PASSES = 200
-_X_MIN = 2.0**-1022
-_X_MAX = 1.0 - 2.0**-53
-_CP_REL_ERR = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -426,8 +390,19 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
       buffer of length trials, null first.
 
     Raises:
-      ValueError: if a tau < 1 score table would exceed its cap.
+      ValueError: if the score buffer cannot be allocated, naming trials
+        and the bytes it needs, or a tau < 1 score table would exceed its
+        cap.
     """
+    # Allocated first, so a game too large to hold fails before its passes;
+    # np.empty touches no page until the second pass writes it.
+    try:
+        scores = np.empty(cfg.trials)
+    except (MemoryError, ValueError):
+        raise ValueError(
+            f"trials={cfg.trials} needs {8 * cfg.trials} bytes of scores, "
+            "more than this process can allocate"
+        ) from None
     quantile = None
     if cfg.config.tau < 1.0:
         quantile = _mixture_quantile(cfg.config, cfg.dist)
@@ -451,7 +426,6 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     ends = np.minimum(np.arange(len(blocks) + 1) * _BLOCK_SIZE, cfg.trials)
     null_at = ends - alt_at
     n0 = int(null_at[-1])
-    scores = np.empty(cfg.trials)
     worker = threading.local()
 
     def run(block: int) -> None:
@@ -465,197 +439,6 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
 
     _run_jobs([functools.partial(run, b) for b in blocks], workers)
     return scores[:n0], scores[n0:]
-
-
-def _bd0(x: np.ndarray, m_hi: np.ndarray, m_lo: np.ndarray) -> np.ndarray:
-    """Loader's deviance term x log(x / m) + m - x at m = m_hi + m_lo.
-
-    Where x is within 10% of m, by Loader's series in v = (x - m)/(x + m),
-    which keeps relative precision; m_lo enters through the derivative
-    1 - x / m, so the rounding of m costs nothing.
-    """
-    d = x - m_hi
-    v = d / (x + m_hi)
-    v2 = v * v
-    term = 2.0 * x * v
-    near = d * v
-    for j in range(1, _BD0_TERMS + 1):
-        term = term * v2
-        near = near + term / (2 * j + 1)
-    far = x * np.log(x / m_hi) - d
-    value = np.where(np.abs(d) < 0.1 * (x + m_hi), near, far)
-    return value + (1.0 - x / m_hi) * m_lo
-
-
-def _log_beta_power(
-    c: np.ndarray, n: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """log(x^a (1 - x)^b / B(a, b)) at a = c + 1, b = n - c, for 0 < c < n.
-
-    That is log((n - c) x Binom(c; n, x)), with Loader's saddle-point form
-    of the binomial mass (Loader 2000): stirlerr and bd0 terms, no lgamma
-    difference, so it keeps relative precision at any n. n x and n (1 - x)
-    are carried as exact sums of two doubles.
-    """
-    r = n - c
-    m_hi, m_lo = _two_product(x, n)
-    q_hi, q_lo = _two_sum(-x, 1.0)
-    nq_hi, nq_lo = _two_product(q_hi, n)
-    return (
-        np.log(r * x)
-        + _stirlerr(n)
-        - _stirlerr(c)
-        - _stirlerr(r)
-        - _bd0(c, m_hi, m_lo)
-        - _bd0(r, nq_hi, nq_lo + n * q_lo)
-        - 0.5 * np.log(2.0 * math.pi * c * (r / n))
-    )
-
-
-def _beta_fraction(
-    a: np.ndarray,
-    b: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    lam: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(I_x(a, b) B(a, b) / (x^a y^b), terms taken) for lam >= 0.
-
-    y = 1 - x and lam = a - (a + b) x, each formed by the caller where it
-    is exact or nearly so. This is Didonato & Morris's continued fraction
-    (ACM TOMS 708, 1992, bfrac): for lam >= 0 every partial numerator and
-    denominator is nonnegative until an integer b ends it, so its forward
-    recurrence cancels nothing, and the whole distance from the mean sits
-    in lam. A point stops when a term moves the value by at most _CF_TOL
-    relative.
-    """
-    out, terms = np.empty_like(x), np.empty_like(x)
-    idx = np.arange(x.size)
-    c = lam + 1.0
-    c0 = b / a
-    c1 = 1.0 / a + 1.0
-    yp1 = y + 1.0
-    # The convergents A / B, rescaled after each term so that B = 1: an and
-    # bn are the previous A and B over the current B, and r the current.
-    an, bn = np.zeros_like(x), np.ones_like(x)
-    r = c1 / c
-    an, bn = an * r, bn * r
-    for k in range(1, _CF_MAX_TERMS + 1):
-        t = k / a
-        p = (k - 1) / a + 1.0
-        s = a + (2 * k - 1)
-        w = (k * (b - k)) * x
-        e = a / s
-        alpha = p * (p + c0) * (e * e) * (w * x)
-        beta = k + w / s + (t + 1.0) / (c1 + t + t) * (c + k * yp1)
-        new_a = alpha * an + beta * r
-        new_b = alpha * bn + beta
-        r0, r = r, new_a / new_b
-        an, bn = r0 / new_b, 1.0 / new_b
-        # The convergents alternate about the limit, so the last move
-        # bounds the truncation.
-        done = np.abs(r - r0) <= _CF_TOL * r
-        if done.any():
-            out[idx[done]], terms[idx[done]] = r[done], k
-            keep = ~done
-            if not keep.any():
-                return out, terms
-            idx, a, b, x, c, c0, c1, yp1, an, bn, r = (
-                v[keep] for v in (idx, a, b, x, c, c0, c1, yp1, an, bn, r)
-            )
-    raise ArithmeticError(
-        f"the incomplete beta fraction did not converge in {_CF_MAX_TERMS} "
-        "terms"
-    )
-
-
-def _log_beta_tail(
-    c: np.ndarray, n: np.ndarray, x: np.ndarray, lower: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log T, log M, error bound on log T) at a = c + 1, b = n - c, 0 < c < n.
-
-    T is P = I_x(a, b) when lower, else Q = 1 - P = I_(1-x)(b, a); M is
-    x^a (1 - x)^b / B(a, b), the slope of P in logit x. The fraction
-    evaluates V, the side with lam = a - (a + b) x >= 0 or its mirror; T
-    = 1 - V on the other side, where V, at most the mass below the mean,
-    is below 2/3. The bound is the stated error of log V, _LOG_BETA_ERR +
-    _LOG_BETA_REL_ERR |log M| + _CF_TERM_ERR per term, times V / T.
-    """
-    a, b = c + 1.0, n - c
-    log_m = _log_beta_power(c, n, x)
-    # a + b = n + 1 is exact, and (n + 1) x = hi + lo exactly.
-    hi, lo = _two_product(x, n + 1.0)
-    lam = (a - hi) - lo
-    swap = lam < 0.0
-    frac, terms = _beta_fraction(
-        np.where(swap, b, a),
-        np.where(swap, a, b),
-        np.where(swap, 1.0 - x, x),
-        np.where(swap, x, 1.0 - x),
-        np.abs(lam),
-    )
-    log_v = log_m + np.log(frac)
-    same = swap != lower
-    log_t = np.where(same, log_v, np.log1p(-np.exp(log_v)))
-    error = (
-        _LOG_BETA_ERR + _LOG_BETA_REL_ERR * np.abs(log_m) + _CF_TERM_ERR * terms
-    ) * np.where(same, 1.0, np.exp(log_v - log_t))
-    return log_t, log_m, error
-
-
-def _logit_move(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """The x whose logit is logit(x) + shift, without forming the logit."""
-    return x / (x + (1.0 - x) * np.exp(-shift))
-
-
-def _cp_limit(c: np.ndarray, n: np.ndarray, gamma: float) -> np.ndarray:
-    """The x with I_x(c + 1, n - c) = gamma for 0 < c < n, rounded up.
-
-    A safeguarded Newton iteration on g = log T - log t in y = logit x,
-    where T and t are P and gamma for gamma < 1/2, else Q = 1 - P and
-    1 - gamma; g is concave in y, as P and Q are the distribution
-    functions of a log-concave density in y, so after its first step each
-    point nears the root from one side. It starts from the normal
-    approximation of Numerical Recipes' invbetai and steps at most _MAX_STEP
-    in y. Once |g| <= _NEWTON_DONE, or no double lies between x and the
-    root, the point moves by the Newton step, whose remaining error is
-    below g^2, plus (e + g^2) / |g'|, where e is _log_beta_tail's bound on
-    the error of log T, and then up by 2^-50 relative for the rounding of
-    that move. Over n from 3 to 1e9 and gamma from 1e-6 to 1 - 1e-12 that
-    rounding up stayed below 1.1e-13 relative, under _CP_REL_ERR.
-    """
-    lower = gamma < 0.5
-    log_t_target = math.log(gamma) if lower else math.log1p(-gamma)
-    sign = 1.0 if lower else -1.0
-    a, b = c + 1.0, n - c
-    z = float(_ndtri(gamma))
-    lam = (z * z - 3.0) / 6.0
-    h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
-    w = -z * np.sqrt(h + lam) / h - (
-        1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)
-    ) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
-    x = np.clip(a / (a + b * np.exp(2.0 * w)), _X_MIN, _X_MAX)
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
-    for _ in range(_CP_MAX_PASSES):
-        log_t, log_m, error = _log_beta_tail(c, n, x, lower)
-        g = log_t - log_t_target
-        # dg/dy = sign M / T.
-        slope = sign * np.exp(log_m - log_t)
-        step = -g / slope
-        after = np.clip(
-            _logit_move(x, np.clip(step, -_MAX_STEP, _MAX_STEP)), _X_MIN, _X_MAX
-        )
-        done = (np.abs(g) <= _NEWTON_DONE) | (after == x)
-        last = _logit_move(x, step + (error + g * g) / np.abs(slope))
-        out[idx[done]] = last[done] * (1.0 + 2.0**-50)
-        keep = ~done
-        if not keep.any():
-            return np.minimum(out, 1.0)
-        idx, c, n, x = idx[keep], c[keep], n[keep], after[keep]
-    raise ArithmeticError(
-        f"the Clopper-Pearson limit did not converge in {_CP_MAX_PASSES} steps"
-    )
 
 
 def clopper_pearson_upper(

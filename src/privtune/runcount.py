@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from ._numerics import _lgamma, _stirlerr
+
 __all__ = [
     "RunCountDist",
     "PointMass",
@@ -41,17 +43,6 @@ _TINY_NORMAL = 2.0**-1022
 # not do, since below eta = 0 the tail is a power law up to about 1/nu.
 _SAMPLE_NU_MIN = 2.0**-53
 
-# Loader's (2000) stirlerr(k) for k = 0, ..., 15 from 40-digit mpmath (0
-# unused), and the coefficients of its Stirling series used above 15.
-_STIRLERR = (
-    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
-    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
-    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-)
-_STIRLING = (1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0)
-
 
 def _expm1_over_eta(eta: float, t: np.ndarray | float) -> np.ndarray | float:
     """(e^(eta t) - 1) / eta, continuous at eta = 0, where it is t."""
@@ -65,18 +56,6 @@ def _log1p_over_eta(eta: float, t: np.ndarray) -> np.ndarray:
     if abs(eta) < _ETA_ZERO_TOL:
         return t
     return np.log1p(eta * t) / eta
-
-
-def _stirlerr(k: np.ndarray) -> np.ndarray:
-    """Loader's log k! - log(sqrt(2 pi k) (k / e)^k), whole k or k >= 16."""
-    k = np.asarray(k, dtype=float)
-    big = np.maximum(k, 16.0)
-    inv = 1.0 / (big * big)
-    series = _STIRLING[4]
-    for coeff in _STIRLING[3::-1]:
-        series = coeff - series * inv
-    table = np.asarray(_STIRLERR)[np.minimum(k, 15.0).astype(np.intp)]
-    return np.where(k <= 15.0, table, series / big)
 
 
 def _validate_counts(k: np.ndarray | int) -> np.ndarray:
@@ -266,13 +245,12 @@ class TruncatedNegativeBinomial(RunCountDist):
         # log1p(t) + stirlerr(z + m) - stirlerr(z), with no cancellation. A
         # difference of log-gammas loses about log(k!) ulps; it serves below
         # k = 17, where z + m can fall under 16 (z is clamped there).
-        lgamma = np.frompyfunc(math.lgamma, 1, 1)
         arr = _validate_counts(k).astype(float)
         z, m = np.maximum(arr + 1.0, 18.0), self.eta - 1.0
         log1p_t = np.log1p(m / z)
         stirling = m * np.log(z) + z * (log1p_t - m / z) + (m - 0.5) * log1p_t
         stirling += _stirlerr(z + m) - _stirlerr(z)
-        small = np.asarray(lgamma(arr + self.eta) - lgamma(arr + 1.0), float)
+        small = np.asarray(_lgamma(arr + self.eta) - _lgamma(arr + 1.0), float)
         log_mass = (
             arr * math.log1p(-self.nu)
             + np.where(arr >= 17.0, stirling, small)

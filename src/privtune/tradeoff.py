@@ -16,10 +16,26 @@ from typing import Callable
 
 import numpy as np
 
+from ._numerics import (
+    _LOG_SQRT_2PI,
+    _NDTR_REL_ERR,
+    _NDTR_ZERO_BELOW,
+    _ROUNDOFF,
+    _bisect,
+    _log_ndtr_float,
+    _ndtr,
+    _ndtr_float,
+    _ndtri,
+    _pdf,
+    _two_product,
+    _two_sum,
+)
+
 __all__ = [
     "TradeoffCurve",
     "EpsDeltaCurve",
     "GaussianCurve",
+    "COMPLEMENT_REL_ERR",
     "DpSgdConfig",
     "fdp_to_eps_delta",
     "gdp_delta_of_eps",
@@ -27,30 +43,11 @@ __all__ = [
     "gdp_approx_mu",
 ]
 
-_ROUNDOFF = 2.0**-53
-_SQRT1_2 = math.sqrt(0.5)
-# 1/sqrt(2) - _SQRT1_2: the digits of 1/sqrt(2) that a double drops.
-_SQRT1_2_TAIL = -4.833646656726457e-17
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# Veltkamp's splitter 2^27 + 1: a double times it splits into two halves
-# whose products with another split double are exact.
-_SPLITTER = 134217729.0
-# Below this, Phi(x) nears the subnormal range, and log_ndtr takes the
-# continued fraction, whose 8 terms are exact to rounding there.
-_LOG_NDTR_CF_BELOW = -37.0
-_LOG_NDTR_CF_TERMS = 8
-# Below this, Phi(x) < 1e-330, under half the smallest subnormal double.
-_NDTR_ZERO_BELOW = -39.0
-# Stated error bounds, above the largest errors measured against
-# 40-digit mpmath (tests/test_tradeoff.py re-measures them): Phi is
-# within _NDTR_REL_ERR relative (measured 5.1e-16), and log Phi within
-# _NDTR_REL_ERR + _ROUNDOFF |log Phi| absolute (measured 5.1e-16 +
-# 1.1e-16 |log Phi|; the second term is the rounding of the last sum).
-_NDTR_REL_ERR = 1.1e-15
 # Stated relative error of TradeoffCurve.complement where the log-ratio
-# maximum sits: measured 4.7e-16 for GaussianCurve (see _shifted), and a
-# few ulps for EpsDeltaCurve's delta + e^eps x (see _scaled).
-_COMPLEMENT_REL_ERR = 1e-15
+# maximum sits, which accountant.log_ratio_max rounds its value up by:
+# measured 4.7e-16 for GaussianCurve (see _shifted), and a few ulps for
+# EpsDeltaCurve's delta + e^eps x (see _scaled).
+COMPLEMENT_REL_ERR = 1e-15
 # The largest Gaussian-DP mu taken. _gdp_terms adds the rounding of
 # a2 = -eps/mu - mu/2 back through phi(a2) / Phi(a2), formed from a
 # rounded a2^2, so its relative error grows as a2^2 ulps. Near the root,
@@ -60,256 +57,6 @@ _COMPLEMENT_REL_ERR = 1e-15
 _GDP_MU_MAX = 1e6
 # Below this epsilon, e^eps is a finite double.
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-# Points _ndtri takes at once, the length of the working rows it makes
-# once a call. A 10^7-trial audit's two workers ran 1.4 times as fast as
-# one at 2^14 points, and 1.8 times at 2^16.
-_NDTRI_CHUNK = 1 << 16
-# Coefficients of Wichura's AS241 (1988), highest degree first: numerator
-# and denominator for |p - 1/2| <= 0.425 in r = 0.180625 - (p - 1/2)^2,
-# then in r = sqrt(-log(min(p, 1 - p))) - 1.6 for r <= 5, else r - 5.
-_AS241 = (
-    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-     1.3314166789178437745e2, 3.3871328727963666080e0),
-    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-     4.2313330701600911252e1, 1.0),
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-     1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
-     4.6303378461565452959e0, 1.4234371107496835773e0),
-    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
-     2.0531916266377588219e0, 1.0),
-    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
-     5.4637849111641143699e0, 6.6579046435011037772e0),
-    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-     7.8686913114561329059e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-     5.9983220655588793769e-1, 1.0),
-)
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) with hi + lo = a exactly and each half of 26 bits."""
-    scaled = _SPLITTER * a
-    hi = scaled - (scaled - a)
-    return hi, a - hi
-
-
-def _two_product(a: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker)."""
-    p = a * b
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _split(b)
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p, e
-
-
-def _two_sum(a: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
-    s = a + b
-    b_part = s - a
-    return s, (a - (s - b_part)) + (b - b_part)
-
-
-def _pdf(x: np.ndarray) -> np.ndarray:
-    """The standard normal density phi(x); 0 at +-inf."""
-    return np.exp(-0.5 * x * x - _LOG_SQRT_2PI)
-
-
-def _ndtr(x: np.ndarray | float) -> np.ndarray:
-    """Standard normal cdf Phi(x) = erfc(-x / sqrt(2)) / 2.
-
-    The rounding of -x / sqrt(2) alone would cost Phi a relative error
-    near x^2 ulps (1.9e-13 at x = -37.5); it is split off exactly
-    (Dekker's product on Veltkamp halves, plus the tail of 1/sqrt(2))
-    and added back through the derivative of erfc. Within _NDTR_REL_ERR
-    relative of 40-digit mpmath wherever Phi(x) lies in [1e-300,
-    1 - 1e-16] (worst measured 5.1e-16, on 2e4 points of [-37.5, 8.3]);
-    further down it leaves the normal range and loses relative digits.
-    """
-    x = np.asarray(x, dtype=float)
-    # Past |x| = 40 erfc is flat; zeroing x there keeps inf out of the split.
-    near = np.where(np.abs(x) < 40.0, x, 0.0)
-    return _ndtr_from(np.asarray(_erfc(-x * _SQRT1_2), dtype=float), near)
-
-
-def _ndtr_float(x: float) -> float:
-    """_ndtr at one float, bit for bit: math.erfc, float operations, np.exp."""
-    near = x if abs(x) < 40.0 else 0.0
-    return float(_ndtr_from(math.erfc(-x * _SQRT1_2), near))
-
-
-def _ndtr_from(
-    erfc: np.ndarray | float, near: np.ndarray | float
-) -> np.ndarray | float:
-    """erfc(fl(-x / sqrt(2))) / 2 plus its argument's rounding, added back.
-
-    near is x where |x| < 40, else 0.
-    """
-    _, low = _two_product(near, _SQRT1_2)
-    # -x / sqrt(2) = fl(-x / sqrt(2)) + residual, exact to the tail's
-    # last digit, and erfc' = -2 sqrt(2) phi(x) there.
-    residual = -(low + near * _SQRT1_2_TAIL)
-    return 0.5 * erfc - math.sqrt(2.0) * _pdf(near) * residual
-
-
-def _log_ndtr(x: np.ndarray | float) -> np.ndarray:
-    """log Phi(x), finite for every finite x.
-
-    log1p(-Phi(-x)) for x > 0 and log Phi(x) down to x = -37. Below,
-    where Phi leaves the normal range, it is -x^2/2 - log(sqrt(2 pi))
-    - log(-x + 1/(-x + 2/(-x + 3/(...)))), Laplace's continued fraction
-    for the Mills ratio, cut at 8 terms. Within _NDTR_REL_ERR +
-    _ROUNDOFF |log Phi(x)| absolute, from 1.1e4 points of [-1e5, 38]
-    against 40-digit mpmath.
-    """
-    x = np.asarray(x, dtype=float)
-    upper = x > 0.0
-    cdf = _ndtr(np.where(upper, -x, x))
-    with np.errstate(divide="ignore"):
-        out = np.where(upper, np.log1p(-cdf), np.log(cdf))
-    tail = x < _LOG_NDTR_CF_BELOW
-    if np.any(tail):
-        out[tail] = _log_ndtr_tail(-x[tail])
-    return out
-
-
-def _log_ndtr_float(x: float) -> float:
-    """_log_ndtr at one float, bit for bit, by math.erfc and numpy scalars."""
-    if x < _LOG_NDTR_CF_BELOW:
-        return float(_log_ndtr_tail(-x))
-    if x > 0.0:
-        return float(np.log1p(-_ndtr_float(-x)))
-    # Phi(x) > 0 here, above the continued fraction's range.
-    return float(np.log(_ndtr_float(x)))
-
-
-def _log_ndtr_tail(t: np.ndarray | float) -> np.ndarray | float:
-    """log Phi(-t) for t > 37 by Laplace's continued fraction."""
-    # The innermost term, k / (t + 0), is k / t.
-    fraction = _LOG_NDTR_CF_TERMS / t
-    for k in range(_LOG_NDTR_CF_TERMS - 1, 0, -1):
-        fraction = k / (t + fraction)
-    # t^2 = square + low exactly, so only the last sum rounds.
-    square, low = _two_product(t, t)
-    return -0.5 * square - (_LOG_SQRT_2PI + np.log(t + fraction) + 0.5 * low)
-
-
-def _horner(
-    coeffs: tuple[float, ...], x: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """np.polyval(coeffs, x) for finite x, by the same operations, into out."""
-    y = np.multiply(x, coeffs[0], out=out)
-    y += coeffs[1]
-    for c in coeffs[2:]:
-        y *= x
-        y += c
-    return y
-
-
-def _ratio(
-    k: int,
-    x: np.ndarray,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """The k-th AS241 rational function at x, into out; work holds the denominator."""
-    y = _horner(_AS241[2 * k], x, out)
-    y /= _horner(_AS241[2 * k + 1], x, work)
-    return y
-
-
-def _ndtri(p: np.ndarray | float, out: np.ndarray | None = None) -> np.ndarray:
-    """Standard normal quantile Phi^-1(p), with 0 and 1 mapped to -inf, inf.
-
-    Wichura's AS241, the algorithm of the stdlib's NormalDist.inv_cdf,
-    on arrays. Against 40-digit mpmath on 1e4 points of [1e-300,
-    1 - 1e-16] the error is within 7e-16 max(1, |Phi^-1(p)|).
-
-    Each point evaluates only the one of AS241's three rational functions
-    that its p selects, in slices of _NDTRI_CHUNK points, by the
-    operations np.polyval would apply; so the values are those of every
-    branch evaluated everywhere and the right one kept. out, contiguous
-    and of p's shape, may be p itself.
-    """
-    p = np.asarray(p, dtype=float)
-    result = np.empty_like(p) if out is None else out
-    flat_p, flat = p.reshape(-1), result.reshape(-1)
-    # Rows that every slice reuses: each branch's argument, its numerator
-    # and its denominator. A slice of the points is picked by index
-    # arrays, not by a bool mask: numpy's masked gathers and scatters take
-    # several times as long on a mask that is mixed at random.
-    rows = np.empty((3, min(flat_p.size, _NDTRI_CHUNK)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, flat_p.size, _NDTRI_CHUNK):
-            part = flat_p[lo : lo + _NDTRI_CHUNK]
-            z = flat[lo : lo + _NDTRI_CHUNK]
-            arg, num, den = rows[:, : part.size]
-            q = np.subtract(part, 0.5, out=arg)
-            central = np.abs(q, out=q) <= 0.425
-            mid = np.flatnonzero(central)
-            # The tail is the complement of the central mask, so it holds
-            # NaN. Each branch reads part only where it writes z, which
-            # may share part's memory.
-            tail = np.flatnonzero(~central)
-            if tail.size:
-                # The tail's p; its q < 0 where p < 1/2.
-                pt = np.take(part, tail, out=den[: tail.size])
-                below = np.flatnonzero(pt < 0.5)
-                # 1 - p is exact for p > 1/2, where it is the smaller.
-                # t = sqrt(-log of that).
-                t = np.subtract(1.0, pt, out=arg[: tail.size])
-                np.minimum(t, pt, out=t)
-                # p <= 0 and p >= 1 are the tail's t <= 0: -inf and inf.
-                ends = np.flatnonzero(t <= 0.0)
-                np.sqrt(np.negative(np.log(t, out=t), out=t), out=t)
-                near = t <= 5.0
-                if near.all():
-                    t -= 1.6
-                    value = _ratio(1, t, num[: tail.size], den[: tail.size])
-                else:
-                    value = num[: tail.size]
-                    inner, outer = np.flatnonzero(near), np.flatnonzero(~near)
-                    value[inner] = _ratio(1, t.take(inner) - 1.6)
-                    value[outer] = _ratio(2, t.take(outer) - 5.0)
-                value[ends] = np.inf
-                value[below] = np.negative(value.take(below))
-                z[tail] = value
-            if mid.size:
-                qc = np.take(part, mid, out=arg[: mid.size])
-                qc -= 0.5
-                r = np.multiply(qc, qc, out=den[: mid.size])
-                np.subtract(0.180625, r, out=r)
-                # q times the numerator, then over the denominator.
-                value = _horner(_AS241[0], r, num[: mid.size])
-                value *= qc
-                value /= _horner(_AS241[1], r, qc)
-                z[mid] = value
-    return result
-
-
-def _bisect(
-    f: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float]:
-    """Narrows a sign change of f on [lo, hi] to adjacent floats (lo, hi).
-
-    Halves the bracket until its midpoint rounds to an end. Each returned
-    end keeps its starting end's side, f > 0 or f <= 0, so a caller takes
-    the end on the safe side of the root. Raises ValueError when f(lo) and
-    f(hi) are on the same side or either is NaN.
-    """
-    f_lo, f_hi = f(lo), f(hi)
-    if not (f_lo > 0.0 >= f_hi or f_lo <= 0.0 < f_hi):
-        raise ValueError(f"no sign change on [{lo}, {hi}]: f = {f_lo}, {f_hi}")
-    lo_positive = f_lo > 0.0
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if (f(mid) > 0.0) == lo_positive:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 def _validate_unit_interval(x: np.ndarray | float, name: str) -> np.ndarray:
@@ -432,7 +179,7 @@ class GaussianCurve(TradeoffCurve):
         added back through phi at the shifted point, one Newton step.
         Against 40-digit mpmath on 3e3 pairs (x in [1e-300, 1 - 1e-16],
         mu in [0.01, 20]) the relative error is within
-        _COMPLEMENT_REL_ERR for the complement (sign 1; worst measured
+        COMPLEMENT_REL_ERR for the complement (sign 1; worst measured
         4.7e-16) and within 3e-15 for f (worst 1.7e-15).
         """
         if self.mu == 0.0:

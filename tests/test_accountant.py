@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from scipy import special
 
 from privtune import accountant
+from privtune._numerics import _bisect, _log_factorials, _logsumexp_rows
 from privtune.accountant import (
     _ALPHA_DENSE,
     _INT_ALPHAS,
     _ORDER_CHUNK,
     _PURE_ALPHA_CAP,
     SPEC_ALPHAS,
-    _log_factorials,
-    _logsumexp_rows,
     _tnb_hat_epsilon,
     base_curve_for,
     calibrate_sigma_rdp,
@@ -36,7 +35,6 @@ from privtune.tradeoff import (
     DpSgdConfig,
     EpsDeltaCurve,
     GaussianCurve,
-    _bisect,
     fdp_to_eps_delta,
 )
 

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from privtune._numerics import _CP_REL_ERR, _ndtri
 from privtune.audit import (
     _BLOCK_SIZE,
-    _CP_REL_ERR,
     _QUANTILE_TOL,
     GameConfig,
     _mixture_quantile,
@@ -36,7 +36,6 @@ from privtune.runcount import TruncatedNegativeBinomial as TNB
 from privtune.tradeoff import (
     DpSgdConfig,
     GaussianCurve,
-    _ndtri,
     gdp_approx_mu,
     gdp_mu_from_eps_delta,
 )

@@ -620,6 +620,26 @@ def test_audit_of_a_huge_run_count_prints_a_finite_threshold(tau):
     assert math.isfinite(json.loads(result.stdout)["best_threshold"])
 
 
+def test_audit_refuses_scores_it_cannot_allocate():
+    # 2^45 trials need 256 TiB of scores, beyond any user address space.
+    # The refusal comes before the count pass, which would run for hours.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "privtune.cli", "audit", "--base",
+         "dpsgd:sigma=60,tau=1,n=1000", "--xi", "pointmass:k=2",
+         "--trials", str(2**45)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(
+        f"error: trials={2**45} needs {2**48} bytes of scores"
+    )
+
+
 def test_calibration_failures_name_the_budget(capsys):
     expected = {
         "1e-4": [

@@ -12,23 +12,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privtune.tradeoff import (
+from privtune._numerics import (
     _AS241,
-    _COMPLEMENT_REL_ERR,
-    _GDP_MU_MAX,
     _NDTR_REL_ERR,
     _ROUNDOFF,
-    DpSgdConfig,
-    EpsDeltaCurve,
-    GaussianCurve,
-    TradeoffCurve,
     _bisect,
-    _gdp_eps_rounding,
     _log_ndtr,
     _log_ndtr_float,
     _ndtr,
     _ndtr_float,
     _ndtri,
+)
+from privtune.tradeoff import (
+    COMPLEMENT_REL_ERR,
+    _GDP_MU_MAX,
+    DpSgdConfig,
+    EpsDeltaCurve,
+    GaussianCurve,
+    TradeoffCurve,
+    _gdp_eps_rounding,
     fdp_to_eps_delta,
     gdp_approx_mu,
     gdp_delta_of_eps,
@@ -113,7 +115,7 @@ def test_eps_delta_complement_keeps_its_stated_bound_at_tiny_x():
     with mpmath.workdps(40):
         for x in (1e-300, 1e-200, 1e-100):
             want = mpmath.e * mpmath.mpf(x)
-            assert abs(curve.complement(x) - want) <= _COMPLEMENT_REL_ERR * want
+            assert abs(curve.complement(x) - want) <= COMPLEMENT_REL_ERR * want
 
 
 @functools.cache
@@ -257,7 +259,7 @@ def test_gaussian_curve_matches_a_40_digit_oracle():
                 worst_complement, rel_err(curve.complement(p[i]), mpmath.ncdf(shifted))
             )
             worst_f = max(worst_f, rel_err(curve(p[i]), mpmath.ncdf(-shifted)))
-    assert worst_complement <= _COMPLEMENT_REL_ERR, worst_complement
+    assert worst_complement <= COMPLEMENT_REL_ERR, worst_complement
     assert worst_f <= 3e-15, worst_f
 
 
