@@ -219,16 +219,16 @@ def select_epsilon_fdp(
       the deflated delta is below 1 - f(0).
 
     Raises:
-      ValueError: if delta_h is outside (0, 1) or the deflated delta
-        exceeds 1.
+      ValueError: if delta_h is outside (0, 1) or the deflated delta is
+        above 1 or subnormal, where the conversion's error bound fails.
     """
     if not 0.0 < delta_h < 1.0:
         raise ValueError(f"delta_h must lie in (0, 1), got {delta_h}")
     per_run_delta = delta_h / dist.mean
-    if per_run_delta > 1.0:
+    if not sys.float_info.min <= per_run_delta <= 1.0:
         raise ValueError(
-            f"delta_h={delta_h} deflates to {per_run_delta} > 1; "
-            "no valid per-run delta exists"
+            f"delta_h={delta_h} deflates to a per-run delta of "
+            f"{per_run_delta}, outside [2^-1022, 1]"
         )
     eps_base = fdp_to_eps_delta(curve, per_run_delta)
     log_ratio, argmax_a = log_ratio_max(curve, dist)

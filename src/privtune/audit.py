@@ -13,11 +13,11 @@ false-positive and false-negative rates; upper confidence limits on
 those rates convert into a lower confidence bound on the privacy
 parameter that any valid guarantee must exceed.
 
-The game writes each class's maxima straight into its own region of one
-buffer, 8 bytes a trial: a first pass over the game's blocks counts each
-block's truth-1 trials, which places its trials of either class, and a
-second draws the same bits again beside the uniforms. The sweep sorts
-the two classes where they lie.
+The game keeps each trial's uniform in its class's region of one buffer,
+8 bytes a trial: a first pass over the game's blocks draws, packs and
+counts each block's truth bits, placing each block's trials of either
+class, and a second unpacks them beside the uniforms. The best score
+increases with U, so the sweep sorts uniforms and scores only what it reads.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "THREADS_ENV_VAR",
     "thread_count",
     "simulate_game",
+    "best_scores",
     "clopper_pearson_upper",
     "eps_lower_bound",
     "sweep_thresholds",
@@ -68,6 +69,7 @@ _TABLE_CAP = 1 << 24
 _CHUNK = 1 << 13
 _NEWTON_STEPS = 4
 _QUANTILE_TOL = 1e-10
+_Map = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,9 +141,7 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def _mixture_quantile(
-    mech: DpSgdConfig, dist: RunCountDist
-) -> Callable[[np.ndarray], np.ndarray]:
+def _mixture_quantile(mech: DpSgdConfig, dist: RunCountDist) -> _Map:
     """Quantile function of one tau < 1 run's truth-1 score, by log level.
 
     The score is Z + shift B / N with Z standard normal, B ~ Binomial(N,
@@ -169,34 +169,16 @@ def _mixture_quantile(
     a game of T trials with mean run count E[K] within T E[K] 2^-64 (5e-11
     at 10^9 runs). For N of about 100 or less nothing is dropped.
 
-    The table holds at most _TABLE_CAP entries (components times grid
-    points). At sigma = 1 and the largest int64 point mass (m = 2^-116)
-    that admits n_iters up to 206,126 at tau = 0.5 and 9,379,334 at
-    tau = 0.01, and a table at the cap builds in about 4.3 s (2 vCPUs;
-    1.2 s when scipy's log_ndtr filled it: the package's _log_ndtr calls
-    math.erfc once a point).
+    The table's extent and its cap are _mixture_grid's. A table at the cap
+    builds in about 4.3 s (2 vCPUs; 1.2 s when scipy's log_ndtr filled it:
+    the package's _log_ndtr calls math.erfc once a point).
 
     Raises:
       ValueError: if the table would exceed _TABLE_CAP, naming n_iters.
     """
     n, tau = mech.n_iters, mech.tau
     shift = math.sqrt(n) / mech.sigma
-    log_drop = 65.0 * math.log(2.0)
-    spread = log_drop / 3.0 + math.sqrt(
-        log_drop**2 / 9.0 + 2.0 * log_drop * n * tau * (1.0 - tau)
-    )
-    b_lo = max(0, math.ceil(n * tau - spread))
-    b_hi = min(n, math.floor(n * tau + spread))
-    (top,) = dist.log_inverse_pgf(np.array([1.0 - 2.0**-53]))
-    start = shift * (b_lo / n) + float(_ndtri(2.0**-53)) - _GRID_STEP
-    stop = shift * (b_hi / n) - float(_ndtri(-np.expm1(top))) + _GRID_STEP
-    points = math.ceil((stop - start) / _GRID_STEP) + 1
-    if (b_hi - b_lo + 1) * points > _TABLE_CAP:
-        raise ValueError(
-            f"n_iters={n} at tau={tau}, sigma={mech.sigma} needs a score "
-            f"table of {b_hi - b_lo + 1} binomial components x {points} "
-            f"points, above the cap of {_TABLE_CAP} entries"
-        )
+    b_lo, b_hi, start, points = _mixture_grid(mech, dist)
     b = np.arange(b_lo, b_hi + 1, dtype=float)
     # log Binom(b; N, tau) up to a constant, summed from the ratios of
     # neighbours: no lgamma(N + 1), whose rounding grows with N.
@@ -267,6 +249,40 @@ def _mixture_quantile(
     return quantile
 
 
+def _mixture_grid(
+    mech: DpSgdConfig, dist: RunCountDist
+) -> tuple[int, int, float, int]:
+    """_mixture_quantile's components b_lo..b_hi, grid start and points.
+
+    Sized without the table, so a game refuses one above _TABLE_CAP
+    entries (components times grid points) before it plays. At sigma = 1
+    and the largest int64 point mass (m = 2^-116) the cap admits n_iters
+    up to 206,126 at tau = 0.5 and 9,379,334 at tau = 0.01.
+
+    Raises:
+      ValueError: if the table would exceed _TABLE_CAP, naming n_iters.
+    """
+    n, tau = mech.n_iters, mech.tau
+    shift = math.sqrt(n) / mech.sigma
+    log_drop = 65.0 * math.log(2.0)
+    spread = log_drop / 3.0 + math.sqrt(
+        log_drop**2 / 9.0 + 2.0 * log_drop * n * tau * (1.0 - tau)
+    )
+    b_lo = max(0, math.ceil(n * tau - spread))
+    b_hi = min(n, math.floor(n * tau + spread))
+    (top,) = dist.log_inverse_pgf(np.array([1.0 - 2.0**-53]))
+    start = shift * (b_lo / n) + float(_ndtri(2.0**-53)) - _GRID_STEP
+    stop = shift * (b_hi / n) - float(_ndtri(-np.expm1(top))) + _GRID_STEP
+    points = math.ceil((stop - start) / _GRID_STEP) + 1
+    if (b_hi - b_lo + 1) * points > _TABLE_CAP:
+        raise ValueError(
+            f"n_iters={n} at tau={tau}, sigma={mech.sigma} needs a score "
+            f"table of {b_hi - b_lo + 1} binomial components x {points} "
+            f"points, above the cap of {_TABLE_CAP} entries"
+        )
+    return b_lo, b_hi, start, points
+
+
 def _normal_best(level: np.ndarray) -> np.ndarray:
     """The normal quantile at exp(level), computed in place over level.
 
@@ -286,63 +302,44 @@ def _normal_best(level: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _score_maps(cfg: GameConfig) -> tuple[_Map, _Map]:
+    """Each class's best score F^-1(S^-1(u)) as a function of its uniforms.
+
+    S^-1 is log_inverse_pgf; F^-1 is _normal_best for truth 0, that plus
+    sqrt(N) / sigma for truth 1 at tau = 1, and _mixture_quantile's table,
+    built here, at tau < 1. Each map is elementwise, returns a new array
+    and leaves its input as it was.
+    """
+    mech, dist = cfg.config, cfg.dist
+
+    def level(u: np.ndarray) -> np.ndarray:
+        return dist.log_inverse_pgf(u, out=np.empty(u.shape))
+
+    def null(u: np.ndarray) -> np.ndarray:
+        return _normal_best(level(u))
+
+    if mech.tau < 1.0:
+        quantile = _mixture_quantile(mech, dist)
+        return null, lambda u: quantile(level(u))
+    shift = math.sqrt(mech.n_iters) / mech.sigma
+    return null, lambda u: null(u) + shift
+
+
 def _slice_sizes(trials: int, block: int) -> list[int]:
     """Sizes of a block's slices: _SLICE trials each, and the rest last.
 
     Drawn slice by slice, a block's truth bits and then its uniforms are
     the stream of one draw of each: a bit takes one 32-bit half of a
     64-bit draw, as an int32 and an int64 draw both do, and every slice
-    but the last is even. No array of the block's size is made: such
-    arrays, freed by a worker, stayed in its malloc arena and put up to
-    40 MB on a 1e7-trial audit's peak RSS, varying from run to run.
+    but the last is even. The bits are drawn once and kept packed for the
+    play pass (0.1 ms a slice, against 1.1 ms to draw them again). No
+    array of the block's size is made: such arrays, freed by a worker,
+    stayed in its malloc arena and put up to 40 MB on a 1e7-trial audit's
+    peak RSS, varying from run to run.
     """
     lo = block * _BLOCK_SIZE
     hi = min(lo + _BLOCK_SIZE, trials)
     return [min(_SLICE, hi - start) for start in range(lo, hi, _SLICE)]
-
-
-def _simulate_block(
-    cfg: GameConfig,
-    quantile: Callable[[np.ndarray], np.ndarray] | None,
-    block: int,
-    rng: np.random.Generator,
-    null_out: np.ndarray,
-    alt_out: np.ndarray,
-    spare: np.ndarray,
-) -> None:
-    """Fills one block's trials of each class, in trial order.
-
-    rng is the block's keyed stream just past its truth bits, which a
-    fresh stream of the same key draws again here; null_out and alt_out
-    are the block's regions of the two classes. quantile is
-    _mixture_quantile's function at tau < 1, else None. spare is the
-    worker's buffer of up to _SLICE floats: it holds each slice's uniforms,
-    then each class's levels in turn, which log_inverse_pgf would write
-    over its input only through a temporary of their size.
-    """
-    bits = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
-    mech = cfg.config
-    shift = math.sqrt(mech.n_iters) / mech.sigma
-    for size in _slice_sizes(cfg.trials, block):
-        # The slice's truth bits, drawn again, and its uniforms. Each class's
-        # uniforms are taken into its region through an index array, not
-        # the random bool mask, whose gathers take several times as long;
-        # and in mode "wrap", as take's default mode first fills a copy of
-        # out. Its levels go into spare, and its best scores back.
-        truth = bits.integers(0, 2, size, np.int32) != 0
-        uniforms = rng.random(out=spare[:size])
-        index = np.flatnonzero(truth)
-        alt = np.take(uniforms, index, out=alt_out[: index.size], mode="wrap")
-        index = np.flatnonzero(np.logical_not(truth, out=truth))
-        null = np.take(uniforms, index, out=null_out[: index.size], mode="wrap")
-        null_out, alt_out = null_out[null.size :], alt_out[alt.size :]
-        level = cfg.dist.log_inverse_pgf(null, out=spare[: null.size])
-        np.copyto(null, _normal_best(level))
-        level = cfg.dist.log_inverse_pgf(alt, out=spare[: alt.size])
-        if quantile is None:
-            np.add(_normal_best(level), shift, out=alt)
-        else:
-            alt[:] = quantile(level)
 
 
 def _run_jobs(jobs: list[Callable[[], object]], workers: int) -> list:
@@ -357,68 +354,58 @@ def _run_jobs(jobs: list[Callable[[], object]], workers: int) -> list:
 
 
 def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Runs the distinguishing game for every trial.
+    """Plays the distinguishing game: every trial's truth bit and uniform.
 
-    Each trial flips a fair truth bit, draws one uniform U, and reports
-    the maximum of K unit-variance run scores, K from the run count
-    distribution with pgf S. Run scores have mean zero when the truth bit
-    is 0. When it is 1 their mean is (Binomial(N, tau) / N) *
-    sqrt(N) / sigma, drawn independently per run, which at tau = 1 is
-    exactly sqrt(N) / sigma. The runs are i.i.d. with some CDF F, so
-    their maximum has CDF S(F(s)) and is drawn as F^-1(S^-1(U)), with no
-    draw of K: S^-1 by the run count's log_inverse_pgf, F^-1 through the
-    normal quantile for truth 0 and at tau = 1, and through the tabulated
-    quantile of the binomial mixture of normals (_mixture_quantile) for
-    truth 1 at tau < 1.
+    Each trial flips a fair truth bit and draws one uniform U. Its best
+    score, the maximum of K run scores whose means encode the truth bit,
+    is F^-1(S^-1(U)) (_score_maps), which best_scores computes.
 
     Trials are partitioned into fixed-size blocks, each driven by a
     stream keyed by (seed, block index) that draws the block's truth bits
-    and then its uniforms. The game makes two passes over the blocks. The
-    first draws each block's truth bits and counts its ones; those counts
-    place each block's trials of either class. The second draws the bits
-    again from a fresh stream of the same key and the uniforms from where
-    the first left off, and writes each class's best scores straight into
-    its region. So no truth array is kept, a trial costs 8 bytes, and the
-    results are bit-identical for any degree of parallelism.
+    and then its uniforms. A first pass over the blocks draws, packs and
+    counts each block's truth bits, which places its trials of either
+    class; a second unpacks them and writes each class's uniforms
+    straight into its region. So no truth array is kept, a trial costs 8
+    bytes, and the results are bit-identical for any degree of
+    parallelism.
 
     Args:
       cfg: game parameters.
 
     Returns:
-      (null, alternative): the best scores of the truth-0 and of the
-      truth-1 trials, each in trial order, as two views of one float
-      buffer of length trials, null first.
+      (null, alternative): the uniforms of the truth-0 and of the truth-1
+      trials, each in trial order, as two views of one float buffer of
+      length trials, null first.
 
     Raises:
-      ValueError: if the score buffer cannot be allocated, naming trials
-        and the bytes it needs, or a tau < 1 score table would exceed its
-        cap.
+      ValueError: if the buffer cannot be allocated, naming trials and
+        the bytes it needs, or a tau < 1 score table would exceed its cap.
     """
     # Allocated first, so a game too large to hold fails before its passes;
     # np.empty touches no page until the second pass writes it.
     try:
-        scores = np.empty(cfg.trials)
+        uniforms = np.empty(cfg.trials)
     except (MemoryError, ValueError):
         raise ValueError(
             f"trials={cfg.trials} needs {8 * cfg.trials} bytes of scores, "
             "more than this process can allocate"
         ) from None
-    quantile = None
     if cfg.config.tau < 1.0:
-        quantile = _mixture_quantile(cfg.config, cfg.dist)
+        _mixture_grid(cfg.config, cfg.dist)
     blocks = range((cfg.trials + _BLOCK_SIZE - 1) // _BLOCK_SIZE)
     workers = min(thread_count(), len(blocks))
 
-    def count(block: int) -> tuple[int, np.random.Generator]:
-        # The block's ones, and its stream past them.
+    def count(block: int) -> tuple[int, np.random.Generator, list[np.ndarray]]:
+        # The block's ones, its stream past them, and its packed bits.
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
-        ones = sum(
-            int(np.count_nonzero(rng.integers(0, 2, size, np.int32)))
-            for size in _slice_sizes(cfg.trials, block)
-        )
-        return ones, rng
+        ones, packed = 0, []
+        for size in _slice_sizes(cfg.trials, block):
+            truth = rng.integers(0, 2, size, np.int32) != 0
+            ones += int(np.count_nonzero(truth))
+            packed.append(np.packbits(truth))
+        return ones, rng, packed
 
-    ones, streams = zip(
+    ones, streams, bits = zip(
         *_run_jobs([functools.partial(count, b) for b in blocks], workers)
     )
     # Where each block's trials of either class start, and the last ends.
@@ -428,17 +415,44 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     n0 = int(null_at[-1])
     worker = threading.local()
 
-    def run(block: int) -> None:
-        # Each worker's slice buffer, made at its first block and kept, so
-        # its pages stay mapped across the worker's slices and blocks.
+    def play(block: int) -> None:
+        # Each worker's buffer of a slice's uniforms, made at its first block
+        # and kept, so its pages stay mapped across its slices and blocks.
         if not hasattr(worker, "spare"):
             worker.spare = np.empty(min(_SLICE, cfg.trials))
-        null = scores[null_at[block] : null_at[block + 1]]
-        alt = scores[n0 + alt_at[block] : n0 + alt_at[block + 1]]
-        _simulate_block(cfg, quantile, block, streams[block], null, alt, worker.spare)
+        null_out = uniforms[null_at[block] : null_at[block + 1]]
+        alt_out = uniforms[n0 + alt_at[block] : n0 + alt_at[block + 1]]
+        for size, packed in zip(_slice_sizes(cfg.trials, block), bits[block]):
+            # Each class's uniforms are taken into its region through an
+            # index array, not the random bool mask, whose gathers take
+            # several times as long; and in mode "wrap", as take's default
+            # mode first fills a copy of out.
+            truth = np.unpackbits(packed, count=size).view(bool)
+            drawn = streams[block].random(out=worker.spare[:size])
+            index = np.flatnonzero(truth)
+            alt = np.take(drawn, index, out=alt_out[: index.size], mode="wrap")
+            index = np.flatnonzero(np.logical_not(truth, out=truth))
+            null = np.take(drawn, index, out=null_out[: index.size], mode="wrap")
+            null_out, alt_out = null_out[null.size :], alt_out[alt.size :]
 
-    _run_jobs([functools.partial(run, b) for b in blocks], workers)
-    return scores[:n0], scores[n0:]
+    _run_jobs([functools.partial(play, b) for b in blocks], workers)
+    return uniforms[:n0], uniforms[n0:]
+
+
+def best_scores(
+    cfg: GameConfig, null: np.ndarray, alternative: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's best score F^-1(S^-1(U)), by the sweep's own maps.
+
+    Args:
+      cfg: game parameters.
+      null, alternative: each class's uniforms, as simulate_game returns.
+
+    Returns:
+      (null, alternative): each class's best scores, in a new array.
+    """
+    score_null, score_alt = _score_maps(cfg)
+    return score_null(null), score_alt(alternative)
 
 
 def clopper_pearson_upper(
@@ -567,10 +581,28 @@ def _sweep_levels() -> np.ndarray:
     )
 
 
+def _least_true(lo: np.ndarray, hi: np.ndarray, holds) -> np.ndarray:
+    """Per entry, the least x in [lo, hi] that is hi or where holds, in place.
+
+    Each bisection step calls holds(open_, mid) once, for the entries
+    open_ still bracketed; it must be false below that x and true above.
+    """
+    while (open_ := np.flatnonzero(lo < hi)).size:
+        a, b = lo[open_], hi[open_]
+        mid = (a + b) // 2
+        ok = holds(open_, mid)
+        lo[open_] = np.where(ok, a, mid + 1)
+        hi[open_] = np.where(ok, mid, b)
+    return lo
+
+
 def _pooled_quantiles(
-    s0: np.ndarray, s1: np.ndarray, levels: np.ndarray
-) -> np.ndarray:
-    """np.quantile(np.concatenate([s0, s1]), levels) from the sorted s0, s1.
+    read0: _Map, read1: _Map, n0: int, n1: int, levels: np.ndarray
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """np.quantile of the pooled scores of two classes, read by rank.
+
+    read0 and read1 map an array of ranks to their scores in a class of n0
+    or n1 scores in increasing order, as indexing a sorted array does.
 
     Follows numpy's default 'linear' rule bit for bit. Of n pooled values,
     level q has virtual index v = (n - 1) q, and interpolates the order
@@ -584,8 +616,12 @@ def _pooled_quantiles(
     values of the r + 1 smallest come from s0: i is the least count in
     its feasible range that is the range's top or has s0[i] >= s1[r - i],
     found by bisection for every rank at once.
+
+    Returns:
+      The quantiles, and a probe of each class: its distinct ranks either
+      side of each split (i - 1, i in s0; r - i, r - i + 1 in s1), with
+      their scores.
     """
-    n0, n1 = s0.size, s1.size
     n = n0 + n1
     virtual = (n - 1) * levels
     top = virtual >= n - 1
@@ -593,70 +629,95 @@ def _pooled_quantiles(
     gamma = virtual - below
     rank = np.where(top, n - 1, below).astype(np.intp)
     ranks = np.concatenate([rank, np.where(top, rank, rank + 1)])
-    if n0 == 0 or n1 == 0:
-        values = (s1 if n0 == 0 else s0)[ranks]
-    else:
-        lo = np.maximum(ranks + 1 - n1, 0)
-        hi = np.minimum(ranks + 1, n0)
-        while np.any(lo < hi):
-            mid = (lo + hi) // 2
-            # Clipped only where lo == hi, whose comparison is not used.
-            enough = (mid == hi) | (
-                s0[np.minimum(mid, n0 - 1)] >= s1[np.maximum(ranks - mid, 0)]
-            )
-            lo = np.where(enough, lo, mid + 1)
-            hi = np.where(enough, mid, hi)
-        from1 = ranks + 1 - lo
-        values = np.maximum(
-            np.where(lo > 0, s0[np.maximum(lo - 1, 0)], -np.inf),
-            np.where(from1 > 0, s1[np.maximum(from1 - 1, 0)], -np.inf),
-        )
+    # In an open bracket lo <= mid < hi, so mid and r - mid are ranks.
+    lo = _least_true(
+        np.maximum(ranks + 1 - n1, 0),
+        np.minimum(ranks + 1, n0),
+        lambda k, mid: read0(mid) >= read1(ranks[k] - mid),
+    )
+    probes, values = [], np.full(ranks.size, -np.inf)
+    for read, size, count in ((read0, n0, lo), (read1, n1, ranks + 1 - lo)):
+        index = np.unique(np.concatenate([count - 1, count]))
+        index = index[(index >= 0) & (index < size)]
+        probes.append((index, read(index)))
+        # The class's score of rank count - 1, where it has one.
+        has = count > 0
+        last = probes[-1][1][np.searchsorted(index, count[has] - 1)]
+        values[has] = np.maximum(values[has], last)
     a, b = np.split(values, 2)
     diff = b - a
-    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    quantiles = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    return quantiles, probes
+
+
+def _count_at_most(
+    read: _Map, size: int, probe: tuple[np.ndarray, np.ndarray], thresholds: np.ndarray
+) -> np.ndarray:
+    """np.searchsorted(scores, thresholds, side="right") by bisection.
+
+    read and size are as in _pooled_quantiles, whose probe of the class
+    brackets each count by ranks either side of the threshold, most of
+    them closed. A NaN threshold lies above every score, as numpy sorts.
+    """
+    index, score = probe
+    at = np.searchsorted(score, thresholds, side="right")
+    return _least_true(
+        np.append(0, index + 1)[at],
+        np.append(index, size)[at],
+        lambda k, mid: thresholds[k] < read(mid),
+    )
 
 
 def sweep_thresholds(
-    null: np.ndarray,
-    alternative: np.ndarray,
-    confidence: float,
-    delta: float,
+    cfg: GameConfig, null: np.ndarray, alternative: np.ndarray
 ) -> ThresholdSweep:
     """Evaluates the lower bound over a fixed grid of score thresholds.
 
-    Candidate thresholds are 512 empirical quantiles of the pooled
-    max-score sample: 256 uniform levels covering the bulk plus 256
-    log-spaced levels resolving the upper tail, where the
-    bound-maximizing threshold of a max-score game sits. They are taken
-    from the two sorted classes (_pooled_quantiles), bit for bit the
-    np.quantile of the pooled scores, without pooling them. A trial
-    guesses truth 1 when its score exceeds the threshold.
-    False-positive and false-negative counts at each threshold receive
-    one-sided Clopper-Pearson upper limits at the level matching the
-    given two-sided confidence.
+    Candidate thresholds are 512 empirical quantiles of the pooled best
+    scores: 256 uniform levels covering the bulk plus 256 log-spaced
+    levels resolving the upper tail, where the bound-maximizing threshold
+    of a max-score game sits; bit for bit np.quantile's values, with no
+    pooled copy (_pooled_quantiles). A trial guesses truth 1 when its
+    score exceeds the threshold. Each threshold's false-positive and
+    false-negative counts get one-sided Clopper-Pearson upper limits at
+    the level matching the two-sided confidence.
 
-    Each class is sorted in place, the two on two threads when together
-    they fill more than one game block, so the sweep takes no copy of the
-    scores.
+    The sweep sorts uniforms, not scores: each class in place, the two on
+    two threads past one game block. The score of rank i, the class's map
+    (_score_maps) at its i-th smallest uniform, is computed only where the
+    sweep reads it: about 35k scores at 1e7 trials. The exact map
+    F^-1(S^-1(u)) increases with u, so this ranks trials as their exact
+    scores do. The float map can order two uniforms a few ulps apart the
+    other way (rarely: sorted 1e7-trial games held none), each time by
+    less than twice its stated error, 7e-16 max(1, |s|) through the normal
+    quantile and _QUANTILE_TOL max(1, |s|) through the tau < 1 table
+    (tests/test_audit.py::test_score_maps_decrease_within_twice_their_error).
+    So a row can differ from the sweep of the sorted float scores only
+    where it reads such a pair, and there ranking by U is the exact game's.
 
     Args:
-      null: max scores of the truth-0 trials, a float array; sorted in
-        place.
-      alternative: max scores of the truth-1 trials, a float array;
-        sorted in place.
-      confidence: two-sided confidence level for the rate bounds.
-      delta: additive slack of the guarantee being tested.
+      cfg: game parameters: the score maps, confidence and delta.
+      null, alternative: each class's uniforms, sorted in place.
 
     Returns:
       The per-threshold summary.
+
+    Raises:
+      ValueError: if a tau < 1 score table would exceed its cap.
     """
     big = null.size + alternative.size > _BLOCK_SIZE
     _run_jobs([null.sort, alternative.sort], 2 if big and thread_count() > 1 else 1)
-    thresholds = np.unique(_pooled_quantiles(null, alternative, _sweep_levels()))
+    # Each class's scores of an array of ranks.
+    read0, read1 = (
+        lambda ranks, u=u, score=score: score(u[ranks])
+        for u, score in zip((null, alternative), _score_maps(cfg))
+    )
     n0, n1 = null.size, alternative.size
-    fp_cnt = n0 - np.searchsorted(null, thresholds, side="right")
-    fn_cnt = np.searchsorted(alternative, thresholds, side="right")
-    side = _one_sided(confidence)
+    quantiles, probes = _pooled_quantiles(read0, read1, n0, n1, _sweep_levels())
+    thresholds = np.unique(quantiles)
+    fp_cnt = n0 - _count_at_most(read0, n0, probes[0], thresholds)
+    fn_cnt = _count_at_most(read1, n1, probes[1], thresholds)
+    side = _one_sided(cfg.confidence)
     # Both classes' limits in one solve.
     fp_up, fn_up = clopper_pearson_upper(
         np.stack([fp_cnt, fn_cnt]), [[n0], [n1]], side
@@ -667,14 +728,14 @@ def sweep_thresholds(
         fn_counts=fn_cnt,
         fp_upper=fp_up,
         fn_upper=fn_up,
-        eps_lower=eps_lower_bound(fp_up, fn_up, delta),
+        eps_lower=eps_lower_bound(fp_up, fn_up, cfg.delta),
         n_null=n0,
         n_alternative=n1,
     )
 
 
 def run_audit(cfg: GameConfig) -> ThresholdSweep:
-    """Simulates the game and sweeps the thresholds over its max scores.
+    """Plays the game and sweeps the thresholds over its best scores.
 
     Args:
       cfg: game parameters.
@@ -682,5 +743,4 @@ def run_audit(cfg: GameConfig) -> ThresholdSweep:
     Returns:
       The per-threshold summary; its ``best`` row is the concluded bound.
     """
-    null, alternative = simulate_game(cfg)
-    return sweep_thresholds(null, alternative, cfg.confidence, cfg.delta)
+    return sweep_thresholds(cfg, *simulate_game(cfg))

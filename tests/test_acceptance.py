@@ -42,6 +42,7 @@ from privtune.accountant import (
 )
 from privtune.audit import (
     GameConfig,
+    best_scores,
     run_audit,
     simulate_game,
 )
@@ -392,7 +393,7 @@ def test_criterion_9_simulator_calibration():
         trials=10**7,
         seed=3,
     )
-    null, alt = simulate_game(cfg)
+    null, alt = best_scores(cfg, *simulate_game(cfg))
     null.sort()
     alt.sort()
     levels = np.linspace(0.0005, 0.9995, 2001)

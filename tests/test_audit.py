@@ -22,7 +22,9 @@ from privtune.audit import (
     _mixture_quantile,
     _normal_best,
     _pooled_quantiles,
+    _score_maps,
     _sweep_levels,
+    best_scores,
     clopper_pearson_upper,
     eps_lower_bound,
     run_audit,
@@ -218,15 +220,15 @@ def test_clopper_pearson_upper_agrees_with_scipy(n):
 def test_exact_game_scores_match_scipys_normal_quantile():
     # The seed-7 game's best scores, recomputed block by block with
     # scipy.special.ndtri in place of the package's AS241: within 1.1e-15
-    # relative, and simulate_game's scores are the package's bit for bit,
-    # each class in trial order.
+    # relative, and best_scores's scores of the game's uniforms are the
+    # package's bit for bit, each class in trial order.
     cfg = GameConfig(
         config=DpSgdConfig(60.0, 1.0, 1000),
         dist=TNB(1.0, 1e-2),
         trials=3 * (1 << 20),
         seed=7,
     )
-    classes = simulate_game(cfg)
+    classes = best_scores(cfg, *simulate_game(cfg))
     shift = math.sqrt(1000.0) / 60.0
     worst = 0.0
     filled = [0, 0]
@@ -354,7 +356,7 @@ def test_simulate_game_splits_truth_evenly():
         trials=20_000,
         seed=4,
     )
-    classes = simulate_game(cfg)
+    classes = best_scores(cfg, *simulate_game(cfg))
     assert [sample.shape for sample in classes] == [(10_033,), (9_967,)]
     # The frozen means lie within 4 standard errors of the analytic ones.
     for bit, frozen in ((0, _SMOKE_MEAN_NULL), (1, _SMOKE_MEAN_ALT)):
@@ -453,7 +455,7 @@ def test_subsampled_best_scores_follow_the_exact_cdf():
         trials=10**5,
         seed=21,
     )
-    _, alternative = simulate_game(cfg)
+    _, alternative = best_scores(cfg, *simulate_game(cfg))
     weights, means = _mixture(cfg.config)
 
     def best_of_four_cdf(s):
@@ -482,7 +484,7 @@ def test_subsampled_game_matches_the_per_run_sampler(dist):
     cfg = GameConfig(
         config=DpSgdConfig(5.0, 0.5, 100), dist=dist, trials=10**5, seed=9
     )
-    _, alternative = simulate_game(cfg)
+    _, alternative = best_scores(cfg, *simulate_game(cfg))
     reference = _per_run_scores(cfg)
     assert stats.ks_2samp(alternative, reference).pvalue > 0.01
 
@@ -495,9 +497,9 @@ def test_subsampled_game_is_thread_invariant(monkeypatch):
         seed=6,
     )
     monkeypatch.setenv("PRIVTUNE_THREADS", "1")
-    serial = simulate_game(cfg)
+    serial = best_scores(cfg, *simulate_game(cfg))
     monkeypatch.setenv("PRIVTUNE_THREADS", "4")
-    parallel = simulate_game(cfg)
+    parallel = best_scores(cfg, *simulate_game(cfg))
     assert len(serial) == len(parallel) == 2
     for a, b in zip(serial, parallel):
         assert a.tobytes() == b.tobytes()
@@ -513,7 +515,7 @@ def test_exact_game_follows_the_best_score_cdf(dist):
     cfg = GameConfig(
         config=DpSgdConfig(60.0, 1.0, 1000), dist=dist, trials=10**5, seed=17
     )
-    classes = simulate_game(cfg)
+    classes = best_scores(cfg, *simulate_game(cfg))
     shift = math.sqrt(1000.0) / 60.0
 
     def best_score_cdf(s):
@@ -531,7 +533,7 @@ def test_exact_game_matches_explicit_run_count_draws(dist):
     cfg = GameConfig(
         config=DpSgdConfig(60.0, 1.0, 1000), dist=dist, trials=10**5, seed=18
     )
-    classes = simulate_game(cfg)
+    classes = best_scores(cfg, *simulate_game(cfg))
     rng = np.random.default_rng(19)
     counts = dist.sample(rng, cfg.trials)
     reference = special.ndtri(np.exp(np.log(rng.random(cfg.trials)) / counts))
@@ -553,7 +555,7 @@ def test_point_mass_game_is_log_u_over_k_bit_for_bit(monkeypatch, threads):
         seed=12,
     )
     monkeypatch.setenv("PRIVTUNE_THREADS", threads)
-    classes = simulate_game(cfg)
+    classes = best_scores(cfg, *simulate_game(cfg))
     shift = math.sqrt(1000.0) / 60.0
     filled = [0, 0]
     for block, lo in enumerate(range(0, cfg.trials, _BLOCK_SIZE)):
@@ -578,7 +580,7 @@ def test_simulate_game_single_run_scores_are_standard_normal():
         trials=10**5,
         seed=8,
     )
-    null, alternative = simulate_game(cfg)
+    null, alternative = best_scores(cfg, *simulate_game(cfg))
     assert stats.kstest(null, "norm").pvalue > 0.01
     mu = np.sqrt(1000.0) / 50.0
     assert stats.kstest(alternative - mu, "norm").pvalue > 0.01
@@ -591,7 +593,7 @@ def test_simulated_roc_tracks_gaussian_tradeoff_curve():
         trials=10**6,
         seed=3,
     )
-    null, alt = (np.sort(scores) for scores in simulate_game(cfg))
+    null, alt = (np.sort(s) for s in best_scores(cfg, *simulate_game(cfg)))
     levels = np.linspace(0.0005, 0.9995, 2001)
     thresholds = np.quantile(null, 1.0 - levels)
     fn = np.searchsorted(alt, thresholds, side="right") / alt.size
@@ -640,8 +642,8 @@ def test_sweep_thresholds_matches_scalar_recomputation():
         seed=13,
     )
     classes = simulate_game(cfg)
-    null, alt = (np.sort(scores) for scores in classes)
-    sweep = sweep_thresholds(*classes, cfg.confidence, cfg.delta)
+    null, alt = (np.sort(scores) for scores in best_scores(cfg, *classes))
+    sweep = sweep_thresholds(cfg, *classes)
     assert sweep.n_null == null.size
     assert sweep.n_alternative == alt.size
     assert sweep.n_null + sweep.n_alternative == cfg.trials
@@ -711,10 +713,10 @@ def test_sweep_thresholds_equals_the_bool_mask_sweep(monkeypatch):
     pooled, empty = np.concatenate([null, alternative]), np.empty(0)
     for classes in ((null, alternative), (pooled, empty), (empty, pooled)):
         thresholds, fp, fn, fp_up, fn_up, n0, n1 = _copy_sweep(
-            *classes, cfg.confidence, cfg.delta
+            *best_scores(cfg, *classes), cfg.confidence, cfg.delta
         )
         copies = [scores.copy() for scores in classes]
-        sweep = sweep_thresholds(*copies, cfg.confidence, cfg.delta)
+        sweep = sweep_thresholds(cfg, *copies)
         # Each class was sorted in place.
         for got, scores in zip(copies, classes):
             assert got.tobytes() == np.sort(scores).tobytes()
@@ -738,12 +740,10 @@ def test_sweep_thresholds_peak_memory_and_bool_truth():
     # bytes a trial.
     assert null.base is alternative.base
     assert null.base.nbytes == 8 * cfg.trials
-    sweep_thresholds(
-        null[:500].copy(), alternative[:500].copy(), cfg.confidence, cfg.delta
-    )
+    sweep_thresholds(cfg, null[:500].copy(), alternative[:500].copy())
     tracemalloc.start()
     try:
-        sweep_thresholds(null, alternative, cfg.confidence, cfg.delta)
+        sweep_thresholds(cfg, null, alternative)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -809,7 +809,9 @@ def test_pooled_quantiles_equal_numpy_quantile_bit_for_bit():
         for levels in (_sweep_levels(), np.sort(rng.random(64)), dyadic):
             with np.errstate(invalid="ignore"):
                 want = np.quantile(pooled, levels)
-                got = _pooled_quantiles(s0, s1, levels)
+                got, _ = _pooled_quantiles(
+                    s0.__getitem__, s1.__getitem__, s0.size, s1.size, levels
+                )
             # Bit for bit, NaN (from -inf neighbours) included.
             assert got.tobytes() == want.tobytes()
 
@@ -835,7 +837,7 @@ def test_run_audit_reports_the_best_sweep_row():
     )
     classes = simulate_game(cfg)
     sweep = run_audit(cfg)
-    expected = sweep_thresholds(*classes, cfg.confidence, cfg.delta)
+    expected = sweep_thresholds(cfg, *classes)
     np.testing.assert_array_equal(sweep.eps_lower, expected.eps_lower)
     best = sweep.best
     assert isinstance(best, int)
@@ -845,6 +847,107 @@ def test_run_audit_reports_the_best_sweep_row():
     # A tie goes to the first row.
     tied = dataclasses.replace(sweep, eps_lower=np.array([0.0, 2.0, 1.0, 2.0]))
     assert tied.best == 1
+
+
+def _eager_sweep(cfg: GameConfig, null: np.ndarray, alternative: np.ndarray):
+    """The sweep from every trial's score: best_scores, np.sort, np.quantile
+    of the pooled scores and np.searchsorted, as ThresholdSweep fields."""
+    s0, s1 = (np.sort(scores) for scores in best_scores(cfg, null, alternative))
+    thresholds = np.unique(np.quantile(np.concatenate([s0, s1]), _sweep_levels()))
+    fp = s0.size - np.searchsorted(s0, thresholds, side="right")
+    fn = np.searchsorted(s1, thresholds, side="right")
+    side = 1.0 - (1.0 - cfg.confidence) / 2.0
+    fp_up = clopper_pearson_upper(fp, s0.size, side)
+    fn_up = clopper_pearson_upper(fn, s1.size, side)
+    eps = eps_lower_bound(fp_up, fn_up, cfg.delta)
+    return [thresholds, fp, fn, fp_up, fn_up, eps, s0.size, s1.size]
+
+
+_ORACLE_DISTS = [TNB(1.0, 1e-2), TNB(0.0, 1e-2), PointMass(1), PointMass(2)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("dist", _ORACLE_DISTS)
+@pytest.mark.parametrize("tau", [1.0, 0.5])
+def test_sweep_of_sorted_uniforms_equals_the_sweep_of_every_score(
+    monkeypatch, tau, dist, threads
+):
+    # Six cases each: three seeded audits, on two threads one past a game
+    # block, and the 1000-trial game's uniforms with three zeros a class
+    # (best score -inf, and NaN thresholds between two), and with either
+    # class empty.
+    monkeypatch.setenv("PRIVTUNE_THREADS", threads)
+    config = DpSgdConfig(10.4 if tau < 1.0 else 60.0, tau, 100)
+    big = (1 << 20) + 777 if threads == "2" else 200_000
+    cases = []
+    for seed, trials in ((1, 1000), (2, 60_000), (3, big)):
+        cfg = GameConfig(config=config, dist=dist, trials=trials, seed=seed)
+        cases.append((cfg, simulate_game(cfg), run_audit(cfg)))
+    null, alternative = (u.copy() for u in cases[0][1])
+    null[[0, 5, 9]] = alternative[[1, 4, 7]] = 0.0
+    empty = np.empty(0)
+    cfg = cases[0][0]
+    with np.errstate(invalid="ignore"):
+        for classes in ((null, alternative), (null, empty), (empty, alternative)):
+            game = [u.copy() for u in classes]
+            cases.append((cfg, classes, sweep_thresholds(cfg, *game)))
+        for cfg, classes, sweep in cases:
+            want = _eager_sweep(cfg, *classes)
+            got = [getattr(sweep, f.name) for f in dataclasses.fields(sweep)]
+            for name, g, w in zip(dataclasses.fields(sweep), got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
+
+
+def _least_uniform_above(dist, level: float) -> int:
+    """The least k with log S^-1(k 2^-53) > level, by bisection on k."""
+    lo, hi = 0, 2**53 - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if dist.log_inverse_pgf(np.array([mid * 2.0**-53]))[0] > level:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("dist", _ORACLE_DISTS)
+def test_score_maps_decrease_within_twice_their_error(dist):
+    # The sweep ranks trials by their uniforms, on the score maps being
+    # increasing to within their stated error. Each map is scanned on
+    # windows of 2^14 consecutive multiples of 2^-53 (every uniform a game
+    # draws): around each branch switch of log_inverse_pgf, _normal_best,
+    # _ndtri and the tau < 1 table, and at random.
+    levels = [-math.log(2.0), -1e-15, math.log(0.075), math.log(0.925)]
+    levels += [-25.0, math.log1p(-math.exp(-25.0))]
+    centers = [_least_uniform_above(dist, level) for level in levels]
+    if isinstance(dist, TNB) and dist.eta != 0.0:
+        # log D changes form at D = 1/2, where 1 - u = 1 / (2 (1 - nu^eta)).
+        rate = -math.expm1(dist.eta * math.log(dist.nu))
+        centers.append(round((1.0 - 0.5 / rate) * 2.0**53))
+    rng = np.random.default_rng(31)
+    centers += list(rng.integers(0, 2**53, size=24))
+    centers += list((2.0**53 * np.exp(-rng.uniform(0.0, 36.0, size=8))).astype(int))
+    centers += list(2**53 - (np.exp(rng.uniform(0.0, 36.0, size=8))).astype(int))
+    half = 1 << 13
+    steps = np.arange(-half, half)
+    windows = [np.clip(c + steps, 0, 2**53 - 1) * 2.0**-53 for c in centers]
+    exact, subsampled = (
+        _score_maps(GameConfig(DpSgdConfig(10.4, tau, 100), dist, trials=1))
+        for tau in (1.0, 0.5)
+    )
+    maps = [(exact[0], 7e-16), (exact[1], 7e-16), (subsampled[1], _QUANTILE_TOL)]
+    seen = 0
+    for score, tol in maps:
+        for u in windows:
+            s = score(u)
+            with np.errstate(invalid="ignore"):  # -inf - -inf at u = 0
+                drop = s[:-1] - s[1:]
+            down = np.flatnonzero(drop > 0.0)
+            bound = 2.0 * tol * np.maximum(1.0, np.abs(s[down]))
+            assert np.all(drop[down] <= bound), (tol, u[down][drop[down] > bound])
+            seen += down.size
+    # The scan meets decreases: at least 7 a run count on these windows.
+    assert seen > 0
 
 
 def test_thread_count_uses_the_affinity_mask(monkeypatch):

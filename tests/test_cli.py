@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -9,11 +11,15 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from privtune import cli
 from privtune.accountant import calibrate_sigma_rdp
+from privtune.audit import GameConfig, run_audit
 from privtune.cli import main
+from privtune.runcount import TruncatedNegativeBinomial
+from privtune.tradeoff import DpSgdConfig
 
 _ACCOUNTANT_EXAMPLE = [
     "accountant",
@@ -483,6 +489,61 @@ def test_audit_csv_emits_per_threshold_table(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "threshold,fp,fn,fp_upper,fn_upper,eps_lower"
     assert len(lines) > 100
+
+
+# sha256 of a whole audit at seed 7, frozen before the sweep read its
+# scores from sorted uniforms: the json report (the best row), the csv
+# report (every row, at six digits) and every ThresholdSweep field's bytes.
+_FROZEN_SWEEPS = [
+    (
+        DpSgdConfig(60.0, 1.0, 1000),
+        2**21,
+        "77f7b64d7c8af61be240d3ede86a8afce0d6ef11d919e1e8a96066c2302fdef7",
+        "18a8604a2011f6a0931007b439fdf262bbc368bf662fff4bd0909d57e0006115",
+        "15916f44e50e4aab0a44b68a3f8c8926e691ddf31c7b6e28b159c71de37a6e73",
+    ),
+    (
+        DpSgdConfig(10.4, 0.5, 100),
+        200_000,
+        "4a875389563c4397add119539ee4bae546303af083f9261eff94d7dd949ffd6c",
+        "c3bb08231f585bcb8513a8b888f4c2a76868f5ce1659a443d7ab8157651dc592",
+        "20931619974c887d73fffc7df5432f74710bb17e6f9c1ef01f336a0c898839c5",
+    ),
+]
+
+
+@pytest.mark.parametrize("config,trials,json_sha,csv_sha,sweep_sha", _FROZEN_SWEEPS)
+def test_audit_whole_sweep_is_frozen_byte_for_byte(
+    capsys, config, trials, json_sha, csv_sha, sweep_sha
+):
+    base = f"dpsgd:sigma={config.sigma},tau={config.tau},n={config.n_iters}"
+    argv = ["audit", "--base", base, "--xi", "tnb:eta=1,nu=1e-2", "--trials",
+            str(trials), "--seed", "7"]
+    for fmt, expected in (("json", json_sha), ("csv", csv_sha)):
+        code, out, _ = _run(capsys, [*argv, "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, fmt
+    dist = TruncatedNegativeBinomial(1.0, 1e-2)
+    sweep = run_audit(GameConfig(config=config, dist=dist, trials=trials, seed=7))
+    fields = (getattr(sweep, f.name) for f in dataclasses.fields(sweep))
+    digest = hashlib.sha256(b"".join(np.asarray(v).tobytes() for v in fields))
+    assert digest.hexdigest() == sweep_sha
+
+
+@pytest.mark.parametrize(
+    "base,delta_h", [("gdp:mu=1000", "5e-324"), ("gdp:mu=1e6", "1e-320")]
+)
+def test_accountant_refuses_a_subnormal_per_run_delta(capsys, base, delta_h):
+    # The Gaussian conversion's error bound divides by a term that
+    # underflows to 0 there; these exited 1 with a ZeroDivisionError.
+    code, out, err = _run(
+        capsys,
+        ["accountant", "--base", base, "--xi", "pointmass:k=1", "--delta-h",
+         delta_h],
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: delta_h={delta_h} deflates to a per-run delta")
+    assert "outside [2^-1022, 1]" in err
 
 
 @pytest.mark.parametrize("name", ["missing/report.txt", "."])
