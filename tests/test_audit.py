@@ -850,17 +850,13 @@ def test_run_audit_reports_the_best_sweep_row():
 
 
 def _eager_sweep(cfg: GameConfig, null: np.ndarray, alternative: np.ndarray):
-    """The sweep from every trial's score: best_scores, np.sort, np.quantile
-    of the pooled scores and np.searchsorted, as ThresholdSweep fields."""
-    s0, s1 = (np.sort(scores) for scores in best_scores(cfg, null, alternative))
-    thresholds = np.unique(np.quantile(np.concatenate([s0, s1]), _sweep_levels()))
-    fp = s0.size - np.searchsorted(s0, thresholds, side="right")
-    fn = np.searchsorted(s1, thresholds, side="right")
-    side = 1.0 - (1.0 - cfg.confidence) / 2.0
-    fp_up = clopper_pearson_upper(fp, s0.size, side)
-    fn_up = clopper_pearson_upper(fn, s1.size, side)
+    """ThresholdSweep's fields from every trial's score: best_scores, then
+    _copy_sweep's np.sort, np.quantile and np.searchsorted."""
+    thresholds, fp, fn, fp_up, fn_up, n0, n1 = _copy_sweep(
+        *best_scores(cfg, null, alternative), cfg.confidence, cfg.delta
+    )
     eps = eps_lower_bound(fp_up, fn_up, cfg.delta)
-    return [thresholds, fp, fn, fp_up, fn_up, eps, s0.size, s1.size]
+    return [thresholds, fp, fn, fp_up, fn_up, eps, n0, n1]
 
 
 _ORACLE_DISTS = [TNB(1.0, 1e-2), TNB(0.0, 1e-2), PointMass(1), PointMass(2)]
@@ -872,10 +868,10 @@ _ORACLE_DISTS = [TNB(1.0, 1e-2), TNB(0.0, 1e-2), PointMass(1), PointMass(2)]
 def test_sweep_of_sorted_uniforms_equals_the_sweep_of_every_score(
     monkeypatch, tau, dist, threads
 ):
-    # Six cases each: three seeded audits, on two threads one past a game
+    # Seven cases each: three seeded audits, on two threads one past a game
     # block, and the 1000-trial game's uniforms with three zeros a class
-    # (best score -inf, and NaN thresholds between two), and with either
-    # class empty.
+    # (best score -inf, and NaN thresholds between two), with either class
+    # empty, and cut to two decimals (thresholds on tied scores).
     monkeypatch.setenv("PRIVTUNE_THREADS", threads)
     config = DpSgdConfig(10.4 if tau < 1.0 else 60.0, tau, 100)
     big = (1 << 20) + 777 if threads == "2" else 200_000
@@ -886,9 +882,9 @@ def test_sweep_of_sorted_uniforms_equals_the_sweep_of_every_score(
     null, alternative = (u.copy() for u in cases[0][1])
     null[[0, 5, 9]] = alternative[[1, 4, 7]] = 0.0
     empty = np.empty(0)
-    cfg = cases[0][0]
+    cfg, ties = cases[0][0], [np.floor(u * 100.0) / 100.0 for u in cases[0][1]]
     with np.errstate(invalid="ignore"):
-        for classes in ((null, alternative), (null, empty), (empty, alternative)):
+        for classes in ((null, alternative), (null, empty), (empty, alternative), ties):
             game = [u.copy() for u in classes]
             cases.append((cfg, classes, sweep_thresholds(cfg, *game)))
         for cfg, classes, sweep in cases:
