@@ -13,11 +13,15 @@ false-positive and false-negative rates; upper confidence limits on
 those rates convert into a lower confidence bound on the privacy
 parameter that any valid guarantee must exceed.
 
-The game keeps each trial's uniform in its class's region of one buffer,
-8 bytes a trial: a first pass over the game's blocks draws, packs and
-counts each block's truth bits, placing each block's trials of either
-class, and a second unpacks them beside the uniforms. The best score
-increases with U, so the sweep sorts uniforms and scores only what it reads.
+The best score increases with U, so the sweep ranks trials by their
+uniforms and scores only the ranks it reads. run_audit plays the game
+twice from its seeded block streams and keeps no array of the trials: a
+first pass counts each class's uniforms in value buckets, whose score
+bounds narrow the sweep's searches to a few buckets per threshold, and a
+second keeps only the uniforms of those buckets, so memory grows like
+sqrt(trials). simulate_game keeps every trial's uniform, 8 bytes a trial,
+and sweep_thresholds sweeps them: the materialized reference that
+run_audit reproduces byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import functools
 import math
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent import futures
 
 import numpy as np
@@ -51,13 +55,12 @@ __all__ = [
 
 THREADS_ENV_VAR = "PRIVTUNE_THREADS"
 _BLOCK_SIZE = 1 << 20
-# Trials a block draws and scores at once. Each worker keeps one buffer of
-# a slice for the whole game, and a slice's steps write into it or into
-# the outputs, so malloc has few temporaries to give back to the system
-# and fault in again: a fresh process's 1e7-trial game takes about 9k to
-# 12k minor page faults on two threads, 13k on one. A whole block of 2^20
-# keeps up to 20 MB more in the workers' arenas.
-_SLICE = 1 << 18
+# Trials a block draws at once. Each worker keeps one buffer of a slice's
+# uniforms for the whole game; a slice's bits and bucket keys are made
+# anew, and stay in the worker's malloc arena between slices. At 2^18 a
+# 1e7-trial audit peaked at 61 MB of RSS on two threads, against 51 MB at
+# 2^16, in the same time: the passes' costs are per trial.
+_SLICE = 1 << 16
 _N_BULK_LEVELS = 256
 _N_TAIL_LEVELS = 256
 _TAIL_FLOOR = 1e-5
@@ -69,6 +72,8 @@ _TABLE_CAP = 1 << 24
 _CHUNK = 1 << 13
 _NEWTON_STEPS = 4
 _QUANTILE_TOL = 1e-10
+# The normal-quantile score path's stated error relative to max(1, |s|).
+_NORMAL_TOL = 7e-16
 _Map = Callable[[np.ndarray], np.ndarray]
 
 
@@ -325,21 +330,33 @@ def _score_maps(cfg: GameConfig) -> tuple[_Map, _Map]:
     return null, lambda u: null(u) + shift
 
 
-def _slice_sizes(trials: int, block: int) -> list[int]:
-    """Sizes of a block's slices: _SLICE trials each, and the rest last.
+def _block_slices(
+    cfg: GameConfig, block: int, spare: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yields a block's (truth, uniforms) slices in stream order.
 
-    Drawn slice by slice, a block's truth bits and then its uniforms are
-    the stream of one draw of each: a bit takes one 32-bit half of a
-    64-bit draw, as an int32 and an int64 draw both do, and every slice
-    but the last is even. The bits are drawn once and kept packed for the
-    play pass (0.1 ms a slice, against 1.1 ms to draw them again). No
-    array of the block's size is made: such arrays, freed by a worker,
-    stayed in its malloc arena and put up to 40 MB on a 1e7-trial audit's
-    peak RSS, varying from run to run.
+    The one home of the game's stream: block b of the game is driven by
+    the stream keyed by (seed, b), which draws the block's n truth bits
+    and then its n uniforms. A bit is the top bit of one 32-bit half of a
+    64-bit draw, low half first, as rng.integers(0, 2, n, np.int32) takes
+    it, so the bits take ceil(n / 2) draws and the uniforms start there.
+    Two generators on the same seed, one advanced past the bits, read the
+    two parts slice by slice, so no array of the block's size is made
+    (such arrays, freed by a worker, stayed in its malloc arena and put up
+    to 40 MB on a 1e7-trial audit's peak RSS, varying from run to run).
+    Slices hold _SLICE trials, the rest last; each slice but the last is
+    even, so the bits are the stream of one draw. Each slice's uniforms
+    are written into spare, which must hold a slice.
     """
-    lo = block * _BLOCK_SIZE
-    hi = min(lo + _BLOCK_SIZE, trials)
-    return [min(_SLICE, hi - start) for start in range(lo, hi, _SLICE)]
+    size = min(_BLOCK_SIZE, cfg.trials - block * _BLOCK_SIZE)
+    seq = np.random.SeedSequence([cfg.seed, block])
+    bits = np.random.PCG64(seq)
+    draws = np.random.Generator(np.random.PCG64(seq).advance((size + 1) // 2))
+    for lo in range(0, size, _SLICE):
+        n = min(_SLICE, size - lo)
+        # A third of the time of rng.integers's draw of the same bits.
+        truth = bits.random_raw((n + 1) // 2).view(np.uint32)[:n] >= 2**31
+        yield truth, draws.random(out=spare[:n])
 
 
 def _run_jobs(jobs: list[Callable[[], object]], workers: int) -> list:
@@ -353,6 +370,27 @@ def _run_jobs(jobs: list[Callable[[], object]], workers: int) -> list:
         return [done.result() for done in [pool.submit(job) for job in jobs]]
 
 
+def _play(cfg: GameConfig, job: Callable[[Iterator], object]) -> list:
+    """Plays the game once: job(slices) on each worker's share of the blocks.
+
+    Worker w of W takes blocks w, w + W, ..., and job receives their
+    (truth, uniforms) slices in turn, the uniforms in one buffer of the
+    worker's, overwritten by the next slice. Returns each worker's result.
+    """
+    blocks = -(-cfg.trials // _BLOCK_SIZE)
+    workers = min(thread_count(), blocks)
+
+    def share(first: int) -> object:
+        spare = np.empty(min(_SLICE, cfg.trials))
+        return job(
+            part
+            for block in range(first, blocks, workers)
+            for part in _block_slices(cfg, block, spare)
+        )
+
+    return _run_jobs([functools.partial(share, w) for w in range(workers)], workers)
+
+
 def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     """Plays the distinguishing game: every trial's truth bit and uniform.
 
@@ -361,13 +399,13 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     is F^-1(S^-1(U)) (_score_maps), which best_scores computes.
 
     Trials are partitioned into fixed-size blocks, each driven by a
-    stream keyed by (seed, block index) that draws the block's truth bits
-    and then its uniforms. A first pass over the blocks draws, packs and
-    counts each block's truth bits, which places its trials of either
-    class; a second unpacks them and writes each class's uniforms
-    straight into its region. So no truth array is kept, a trial costs 8
-    bytes, and the results are bit-identical for any degree of
-    parallelism.
+    stream keyed by (seed, block index) (_block_slices). A first pass
+    over the blocks counts each block's truth bits, which places its
+    trials of either class; a second plays the blocks again and writes
+    each class's uniforms straight into its region. So no truth array is
+    kept, a trial costs 8 bytes, and the results are bit-identical for
+    any degree of parallelism. run_audit plays the same game without
+    keeping it; this is the materialized reference.
 
     Args:
       cfg: game parameters.
@@ -394,41 +432,33 @@ def simulate_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
         _mixture_grid(cfg.config, cfg.dist)
     blocks = range((cfg.trials + _BLOCK_SIZE - 1) // _BLOCK_SIZE)
     workers = min(thread_count(), len(blocks))
+    worker = threading.local()
 
-    def count(block: int) -> tuple[int, np.random.Generator, list[np.ndarray]]:
-        # The block's ones, its stream past them, and its packed bits.
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, block]))
-        ones, packed = 0, []
-        for size in _slice_sizes(cfg.trials, block):
-            truth = rng.integers(0, 2, size, np.int32) != 0
-            ones += int(np.count_nonzero(truth))
-            packed.append(np.packbits(truth))
-        return ones, rng, packed
+    def slices(block: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        # Each worker's buffer of a slice's uniforms, made at its first block
+        # and kept, so its pages stay mapped across its slices and blocks.
+        if not hasattr(worker, "spare"):
+            worker.spare = np.empty(min(_SLICE, cfg.trials))
+        return _block_slices(cfg, block, worker.spare)
 
-    ones, streams, bits = zip(
-        *_run_jobs([functools.partial(count, b) for b in blocks], workers)
-    )
+    def count(block: int) -> int:
+        return sum(int(np.count_nonzero(truth)) for truth, _ in slices(block))
+
+    ones = _run_jobs([functools.partial(count, b) for b in blocks], workers)
     # Where each block's trials of either class start, and the last ends.
     alt_at = np.cumsum([0, *ones])
     ends = np.minimum(np.arange(len(blocks) + 1) * _BLOCK_SIZE, cfg.trials)
     null_at = ends - alt_at
     n0 = int(null_at[-1])
-    worker = threading.local()
 
     def play(block: int) -> None:
-        # Each worker's buffer of a slice's uniforms, made at its first block
-        # and kept, so its pages stay mapped across its slices and blocks.
-        if not hasattr(worker, "spare"):
-            worker.spare = np.empty(min(_SLICE, cfg.trials))
         null_out = uniforms[null_at[block] : null_at[block + 1]]
         alt_out = uniforms[n0 + alt_at[block] : n0 + alt_at[block + 1]]
-        for size, packed in zip(_slice_sizes(cfg.trials, block), bits[block]):
+        for truth, drawn in slices(block):
             # Each class's uniforms are taken into its region through an
             # index array, not the random bool mask, whose gathers take
             # several times as long; and in mode "wrap", as take's default
             # mode first fills a copy of out.
-            truth = np.unpackbits(packed, count=size).view(bool)
-            drawn = streams[block].random(out=worker.spare[:size])
             index = np.flatnonzero(truth)
             alt = np.take(drawn, index, out=alt_out[: index.size], mode="wrap")
             index = np.flatnonzero(np.logical_not(truth, out=truth))
@@ -596,45 +626,64 @@ def _least_true(lo: np.ndarray, hi: np.ndarray, holds) -> np.ndarray:
     return lo
 
 
+def _pooled_ranks(n: int, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pooled ranks np.quantile reads at each level, and their weights.
+
+    Of n pooled values, level q has virtual index v = (n - 1) q and reads
+    the ranks floor(v) and floor(v) + 1 with weight g = v - floor(v); where
+    v >= n - 1 numpy reads the largest rank twice, with g = v + 1.
+
+    Returns:
+      The lower ranks of every level, then the upper ranks; and g.
+    """
+    virtual = (n - 1) * levels
+    top = virtual >= n - 1
+    below = np.where(top, -1.0, np.floor(virtual))
+    rank = np.where(top, n - 1, below).astype(np.intp)
+    return np.concatenate([rank, np.where(top, rank, rank + 1)]), virtual - below
+
+
+def _split_range(ranks: np.ndarray, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The feasible counts of class-0 values among the r + 1 smallest."""
+    return np.maximum(ranks + 1 - n1, 0), np.minimum(ranks + 1, n0)
+
+
 def _pooled_quantiles(
-    read0: _Map, read1: _Map, n0: int, n1: int, levels: np.ndarray
+    read0: _Map,
+    read1: _Map,
+    n0: int,
+    n1: int,
+    levels: np.ndarray,
+    bracket: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """np.quantile of the pooled scores of two classes, read by rank.
 
     read0 and read1 map an array of ranks to their scores in a class of n0
     or n1 scores in increasing order, as indexing a sorted array does.
 
-    Follows numpy's default 'linear' rule bit for bit. Of n pooled values,
-    level q has virtual index v = (n - 1) q, and interpolates the order
-    statistics a and b of ranks floor(v) and floor(v) + 1 with weight
-    g = v - floor(v) as a + (b - a) g, or as b - (b - a) (1 - g) where
-    g >= 1/2. Where v >= n - 1 numpy takes the largest value for both,
-    with g = v + 1. The scores must hold no NaN; as in np.quantile, of
+    Follows numpy's default 'linear' rule bit for bit: the order
+    statistics a and b of each level's ranks (_pooled_ranks) are
+    interpolated with weight g as a + (b - a) g, or as b - (b - a) (1 - g)
+    where g >= 1/2. The scores must hold no NaN; as in np.quantile, of
     tied 0.0 and -0.0 either may be taken.
 
     The value of rank r is the larger of s0[i - 1] and s1[r - i], where i
     values of the r + 1 smallest come from s0: i is the least count in
     its feasible range that is the range's top or has s0[i] >= s1[r - i],
-    found by bisection for every rank at once.
+    found by bisection for every rank at once. bracket, if given, is a
+    narrower range [lo, hi] per rank (the lower ranks, then the upper)
+    that holds that count, with s0[hi] >= s1[r - hi] unless hi is the
+    range's top; it is overwritten.
 
     Returns:
       The quantiles, and a probe of each class: its distinct ranks either
       side of each split (i - 1, i in s0; r - i, r - i + 1 in s1), with
       their scores.
     """
-    n = n0 + n1
-    virtual = (n - 1) * levels
-    top = virtual >= n - 1
-    below = np.where(top, -1.0, np.floor(virtual))
-    gamma = virtual - below
-    rank = np.where(top, n - 1, below).astype(np.intp)
-    ranks = np.concatenate([rank, np.where(top, rank, rank + 1)])
+    ranks, gamma = _pooled_ranks(n0 + n1, levels)
+    lo, hi = _split_range(ranks, n0, n1) if bracket is None else bracket
     # In an open bracket lo <= mid < hi, so mid and r - mid are ranks.
-    lo = _least_true(
-        np.maximum(ranks + 1 - n1, 0),
-        np.minimum(ranks + 1, n0),
-        lambda k, mid: read0(mid) >= read1(ranks[k] - mid),
-    )
+    lo = _least_true(lo, hi, lambda k, mid: read0(mid) >= read1(ranks[k] - mid))
     probes, values = [], np.full(ranks.size, -np.inf)
     for read, size, count in ((read0, n0, lo), (read1, n1, ranks + 1 - lo)):
         index = np.unique(np.concatenate([count - 1, count]))
@@ -655,9 +704,11 @@ def _count_at_most(
 ) -> np.ndarray:
     """np.searchsorted(scores, thresholds, side="right") by bisection.
 
-    read and size are as in _pooled_quantiles, whose probe of the class
-    brackets each count by ranks either side of the threshold, most of
-    them closed. A NaN threshold lies above every score, as numpy sorts.
+    read and size are as in _pooled_quantiles. probe holds ranks of the
+    class in increasing order with their scores, as _pooled_quantiles
+    returns it or with more ranks; each count is bracketed by the probe's
+    ranks either side of its threshold, most brackets closed. A NaN
+    threshold lies above every score, as numpy sorts.
     """
     index, score = probe
     at = np.searchsorted(score, thresholds, side="right")
@@ -665,6 +716,35 @@ def _count_at_most(
         np.append(0, index + 1)[at],
         np.append(index, size)[at],
         lambda k, mid: thresholds[k] < read(mid),
+    )
+
+
+def _threshold_sweep(
+    cfg: GameConfig,
+    reads: tuple[_Map, _Map],
+    sizes: tuple[int, int],
+    quantiles: np.ndarray,
+    probes: list[tuple[np.ndarray, np.ndarray]],
+) -> ThresholdSweep:
+    """The sweep's rows at the distinct quantiles, each class read by rank."""
+    (read0, read1), (n0, n1) = reads, sizes
+    thresholds = np.unique(quantiles)
+    fp_cnt = n0 - _count_at_most(read0, n0, probes[0], thresholds)
+    fn_cnt = _count_at_most(read1, n1, probes[1], thresholds)
+    side = _one_sided(cfg.confidence)
+    # Both classes' limits in one solve.
+    fp_up, fn_up = clopper_pearson_upper(
+        np.stack([fp_cnt, fn_cnt]), [[n0], [n1]], side
+    )
+    return ThresholdSweep(
+        thresholds=thresholds,
+        fp_counts=fp_cnt,
+        fn_counts=fn_cnt,
+        fp_upper=fp_up,
+        fn_upper=fn_up,
+        eps_lower=eps_lower_bound(fp_up, fn_up, cfg.delta),
+        n_null=n0,
+        n_alternative=n1,
     )
 
 
@@ -689,11 +769,14 @@ def sweep_thresholds(
     F^-1(S^-1(u)) increases with u, so this ranks trials as their exact
     scores do. The float map can order two uniforms a few ulps apart the
     other way (rarely: sorted 1e7-trial games held none), each time by
-    less than twice its stated error, 7e-16 max(1, |s|) through the normal
-    quantile and _QUANTILE_TOL max(1, |s|) through the tau < 1 table
+    less than twice its stated error, _NORMAL_TOL max(1, |s|) through the
+    normal quantile and _QUANTILE_TOL max(1, |s|) through the tau < 1 table
     (tests/test_audit.py::test_score_maps_decrease_within_twice_their_error).
     So a row can differ from the sweep of the sorted float scores only
     where it reads such a pair, and there ranking by U is the exact game's.
+
+    This is the materialized sweep, which run_audit reproduces without
+    the game's arrays (_sweep_in_two_passes).
 
     Args:
       cfg: game parameters: the score maps, confidence and delta.
@@ -708,39 +791,250 @@ def sweep_thresholds(
     big = null.size + alternative.size > _BLOCK_SIZE
     _run_jobs([null.sort, alternative.sort], 2 if big and thread_count() > 1 else 1)
     # Each class's scores of an array of ranks.
-    read0, read1 = (
+    reads = tuple(
         lambda ranks, u=u, score=score: score(u[ranks])
         for u, score in zip((null, alternative), _score_maps(cfg))
     )
-    n0, n1 = null.size, alternative.size
-    quantiles, probes = _pooled_quantiles(read0, read1, n0, n1, _sweep_levels())
-    thresholds = np.unique(quantiles)
-    fp_cnt = n0 - _count_at_most(read0, n0, probes[0], thresholds)
-    fn_cnt = _count_at_most(read1, n1, probes[1], thresholds)
-    side = _one_sided(cfg.confidence)
-    # Both classes' limits in one solve.
-    fp_up, fn_up = clopper_pearson_upper(
-        np.stack([fp_cnt, fn_cnt]), [[n0], [n1]], side
+    sizes = (null.size, alternative.size)
+    quantiles, probes = _pooled_quantiles(*reads, *sizes, _sweep_levels())
+    return _threshold_sweep(cfg, reads, sizes, quantiles, probes)
+
+
+def _bucket_count(trials: int) -> int:
+    """H, the value buckets [k / H, (k + 1) / H) of each class's uniforms.
+
+    A power of two, 16 times the one at or above sqrt(trials): 2^16 at
+    1e7 trials, 2^19 at 1e9. A bucket then holds about trials / (2 H)
+    trials of a class, and each worker's histogram takes 16 H bytes, so
+    the histograms and the kept buckets both grow like sqrt(trials). H
+    stops at 2^20, reached at 2^32 trials, so that no count of trials
+    makes histograms of more than 16 MiB a worker.
+    """
+    return 1 << min(((trials - 1).bit_length() + 1) // 2 + 4, 20)
+
+
+def _bucket_keys(
+    truth: np.ndarray, uniforms: np.ndarray, buckets: int
+) -> np.ndarray:
+    """2 floor(u H) + truth: each trial's bucket and class as one index.
+
+    u H is exact for a power of two H, so a uniform lies in its bucket.
+    """
+    keys = np.multiply(
+        uniforms, buckets, out=np.empty(uniforms.size, np.intp), casting="unsafe"
     )
-    return ThresholdSweep(
-        thresholds=thresholds,
-        fp_counts=fp_cnt,
-        fn_counts=fn_cnt,
-        fp_upper=fp_up,
-        fn_upper=fn_up,
-        eps_lower=eps_lower_bound(fp_up, fn_up, cfg.delta),
-        n_null=n0,
-        n_alternative=n1,
+    keys <<= 1
+    keys += truth
+    return keys
+
+
+def _bucket_bounds(
+    cfg: GameConfig, maps: tuple[_Map, _Map], buckets: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each class's (low, high): nondecreasing bounds on each bucket's scores.
+
+    The exact map F^-1(S^-1(u)) increases, and the float map is within
+    its stated error e(s) of it: _NORMAL_TOL max(1, |s|) through the
+    normal quantile, _QUANTILE_TOL max(1, |s|) through the tau < 1 table.
+    So each score of bucket k is at least the map at k / H less 2 e(s),
+    and at most the map at (k + 1) / H plus 2 e(s). The edges are widened
+    by 3 e(s), which covers the bound's own rounding, and made monotone by
+    a running minimum from above or maximum from below, which keeps them
+    bounds. The top edge, u = 1, is +inf. At tau = 1 a truth-1 score is
+    the null's plus sqrt(N) / sigma, and rounding is monotone, so the
+    null's bounds plus that shift bound it with no further widening.
+    """
+    u = np.arange(buckets) / buckets
+
+    def bounds(score: _Map, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        edges = np.append(score(u), np.inf)
+        widen = 3.0 * tol * np.maximum(1.0, np.abs(edges))
+        low = np.minimum.accumulate((edges[:-1] - widen[:-1])[::-1])[::-1]
+        return low, np.maximum.accumulate(edges[1:] + widen[1:])
+
+    null, alternative = maps
+    low, high = bounds(null, _NORMAL_TOL)
+    if cfg.config.tau < 1.0:
+        return [(low, high), bounds(alternative, _QUANTILE_TOL)]
+    shift = math.sqrt(cfg.config.n_iters) / cfg.config.sigma
+    return [(low, high), (low + shift, high + shift)]
+
+
+def _marked(cum: np.ndarray, spans: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The buckets holding a rank of any span [first, last] of the class.
+
+    cum holds the class's counts of the buckets below each edge, so rank
+    r lies in bucket searchsorted(cum, r, "right") - 1. Spans are clipped
+    to the class's ranks.
+    """
+    first = np.maximum(np.concatenate([f for f, _ in spans]), 0)
+    last = np.minimum(np.concatenate([t for _, t in spans]), cum[-1] - 1)
+    keep = first <= last
+    start = np.searchsorted(cum, first[keep], side="right") - 1
+    stop = np.searchsorted(cum, last[keep], side="right")
+    edges = np.bincount(start, minlength=cum.size) - np.bincount(stop, minlength=cum.size)
+    return np.cumsum(edges[:-1]) > 0
+
+
+def _kept_reader(
+    score: _Map, cum: np.ndarray, marked: np.ndarray, values: np.ndarray
+) -> _Map:
+    """A class's scores by rank, from the sorted uniforms of its marked buckets.
+
+    Raises:
+      RuntimeError: if the uniforms are not those the marked buckets
+        counted, or a read falls outside them; either is a defect.
+    """
+    kept = np.where(marked, np.diff(cum), 0)
+    if values.size != kept.sum():
+        raise RuntimeError(
+            f"the second play kept {values.size} uniforms of a class, "
+            f"where the first counted {kept.sum()}"
+        )
+    start = np.cumsum(kept) - kept
+
+    def read(ranks: np.ndarray) -> np.ndarray:
+        bucket = np.searchsorted(cum, ranks, side="right") - 1
+        if not np.all(marked[bucket]):
+            raise RuntimeError("the sweep read a rank outside the kept buckets")
+        return score(values[start[bucket] + ranks - cum[bucket]])
+
+    return read
+
+
+def _sweep_in_two_passes(
+    cfg: GameConfig, play: Callable[[Callable[[Iterator], object]], list]
+) -> ThresholdSweep:
+    """sweep_thresholds's summary of a game played twice and never kept.
+
+    play(job) plays the game, calling job on iterators over its (truth,
+    uniforms) slices, and returns the jobs' results (_play). Both plays
+    must give the same trials.
+
+    Pass 1 counts each class's uniforms in H value buckets (_bucket_count).
+    The class's counts up to a bucket place each rank in its bucket, and
+    so between bounds on its score (_bucket_bounds). Before any trial is
+    read, the bounds narrow each pooled rank r's search in
+    _pooled_quantiles: _least_true on them finds the least count i where
+    s0[i] >= s1[r - i] surely holds and the least where it may. Every
+    change of the predicate lies between the two, so the search started
+    there lands where the full one does whenever the predicate is
+    monotone, as it is where the scores of sorted uniforms are
+    nondecreasing. Each threshold lies between the bounds of its two
+    pooled order statistics, and these bound each class's count at it:
+    those ranks join the class's probe, so each count's bisection stays
+    between them (_count_at_most). The buckets holding any rank that the
+    narrowed searches, their probes and the counts can read are marked.
+
+    Pass 2 plays the game again and keeps the uniforms of the marked
+    buckets, about 3% of the trials at 1e7. Sorted, they are each class's
+    sorted uniforms at the ranks of those buckets, and the sweep reads its
+    scores there as sweep_thresholds does, so the rows are the same bytes.
+
+    Raises:
+      RuntimeError: if the second play kept other trials than the first
+        counted, or the sweep read outside the kept buckets.
+    """
+    buckets = _bucket_count(cfg.trials)
+
+    def count(slices: Iterator) -> np.ndarray:
+        hist = np.zeros(2 * buckets, np.int64)
+        for truth, uniforms in slices:
+            np.add.at(hist, _bucket_keys(truth, uniforms, buckets), 1)
+        return hist
+
+    hist = functools.reduce(np.add, play(count)).reshape(buckets, 2).T
+    cums = [np.concatenate([[0], np.cumsum(h)]) for h in hist]
+    del hist
+    sizes = tuple(int(cum[-1]) for cum in cums)
+    maps = _score_maps(cfg)
+    bounds = _bucket_bounds(cfg, maps, buckets)
+    levels = _sweep_levels()
+    ranks, _ = _pooled_ranks(sum(sizes), levels)
+
+    def bound(c: int, side: int, rank: np.ndarray) -> np.ndarray:
+        # A bound on class c's score of each rank, -inf where it has none.
+        out = np.full(rank.shape, -np.inf)
+        has = rank >= 0
+        out[has] = bounds[c][side][np.searchsorted(cums[c], rank[has], side="right") - 1]
+        return out
+
+    first, last = _split_range(ranks, *sizes)
+    sure = _least_true(
+        first.copy(),
+        last.copy(),
+        lambda k, i: bound(0, 0, i) >= bound(1, 1, ranks[k] - i),
     )
+    maybe = _least_true(
+        first,
+        last,
+        lambda k, i: bound(0, 1, i) >= bound(1, 0, ranks[k] - i),
+    )
+    # The searches read s0 at [maybe, sure) and s1 at r minus those, and
+    # probe one rank either side.
+    spans = [[(maybe - 1, sure)], [(ranks - sure, ranks + 1 - maybe)]]
+    # Rank r's value max(s0[i - 1], s1[r - i]), at the split i in [maybe,
+    # sure], lies between these; each threshold between the values of its
+    # two ranks.
+    below = np.maximum(bound(0, 0, maybe - 1), bound(1, 0, ranks - sure))
+    above = np.maximum(bound(0, 1, sure - 1), bound(1, 1, ranks - maybe))
+    below = np.minimum(*np.split(below, 2))
+    above = np.maximum(*np.split(above, 2))
+    extra = []
+    for c, (low, high) in enumerate(bounds):
+        # Ranks below at_most score at most each threshold, and rank
+        # more_than scores above it; a NaN threshold counts the top rank.
+        at_most = cums[c][np.searchsorted(high, below, side="right")]
+        more_than = cums[c][np.searchsorted(low, above, side="right")]
+        top = np.array([sizes[c] - 1])
+        spans[c] += [(at_most - 1, more_than), (top, top)]
+        extra.append(np.concatenate([at_most - 1, more_than, top]))
+    marked = [_marked(cum, span) for cum, span in zip(cums, spans)]
+    lookup = np.stack(marked, axis=1).ravel()
+
+    def collect(slices: Iterator) -> list[tuple[np.ndarray, np.ndarray]]:
+        kept: tuple[list, list] = ([], [])
+        for truth, uniforms in slices:
+            at = np.flatnonzero(lookup[_bucket_keys(truth, uniforms, buckets)])
+            alt = truth[at]
+            kept[0].append(uniforms[at[~alt]])
+            kept[1].append(uniforms[at[alt]])
+        return kept
+
+    kept = play(collect)
+    reads = []
+    for c, score in enumerate(maps):
+        values = np.concatenate([part for parts in kept for part in parts[c]])
+        values.sort()
+        reads.append(_kept_reader(score, cums[c], marked[c], values))
+    del kept
+    quantiles, probes = _pooled_quantiles(*reads, *sizes, levels, (maybe, sure))
+    for c, add in enumerate(extra):
+        index = np.union1d(probes[c][0], add[(add >= 0) & (add < sizes[c])])
+        probes[c] = (index, reads[c](index))
+    return _threshold_sweep(cfg, reads, sizes, quantiles, probes)
 
 
 def run_audit(cfg: GameConfig) -> ThresholdSweep:
-    """Plays the game and sweeps the thresholds over its best scores.
+    """Plays the game and sweeps the thresholds, keeping no trial array.
+
+    The game is played twice from its seeded block streams (_play), and
+    the summary is sweep_thresholds(cfg, *simulate_game(cfg)) byte for
+    byte wherever the score maps are nondecreasing on the sorted uniforms
+    (_sweep_in_two_passes). Memory grows like sqrt(trials): per worker a
+    slice's buffers and a histogram of 16 H bytes, and the uniforms of the
+    buckets the sweep reads.
 
     Args:
       cfg: game parameters.
 
     Returns:
       The per-threshold summary; its ``best`` row is the concluded bound.
+
+    Raises:
+      ValueError: if a tau < 1 score table would exceed its cap, before
+        any trial is played.
     """
-    return sweep_thresholds(cfg, *simulate_game(cfg))
+    if cfg.config.tau < 1.0:
+        _mixture_grid(cfg.config, cfg.dist)
+    return _sweep_in_two_passes(cfg, functools.partial(_play, cfg))

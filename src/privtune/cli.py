@@ -217,6 +217,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """
     eps_b_list = args.eps_b if args.eps_b else [1.0, 2.0, 4.0]
     tau_list = args.tau if args.tau else [1.0]
+    # A grid value is a flag, not a cell: a non-finite one is malformed.
+    for flag, values in (("--eps-b", eps_b_list), ("--tau", tau_list)):
+        for value in values:
+            if not math.isfinite(value):
+                raise UsageError(f"{flag} must be finite, got {value!r}")
     xi_list = [_parse_spec(text, "--xi", _XI_KINDS) for text in args.xi or ()]
     if args.lower and args.trials < 1:
         raise UsageError(f"trials must be >= 1, got {args.trials}")

@@ -18,11 +18,16 @@ from privtune._numerics import _CP_REL_ERR, _ndtri
 from privtune.audit import (
     _BLOCK_SIZE,
     _QUANTILE_TOL,
+    _SLICE,
     GameConfig,
+    _block_slices,
+    _bucket_count,
+    _kept_reader,
     _mixture_quantile,
     _normal_best,
     _pooled_quantiles,
     _score_maps,
+    _sweep_in_two_passes,
     _sweep_levels,
     best_scores,
     clopper_pearson_upper,
@@ -672,17 +677,17 @@ def test_sweep_thresholds_matches_scalar_recomputation():
     ],
 )
 def test_multi_block_audit_is_thread_invariant(monkeypatch, config, trials):
+    # At each thread count, the audit played twice is the materialized
+    # sweep of the game, field for field.
     cfg = GameConfig(config=config, dist=TNB(1.0, 1e-2), trials=trials, seed=21)
-    runs = []
+    reference = sweep_thresholds(cfg, *simulate_game(cfg))
+    want = [getattr(reference, f.name) for f in dataclasses.fields(reference)]
     for threads in ("1", "2", "4"):
         monkeypatch.setenv("PRIVTUNE_THREADS", threads)
         sweep = run_audit(cfg)
-        runs.append(
-            [getattr(sweep, f.name) for f in dataclasses.fields(sweep)]
-        )
-    for run in runs[1:]:
-        for got, want in zip(run, runs[0]):
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        got = [getattr(sweep, f.name) for f in dataclasses.fields(sweep)]
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 def _copy_sweep(null, alternative, confidence, delta):
@@ -756,13 +761,16 @@ def test_sweep_thresholds_peak_memory_and_bool_truth():
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
-def test_run_audit_peak_memory_is_the_scores_and_each_workers_buffers(
+def test_run_audit_peak_memory_is_each_workers_buffers_and_the_histograms(
     monkeypatch, threads
 ):
-    # The game's buffer of 8 bytes a trial, and per worker a slice buffer,
-    # a slice of truth bits and index arrays: about 6 MiB a worker. A
-    # truth array and the sweep's class copies put about 1.1 times the
-    # scores on top of that.
+    # Per worker a slice's buffers (uniforms, bits and bucket keys: about
+    # 1.3 MiB) and its histogram of 16 H bytes; in the calling thread each
+    # class's bucket counts and score bounds, 48 H bytes, their
+    # temporaries and the uniforms kept for the sweep. No term grows with
+    # the trials as such: the game's 8 bytes a trial alone are 32 MiB here,
+    # and the bound allowed 8 bytes a trial plus 10 MiB a worker before
+    # the game was played twice.
     monkeypatch.setenv("PRIVTUNE_THREADS", threads)
     cfg = GameConfig(
         config=DpSgdConfig(60.0, 1.0, 1000),
@@ -777,7 +785,7 @@ def test_run_audit_peak_memory_is_the_scores_and_each_workers_buffers(
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - 8 * cfg.trials <= int(threads) * 10 * 2**20
+    assert peak <= int(threads) * 2 * 2**20 + 112 * _bucket_count(cfg.trials)
 
 
 def _class_pairs(rng: np.random.Generator):
@@ -862,36 +870,65 @@ def _eager_sweep(cfg: GameConfig, null: np.ndarray, alternative: np.ndarray):
 _ORACLE_DISTS = [TNB(1.0, 1e-2), TNB(0.0, 1e-2), PointMass(1), PointMass(2)]
 
 
+def _replay(null: np.ndarray, alternative: np.ndarray):
+    """A play of the game whose trials are the given classes, in two shares:
+    the null then the alternative's first half, and the rest."""
+    truth = np.repeat([False, True], [null.size, alternative.size])
+    uniforms = np.concatenate([null, alternative])
+    cut = null.size + alternative.size // 2
+    shares = [(truth[:cut], uniforms[:cut]), (truth[cut:], uniforms[cut:])]
+
+    def play(job):
+        return [job(iter([(t.copy(), u.copy())])) for t, u in shares]
+
+    return play
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("dist", _ORACLE_DISTS)
 @pytest.mark.parametrize("tau", [1.0, 0.5])
 def test_sweep_of_sorted_uniforms_equals_the_sweep_of_every_score(
     monkeypatch, tau, dist, threads
 ):
-    # Seven cases each: three seeded audits, on two threads one past a game
-    # block, and the 1000-trial game's uniforms with three zeros a class
+    # Nineteen cases each: three seeded audits, on two threads one past a
+    # game block; the 1000-trial game's uniforms with three zeros a class
     # (best score -inf, and NaN thresholds between two), with either class
-    # empty, and cut to two decimals (thresholds on tied scores).
+    # empty, and cut to two decimals (thresholds on tied scores), each
+    # swept as given and played twice (in two worker shares) into 16 and
+    # 512 value buckets; and the 60,000-trial game with 1000 zeros and
+    # 5000 halves a class (NaN thresholds, and counts through a long tie
+    # where the sweep's reads are far apart), swept and played into 2^14
+    # and 2^16 buckets.
     monkeypatch.setenv("PRIVTUNE_THREADS", threads)
     config = DpSgdConfig(10.4 if tau < 1.0 else 60.0, tau, 100)
     big = (1 << 20) + 777 if threads == "2" else 200_000
     cases = []
     for seed, trials in ((1, 1000), (2, 60_000), (3, big)):
         cfg = GameConfig(config=config, dist=dist, trials=trials, seed=seed)
-        cases.append((cfg, simulate_game(cfg), run_audit(cfg)))
+        cases.append((cfg, simulate_game(cfg), [run_audit(cfg)]))
     null, alternative = (u.copy() for u in cases[0][1])
     null[[0, 5, 9]] = alternative[[1, 4, 7]] = 0.0
     empty = np.empty(0)
     cfg, ties = cases[0][0], [np.floor(u * 100.0) / 100.0 for u in cases[0][1]]
+    lumpy = [u.copy() for u in cases[1][1]]
+    for u in lumpy:
+        u[:1000], u[1000:6000] = 0.0, 0.5
+    adversarial = [(null, alternative), (null, empty), (empty, alternative), ties]
+    plays = [(c, (1, 1000)) for c in adversarial] + [(lumpy, (1 << 20, 1 << 24))]
     with np.errstate(invalid="ignore"):
-        for classes in ((null, alternative), (null, empty), (empty, alternative), ties):
-            game = [u.copy() for u in classes]
-            cases.append((cfg, classes, sweep_thresholds(cfg, *game)))
-        for cfg, classes, sweep in cases:
+        for classes, played_trials in plays:
+            sweeps = [sweep_thresholds(cfg, *[u.copy() for u in classes])]
+            play = _replay(*classes)
+            for trials in played_trials:
+                played = dataclasses.replace(cfg, trials=trials)
+                sweeps.append(_sweep_in_two_passes(played, play))
+            cases.append((cfg, classes, sweeps))
+        for cfg, classes, sweeps in cases:
             want = _eager_sweep(cfg, *classes)
-            got = [getattr(sweep, f.name) for f in dataclasses.fields(sweep)]
-            for name, g, w in zip(dataclasses.fields(sweep), got, want):
-                assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
+            for sweep in sweeps:
+                got = [getattr(sweep, f.name) for f in dataclasses.fields(sweep)]
+                for name, g, w in zip(dataclasses.fields(sweep), got, want):
+                    assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
 
 
 def _least_uniform_above(dist, level: float) -> int:
@@ -944,6 +981,82 @@ def test_score_maps_decrease_within_twice_their_error(dist):
             seen += down.size
     # The scan meets decreases: at least 7 a run count on these windows.
     assert seen > 0
+
+
+@pytest.mark.parametrize(
+    "seed,block,size",
+    [
+        (0, 0, 1),
+        (7, 0, 2),
+        (7, 3, _SLICE - 1),
+        (11, 1, _SLICE),
+        (11, 2, _SLICE + 1),
+        (123, 9, 12345),
+        (5, 2, _BLOCK_SIZE - 1),
+        (2**32 + 5, 0, 3 * _SLICE + 7),
+        (2**64 - 1, 4, _BLOCK_SIZE),
+    ],
+)
+def test_block_slices_are_the_stream_of_integer_bits_then_uniforms(
+    seed, block, size
+):
+    # A block's bits, drawn from raw 64-bit draws, are those of
+    # rng.integers(0, 2, n, np.int32) on its keyed stream, and its
+    # uniforms are the rng.random(n) drawn after them; the block is the
+    # game's last, of n trials, so an odd n ends on an odd slice.
+    cfg = GameConfig(
+        config=DpSgdConfig(60.0, 1.0, 1000),
+        dist=PointMass(1),
+        trials=block * _BLOCK_SIZE + size,
+        seed=seed,
+    )
+    parts = [(t.copy(), u.copy()) for t, u in _block_slices(cfg, block, np.empty(_SLICE))]
+    assert [t.size for t, _ in parts] == [
+        min(_SLICE, size - lo) for lo in range(0, size, _SLICE)
+    ]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
+    bits = rng.integers(0, 2, size, np.int32) != 0
+    uniforms = rng.random(size)
+    assert np.concatenate([t for t, _ in parts]).tobytes() == bits.tobytes()
+    assert np.concatenate([u for _, u in parts]).tobytes() == uniforms.tobytes()
+
+
+def test_simulate_game_refuses_a_buffer_it_cannot_allocate():
+    # 2^45 trials need 256 TiB of uniforms, beyond any user address space.
+    # The refusal comes before the count pass, which would run for hours.
+    cfg = GameConfig(
+        config=DpSgdConfig(60.0, 1.0, 1000), dist=PointMass(2), trials=2**45
+    )
+    with pytest.raises(
+        ValueError,
+        match=rf"^trials={2**45} needs {2**48} bytes of scores, more than",
+    ):
+        simulate_game(cfg)
+
+
+def test_kept_reader_reads_only_the_kept_buckets():
+    # Four buckets of 2, 3, 0 and 4 ranks, the second and fourth kept.
+    cum = np.array([0, 2, 5, 5, 9])
+    marked = np.array([False, True, False, True])
+    values = np.array([0.30, 0.35, 0.45, 0.80, 0.85, 0.90, 0.95])
+    read = _kept_reader(lambda u: -u, cum, marked, values)
+    assert read(np.array([2, 4, 5, 8])).tolist() == [-0.30, -0.45, -0.80, -0.95]
+    assert read(np.array([], np.intp)).size == 0
+    for rank in (0, 1):
+        with pytest.raises(RuntimeError, match="outside the kept buckets"):
+            read(np.array([3, rank]))
+    with pytest.raises(RuntimeError, match="kept 6 uniforms .* counted 7"):
+        _kept_reader(lambda u: -u, cum, marked, values[1:])
+
+
+def test_two_pass_sweep_refuses_a_second_play_of_other_trials():
+    cfg = GameConfig(
+        config=DpSgdConfig(60.0, 1.0, 1000), dist=TNB(1.0, 1e-2), trials=1000
+    )
+    null, alternative = simulate_game(cfg)
+    plays = [_replay(null, alternative), _replay(np.tile(null, 2), alternative)]
+    with pytest.raises(RuntimeError, match="the second play kept"):
+        _sweep_in_two_passes(cfg, lambda job: plays.pop(0)(job))
 
 
 def test_thread_count_uses_the_affinity_mask(monkeypatch):

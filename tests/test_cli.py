@@ -681,24 +681,31 @@ def test_audit_of_a_huge_run_count_prints_a_finite_threshold(tau):
     assert math.isfinite(json.loads(result.stdout)["best_threshold"])
 
 
-def test_audit_refuses_scores_it_cannot_allocate():
-    # 2^45 trials need 256 TiB of scores, beyond any user address space.
-    # The refusal comes before the count pass, which would run for hours.
+def _audit_peak_rss(trials: int) -> int:
+    """The peak RSS, in bytes, of an audit of that many trials in a fresh process."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
-    result = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "privtune.cli", "audit", "--base",
-         "dpsgd:sigma=60,tau=1,n=1000", "--xi", "pointmass:k=2",
-         "--trials", str(2**45)],
-        capture_output=True,
-        text=True,
+         "dpsgd:sigma=60,tau=1,n=1000", "--xi", "tnb:eta=1,nu=1e-2",
+         "--trials", str(trials), "--format", "json"],
+        stdout=subprocess.DEVNULL,
         env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=60,
     )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith(
-        f"error: trials={2**45} needs {2**48} bytes of scores"
-    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_audit_peak_rss_does_not_grow_by_the_trial(monkeypatch):
+    # The audit keeps no array of the trials: 8 times as many trials add
+    # less than 16 MiB of peak RSS, where a buffer of 8 bytes a trial
+    # alone would add 56 MiB.
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PRIVTUNE_THREADS", threads)
+        grown = _audit_peak_rss(2**23) - _audit_peak_rss(2**20)
+        assert grown < 16 * 2**20, (threads, grown)
 
 
 def test_calibration_failures_name_the_budget(capsys):
@@ -709,7 +716,6 @@ def test_calibration_failures_name_the_budget(capsys):
             "calibration failed: eps_b=0.0001 is out of reach: sigma in "
             "[0.3, 10000] gives eps_b in [0.00839268, 6517.55]",
         ],
-        "nan": ["calibration failed: eps_b must be > 0, got nan"] * 2,
     }
     for eps_b, reasons in expected.items():
         code, out, _ = _run(
@@ -721,6 +727,17 @@ def test_calibration_failures_name_the_budget(capsys):
         rows = json.loads(out)
         assert [row["reason"] for row in rows] == reasons
         assert all(row["eps_ours"] is None for row in rows)
+
+
+@pytest.mark.parametrize("flag", ["--eps-b", "--tau"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_compare_refuses_a_non_finite_grid_value(capsys, flag, value):
+    # These printed an NA row, or a bound at tau = inf, and exited 0.
+    code, out, err = _run(
+        capsys, ["compare", f"{flag}={value}", "--xi", "tnb:eta=1,nu=1e-2"]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be finite, got {float(value)!r}\n"
 
 
 def test_compare_lower_reports_a_refused_audit_as_a_cell(capsys):

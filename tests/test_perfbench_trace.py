@@ -2,9 +2,13 @@
 
 perfbench/tracer.py runs one privtune command with each layer's public
 functions timed and writes the trace as one `PERFBENCH_TRACE {json}` line
-on standard error. The benchmark's per-layer audit metrics are read from
+on standard error. The benchmark reads its per-layer audit metrics from
 the spans of `audit.simulate_game` and `audit.sweep_thresholds` and from
 the `audit.bytes_computed` count, the bytes of the game's returned arrays.
+The audit now plays its game twice and keeps no array of it, so it calls
+neither, and those metrics read 0 (ROADMAP item 18): what the tracer shows
+of an audit is the `audit.run_audit` span, with the Clopper-Pearson limits
+and the bound computed inside it.
 """
 
 from __future__ import annotations
@@ -41,10 +45,13 @@ def test_tracer_shows_the_audit_layers(tau):
         line for line in result.stderr.splitlines() if line.startswith(_MARKER)
     ]
     trace = json.loads(line[len(_MARKER) :])
-    for name in ("audit.simulate_game", "audit.sweep_thresholds"):
-        spans = [span for span in trace["spans"] if span[0] == name]
-        assert len(spans) == 1, name
-        assert spans[0][2] > spans[0][1], name
-    # The two class arrays of 8 bytes a trial, and no truth array.
-    assert trace["counts"]["audit.trials"] == _TRIALS
-    assert trace["counts"]["audit.bytes_computed"] == 8 * _TRIALS
+    spans = trace["spans"]
+    (audit,) = [i for i, span in enumerate(spans) if span[0] == "audit.run_audit"]
+    assert spans[audit][2] > spans[audit][1]
+    for name in ("audit.clopper_pearson_upper", "audit.eps_lower_bound"):
+        (inner,) = [span for span in spans if span[0] == name]
+        assert inner[3] == audit, name
+    # The game's arrays are never made: no span reads them.
+    names = {span[0] for span in spans}
+    assert not names & {"audit.simulate_game", "audit.sweep_thresholds"}
+    assert "audit.bytes_computed" not in trace["counts"]
