@@ -765,7 +765,7 @@ def test_run_audit_peak_memory_is_each_workers_buffers_and_the_histograms(
     monkeypatch, threads
 ):
     # Per worker a slice's buffers (uniforms, bits and bucket keys: about
-    # 1.3 MiB) and its histogram of 16 H bytes; in the calling thread each
+    # 1.3 MiB) and its histogram of 8 H bytes; in the calling thread each
     # class's bucket counts and score bounds, 48 H bytes, their
     # temporaries and the uniforms kept for the sweep. No term grows with
     # the trials as such: the game's 8 bytes a trial alone are 32 MiB here,
@@ -1010,7 +1010,8 @@ def test_block_slices_are_the_stream_of_integer_bits_then_uniforms(
         trials=block * _BLOCK_SIZE + size,
         seed=seed,
     )
-    parts = [(t.copy(), u.copy()) for t, u in _block_slices(cfg, block, np.empty(_SLICE))]
+    slices = _block_slices(cfg, block, np.empty(_SLICE))
+    parts = [(t.copy(), u.copy()) for t, u in slices]
     assert [t.size for t, _ in parts] == [
         min(_SLICE, size - lo) for lo in range(0, size, _SLICE)
     ]
