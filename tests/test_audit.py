@@ -768,9 +768,7 @@ def test_run_audit_peak_memory_is_each_workers_buffers_and_the_histograms(
     # 1.3 MiB) and its histogram of 8 H bytes; in the calling thread each
     # class's bucket counts and score bounds, 48 H bytes, their
     # temporaries and the uniforms kept for the sweep. No term grows with
-    # the trials as such: the game's 8 bytes a trial alone are 32 MiB here,
-    # and the bound allowed 8 bytes a trial plus 10 MiB a worker before
-    # the game was played twice.
+    # the trials as such: the game's 8 bytes a trial alone are 32 MiB here.
     monkeypatch.setenv("PRIVTUNE_THREADS", threads)
     cfg = GameConfig(
         config=DpSgdConfig(60.0, 1.0, 1000),
